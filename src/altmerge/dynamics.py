@@ -12,6 +12,11 @@ normalized by the safety ellipse axes, minus 1, clamped at 0: -1 on top of
 the other vehicle, relaxing to 0 on the ellipse boundary and beyond, so it
 penalizes proximity without rewarding unbounded flight. The lead term is
 tanh of the longitudinal gap.
+
+The arithmetic lives once, in private float kernels on plain (x, y, v,
+theta) tuples that skip validation: ``_advance``, ``_features`` and
+``_cost``. The planner calls them on its inner rollouts; the public
+``step``, ``features`` and ``cost`` validate their input and delegate.
 """
 
 from __future__ import annotations
@@ -60,9 +65,10 @@ class BicycleParams:
             raise ValueError("bicycle parameters must be positive")
 
     def check(self, control: Control) -> None:
-        if abs(control.accel) > self.accel_max + 1e-12:
+        """Reject a control beyond the actuator limits, or a NaN one."""
+        if not abs(control.accel) <= self.accel_max + 1e-12:
             raise ValueError(f"acceleration {control.accel} exceeds limit {self.accel_max}")
-        if abs(control.steer) > self.steer_max + 1e-12:
+        if not abs(control.steer) <= self.steer_max + 1e-12:
             raise ValueError(f"steering {control.steer} exceeds limit {self.steer_max}")
 
 
@@ -109,15 +115,79 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     params.check(control)
-    v = max(0.0, state.v + control.accel * dt)
-    x = state.x + v * math.sin(state.theta) * dt
-    y = state.y + v * math.cos(state.theta) * dt
-    theta = state.theta + (state.v / params.wheelbase) * math.tan(control.steer) * dt
-    return VehicleState(x, y, v, theta)
+    start = (state.x, state.y, state.v, state.theta)
+    return VehicleState(*_advance(start, control.accel, control.steer, 1, params.wheelbase, dt)[0])
 
 
-def _bounded_penalty(coefficient: float, error: float) -> float:
-    return 1.0 - math.exp(-coefficient * error * error)
+def _advance(
+    state: tuple[float, float, float, float],
+    accel: float,
+    steer: float,
+    steps: int,
+    wheelbase: float,
+    dt: float,
+) -> list[tuple[float, float, float, float]]:
+    """Float kernel of ``step``: ``steps`` steps of one control, unvalidated input.
+
+    States are (x, y, v, theta) tuples. A non-finite component never turns
+    finite again (speed cannot become NaN, and NaN or infinity absorbs every
+    later update), so checking the last state covers the whole run.
+    """
+    x, y, v, theta = state
+    dv = accel * dt
+    tan_steer = math.tan(steer)
+    states = []
+    for _ in range(steps):
+        v_next = v + dv
+        if not v_next > 0.0:
+            v_next = 0.0
+        x = x + v_next * math.sin(theta) * dt
+        y = y + v_next * math.cos(theta) * dt
+        theta = theta + (v / wheelbase) * tan_steer * dt
+        v = v_next
+        states.append((x, y, v, theta))
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(v) and math.isfinite(theta)):
+        raise ValueError(f"non-finite state (x, y, v, theta) = {(x, y, v, theta)}")
+    return states
+
+
+def _features(
+    x: float,
+    y: float,
+    v: float,
+    theta: float,
+    other: tuple[float, float, float, float],
+    params: FeatureParams,
+) -> tuple[float, float, float, float, float, float]:
+    """Float kernel of ``features``; ``other`` is the (x, y, sin, cos) of ``_frame``."""
+    other_x, other_y, sin_o, cos_o = other
+    # bounded penalties 1 - exp(-k * err^2)
+    left = x - params.x_left
+    right = x - params.x_right
+    speed = v - params.v_limit
+    heading = theta - params.lane_theta
+    phi0 = 1.0 - math.exp(-params.lambda_x * left * left)
+    phi1 = 1.0 - math.exp(-params.lambda_x * right * right)
+    phi2 = 1.0 - math.exp(-params.lambda_v * speed * speed)
+    phi3 = 1.0 - math.exp(-params.lambda_theta * heading * heading)
+
+    dx = x - other_x
+    dy = y - other_y
+    lateral = dx * cos_o - dy * sin_o
+    longitudinal = dx * sin_o + dy * cos_o
+    lat_axis = params.vehicle_width + params.width_margin
+    lon_axis = params.vehicle_length + params.length_margin
+    phi4 = min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
+
+    phi5 = math.tanh(y - other_y)
+    return (phi0, phi1, phi2, phi3, phi4, phi5)
+
+
+def _frame(
+    states: list[tuple[float, float, float, float]]
+) -> list[tuple[float, float, float, float]]:
+    """(x, y, sin theta, cos theta) per state: a trajectory seen as the other vehicle."""
+    return [(x, y, math.sin(theta), math.cos(theta)) for x, y, _, theta in states]
 
 
 def features(
@@ -130,32 +200,27 @@ def features(
     4: safety-ellipse proximity penalty in the other vehicle's frame,
     5: longitudinal lead (tanh of the gap, positive when ahead).
     """
-    phi0 = _bounded_penalty(params.lambda_x, state.x - params.x_left)
-    phi1 = _bounded_penalty(params.lambda_x, state.x - params.x_right)
-    phi2 = _bounded_penalty(params.lambda_v, state.v - params.v_limit)
-    phi3 = _bounded_penalty(params.lambda_theta, state.theta - params.lane_theta)
-
-    dx = state.x - other.x
-    dy = state.y - other.y
-    sin_o, cos_o = math.sin(other.theta), math.cos(other.theta)
-    lateral = dx * cos_o - dy * sin_o
-    longitudinal = dx * sin_o + dy * cos_o
-    lat_axis = params.vehicle_width + params.width_margin
-    lon_axis = params.vehicle_length + params.length_margin
-    phi4 = min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
-
-    phi5 = math.tanh(state.y - other.y)
-    return (phi0, phi1, phi2, phi3, phi4, phi5)
+    seen = (other.x, other.y, math.sin(other.theta), math.cos(other.theta))
+    return _features(state.x, state.y, state.v, state.theta, seen, params)
 
 
-def weighted_features(
-    state: VehicleState,
-    other: VehicleState,
+def _cost(
+    states: list[tuple[float, float, float, float]],
+    others: list[tuple[float, float, float, float]],
     weights: tuple[float, ...],
     params: FeatureParams,
+    total: float = 0.0,
 ) -> float:
-    phi = features(state, other, params)
-    return sum(w * f for w, f in zip(weights, phi))
+    """Float kernel of ``cost``: adds each pair's weighted features to ``total``.
+
+    Every sum runs left to right from 0.0, so continuing from the partial
+    sum of a trajectory's head gives the same float as the whole sum.
+    """
+    w0, w1, w2, w3, w4, w5 = weights
+    for (x, y, v, theta), other in zip(states, others):
+        f0, f1, f2, f3, f4, f5 = _features(x, y, v, theta, other, params)
+        total += 0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4 + w5 * f5
+    return total
 
 
 def cost(
@@ -169,7 +234,6 @@ def cost(
         raise ValueError("trajectories must have equal length")
     if len(weights) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} weights, got {len(weights)}")
-    return sum(
-        weighted_features(s, o, weights, params)
-        for s, o in zip(trajectory, other_trajectory)
-    )
+    states = [(s.x, s.y, s.v, s.theta) for s in trajectory]
+    others = _frame([(o.x, o.y, o.v, o.theta) for o in other_trajectory])
+    return _cost(states, others, weights, params)

@@ -206,16 +206,19 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
         leader_control = plan.leader_controls[0]
 
         true_action = _true_response(scenario, leader_action)
-        follower_w_true = scenario.weights[(leader_action, true_action)][1]
-        follower_controls = follower_plan(
-            follower_state,
-            leader_state,
-            plan.leader_controls,
-            follower_w_true,
-            scenario.dt,
-            scenario.feature_params,
-            scenario.bicycle_params,
-        )
+        if true_action == predicted:
+            # The plan's follower solve had exactly these inputs.
+            follower_controls = plan.follower_controls
+        else:
+            follower_controls = follower_plan(
+                follower_state,
+                leader_state,
+                plan.leader_controls,
+                scenario.weights[(leader_action, true_action)][1],
+                scenario.dt,
+                scenario.feature_params,
+                scenario.bicycle_params,
+            )
         follower_control = follower_controls[0]
 
         next_leader = step(leader_state, leader_control, scenario.bicycle_params, scenario.dt)
@@ -299,7 +302,10 @@ def _require(data: dict, key: str, context: str):
 def _weight_vector(raw, context: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or len(raw) != N_FEATURES:
         raise ScenarioError(f"{context}: expected a list of {N_FEATURES} numbers")
-    return tuple(float(v) for v in raw)
+    vector = tuple(float(v) for v in raw)
+    if not all(math.isfinite(v) for v in vector):
+        raise ScenarioError(f"{context}: weights must be finite, got {list(vector)}")
+    return vector
 
 
 _LABELS = {label.value: label for label in OutcomeLabel}

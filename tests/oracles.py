@@ -2,7 +2,11 @@
 
 Everything here re-derives results from the raw reward grid with plain
 enumeration or dense coefficient grids, deliberately avoiding the library's
-own game and belief machinery.
+own game and belief machinery. The planner oracle is the plain nested
+search, built only from the validated ``dynamics.step`` and
+``dynamics.cost``: it re-solves the follower for every leader candidate and
+caches nothing. It imports the package inside its functions, so this file
+loads without the package on the path, as ``perfbench`` loads it.
 """
 
 from __future__ import annotations
@@ -104,3 +108,105 @@ def oracle_reward_gain(rewards, i, lo, hi, n=10_000):
         p = len(subset) / n
         bonus += p * abs(_attainable(rewards, subset) - base)
     return bonus
+
+
+# ---------------------------------------------------------------------------
+# Planner: the plain nested coordinate search
+
+_SOLVER_TOL = 1e-6
+_SEARCH_ROUNDS = 3
+
+
+def _rollout(state, controls, params, dt):
+    """Post-step states of the controls applied in order, one validated step each."""
+    from altmerge.dynamics import step
+
+    states = []
+    for control in controls:
+        state = step(state, control, params, dt)
+        states.append(state)
+    return states
+
+
+def _halves(params4, horizon):
+    from altmerge.dynamics import Control
+
+    first = (horizon + 1) // 2
+    a1, s1, a2, s2 = params4
+    return tuple(Control(a1, s1) if k < first else Control(a2, s2) for k in range(horizon))
+
+
+def _grid_values(center, span, limit):
+    values = []
+    for v in (center - span, center - span / 2, center, center + span / 2, center + span):
+        clamped = max(-limit, min(limit, v))
+        if not any(abs(clamped - u) < 1e-12 for u in values):
+            values.append(clamped)
+    return values
+
+
+def _search(objective, params):
+    """Shrinking-grid cyclic coordinate ascent; every candidate is evaluated afresh."""
+    limits = (params.accel_max, params.steer_max, params.accel_max, params.steer_max)
+    current = [0.0, 0.0, 0.0, 0.0]
+    best = objective(tuple(current))
+    spans = list(limits)
+    for _ in range(_SEARCH_ROUNDS):
+        for coord in range(4):
+            for value in _grid_values(current[coord], spans[coord], limits[coord]):
+                if abs(value - current[coord]) < 1e-12:
+                    continue
+                candidate = list(current)
+                candidate[coord] = value
+                score = objective(tuple(candidate))
+                if score > best + _SOLVER_TOL:
+                    best = score
+                    current = candidate
+        spans = [s / 2 for s in spans]
+    return tuple(current)
+
+
+def oracle_follower_plan(follower_state, leader_state, leader_controls, weights,
+                         dt, feature_params, bicycle_params):
+    """Follower best response to a fixed leader control sequence."""
+    from altmerge.dynamics import cost
+
+    leader_traj = _rollout(leader_state, leader_controls, bicycle_params, dt)
+    horizon = len(leader_controls)
+
+    def objective(params4):
+        controls = _halves(params4, horizon)
+        traj = _rollout(follower_state, controls, bicycle_params, dt)
+        return cost(traj, leader_traj, weights, feature_params)
+
+    return _halves(_search(objective, bicycle_params), horizon)
+
+
+def oracle_leader_value(request, params4):
+    """Leader value of one candidate with the follower solved afresh.
+
+    Returns (value, leader controls, follower controls, leader trajectory,
+    follower trajectory).
+    """
+    from altmerge.dynamics import cost
+
+    leader_controls = _halves(params4, request.horizon)
+    follower_controls = oracle_follower_plan(
+        request.follower_state, request.leader_state, leader_controls,
+        request.follower_weights, request.dt, request.feature_params, request.bicycle_params,
+    )
+    leader_traj = _rollout(request.leader_state, leader_controls,
+                                 request.bicycle_params, request.dt)
+    follower_traj = _rollout(request.follower_state, follower_controls,
+                                   request.bicycle_params, request.dt)
+    value = cost(leader_traj, follower_traj, request.leader_weights, request.feature_params)
+    return value, leader_controls, follower_controls, leader_traj, follower_traj
+
+
+def oracle_bilevel_plan(request):
+    """(leader controls, follower controls, leader trajectory, follower trajectory, cost)."""
+    params4 = _search(lambda p: oracle_leader_value(request, p)[0], request.bicycle_params)
+    value, leader_controls, follower_controls, leader_traj, follower_traj = (
+        oracle_leader_value(request, params4)
+    )
+    return leader_controls, follower_controls, tuple(leader_traj), tuple(follower_traj), value

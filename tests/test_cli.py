@@ -60,6 +60,16 @@ class TestRun:
         )
         assert status == EXIT_ERROR
 
+    def test_nan_weight_exits_one(self, tmp_path, capsys):
+        data = json.loads(Path(SCENARIO).read_text())
+        data["weights"]["merge_ahead"]["give_way"]["leader"][2] = float("nan")
+        bad = tmp_path / "nan_weight.json"
+        bad.write_text(json.dumps(data))
+        status = run_cli("run", "--scenario", str(bad), "--steps", "2", "--out", str(tmp_path / "o"))
+        assert status == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
     def test_invalid_scenario_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n "game": [\n}\n')

@@ -1,6 +1,8 @@
-"""Planner behaviour against coarse grid-search oracles."""
+"""Planner behaviour against coarse grid-search oracles and the plain nested search."""
 
 import itertools
+import math
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,17 @@ from altmerge.dynamics import (
     step,
 )
 from altmerge.planner import (
-    Plan,
     PlanRequest,
     bilevel_plan,
     follower_plan,
-    leader_objective,
     mpc_step,
     rollout,
+)
+from altmerge.sim import load_scenario
+from oracles import (
+    oracle_bilevel_plan,
+    oracle_follower_plan,
+    oracle_leader_value,
 )
 
 BP = BicycleParams()
@@ -125,7 +131,7 @@ class TestBilevelPlan:
     def test_cost_at_least_zero_control_baseline(self):
         request = self._request((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
         plan = bilevel_plan(request)
-        baseline = leader_objective(request, (0.0, 0.0, 0.0, 0.0))
+        baseline = oracle_leader_value(request, (0.0, 0.0, 0.0, 0.0))[0]
         assert plan.leader_cost >= baseline - 1e-9
 
     def test_beats_sampled_candidates(self):
@@ -133,7 +139,7 @@ class TestBilevelPlan:
         plan = bilevel_plan(request)
         for a1 in (-3.0, 0.0, 3.0):
             for s1 in (-0.3, 0.0, 0.3):
-                value = leader_objective(request, (a1, s1, 0.0, 0.0))
+                value = oracle_leader_value(request, (a1, s1, 0.0, 0.0))[0]
                 assert plan.leader_cost >= value - 1e-9
 
     def test_replay_reproduces_trajectories_exactly(self):
@@ -157,6 +163,119 @@ class TestBilevelPlan:
             self._request(ZERO, ZERO, horizon=0)
         with pytest.raises(ValueError):
             PlanRequest(LEADER, FOLLOWER, (0.0,) * 5, ZERO)
+
+    def test_rejects_nan_leader_weight(self):
+        with pytest.raises(ValueError, match="finite"):
+            self._request((math.nan, 0, 0, 0, 0, 0), ZERO)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValueError, match="dt"):
+            PlanRequest(LEADER, FOLLOWER, ZERO, ZERO, dt=math.nan)
+
+    def test_rejects_non_integer_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            self._request(ZERO, ZERO, horizon=2.5)
+
+
+class TestFollowerPlanInput:
+    CONTROLS = (Control(0.0, 0.0),) * 6
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="finite"):
+            follower_plan(FOLLOWER, LEADER, self.CONTROLS, (0, 0, math.inf, 0, 0, 0), 0.2, FP, BP)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValueError, match="dt"):
+            follower_plan(FOLLOWER, LEADER, self.CONTROLS, ZERO, math.nan, FP, BP)
+
+    def test_rejects_nan_leader_control(self):
+        with pytest.raises(ValueError, match="acceleration"):
+            follower_plan(FOLLOWER, LEADER, (Control(math.nan, 0.0),), ZERO, 0.2, FP, BP)
+
+    def test_overflowing_rollout_raises(self):
+        runaway = VehicleState(7.5, 1.7e308, 1e308, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            follower_plan(runaway, LEADER, self.CONTROLS, ZERO, 0.2, FP, BP)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+MIXED_WEIGHTS = ((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
+
+
+def _scenario_requests():
+    """The request of every weight cell at both shipped scenarios' start states.
+
+    The first step of an episode plans for one of these cells.
+    """
+    cases = []
+    for name in ("lane_merge.json", "lane_merge_responsibility.json"):
+        scenario = load_scenario(SCENARIO_DIR / name)
+        for cell, (leader_w, follower_w) in sorted(scenario.weights.items()):
+            request = PlanRequest(
+                leader_state=scenario.leader_start,
+                follower_state=scenario.follower_start,
+                leader_weights=leader_w,
+                follower_weights=follower_w,
+                horizon=scenario.horizon,
+                dt=scenario.dt,
+                feature_params=scenario.feature_params,
+                bicycle_params=scenario.bicycle_params,
+            )
+            cases.append(pytest.param(request, id=f"{name}-{cell[0]}{cell[1]}"))
+    return cases
+
+
+def _request(leader, follower, weights, horizon):
+    return PlanRequest(leader, follower, *weights, horizon=horizon, dt=0.2,
+                       feature_params=FP, bicycle_params=BP)
+
+
+STANDSTILL = (VehicleState(2.5, 0.0, 0.0, 0.0), VehicleState(7.5, -3.0, 0.0, 0.0))
+# a negative lead weight rewards falling behind, so both searches try braking
+BRAKING = ((0, -1.0, -0.5, 0, 0.3, -1.0), (0, 0, -0.5, 0, 0.3, -1.0))
+
+
+OFF_CENTRE = (VehicleState(4.0, 0.0, 8.0, 0.15), VehicleState(6.0, -4.0, 9.0, -0.1))
+STEERING = ((-2.0, 0, 0, -0.5, 0.3, 1.0), (0, -2.0, -0.5, -0.5, 0.3, -0.5))
+
+
+class TestOracleParity:
+    """The planner returns exactly what the plain nested search returns."""
+
+    def _assert_parity(self, request):
+        plan = bilevel_plan(request)
+        assert (
+            plan.leader_controls, plan.follower_controls,
+            plan.leader_trajectory, plan.follower_trajectory, plan.leader_cost,
+        ) == oracle_bilevel_plan(request)
+        args = (request.follower_state, request.leader_state, plan.leader_controls,
+                request.follower_weights, request.dt, request.feature_params,
+                request.bicycle_params)
+        assert follower_plan(*args) == oracle_follower_plan(*args)
+
+    @pytest.mark.parametrize("request_", _scenario_requests())
+    def test_shipped_scenarios_first_step(self, request_):
+        self._assert_parity(request_)
+
+    @pytest.mark.parametrize("horizon", [1, 5])
+    def test_short_and_odd_horizons(self, horizon):
+        self._assert_parity(_request(LEADER, FOLLOWER, MIXED_WEIGHTS, horizon))
+
+    @pytest.mark.parametrize("horizon", [1, 5, 6])
+    def test_both_vehicles_steering_back_to_their_lanes(self, horizon):
+        self._assert_parity(_request(*OFF_CENTRE, STEERING, horizon))
+
+    def test_braking_from_standstill_hits_speed_clamp(self):
+        request = _request(*STANDSTILL, BRAKING, 6)
+        full_brake = oracle_leader_value(request, (-BP.accel_max, 0.0, -BP.accel_max, 0.0))
+        assert all(state.v == 0.0 for state in full_brake[3])
+        self._assert_parity(request)
+
+    def test_follower_plan_against_uneven_leader_controls(self):
+        leader_controls = tuple(Control(1.5 - k, 0.1 * (-1) ** k) for k in range(5))
+        args = (FOLLOWER, LEADER, leader_controls, MIXED_WEIGHTS[1], 0.2, FP, BP)
+        assert follower_plan(*args) == oracle_follower_plan(*args)
 
 
 class TestMpcStep:

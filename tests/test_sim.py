@@ -11,6 +11,7 @@ import altmerge.sim as sim
 from altmerge.belief import BeliefContradictionError
 from altmerge.dynamics import BicycleParams, Control, FeatureParams, VehicleState
 from altmerge.explore import ExplorationStrategy, StrategyKind
+from altmerge.planner import PlanRequest, bilevel_plan, follower_plan
 from altmerge.sim import (
     Scenario,
     ScenarioError,
@@ -103,6 +104,28 @@ class TestRunEpisode:
     def test_episode_is_deterministic(self, lane_scenario):
         scenario = short(lane_scenario, steps=4)
         assert run_episode(scenario) == run_episode(scenario)
+
+    def test_follower_executes_its_true_response_solve(self, lane_scenario, monkeypatch):
+        # at alpha 0.2 the predicted response misses on some steps, not all
+        scenario = short(lane_scenario, steps=5, true_alpha=0.2)
+        solves = []
+        monkeypatch.setattr(sim, "follower_plan", lambda *a: solves.append(a) or follower_plan(*a))
+        result = run_episode(scenario)
+        misses = [r for r in result.records if r.follower_action != r.chosen_cell[1]]
+        assert 0 < len(misses) < len(result.records)
+        assert len(solves) == len(misses)
+        leader, follower = scenario.leader_start, scenario.follower_start
+        for record in result.records:
+            leader_w, predicted_w = scenario.weights[record.chosen_cell]
+            plan = bilevel_plan(PlanRequest(
+                leader, follower, leader_w, predicted_w, scenario.horizon, scenario.dt,
+                scenario.feature_params, scenario.bicycle_params,
+            ))
+            true_w = scenario.weights[(record.chosen_cell[0], record.follower_action)][1]
+            expected = follower_plan(follower, leader, plan.leader_controls, true_w, scenario.dt,
+                                     scenario.feature_params, scenario.bicycle_params)
+            assert record.follower_control == expected[0]
+            leader, follower = record.leader_state, record.follower_state
 
     def test_mass_conserved_every_step(self, lane_scenario):
         result = run_episode(short(lane_scenario, steps=6))
