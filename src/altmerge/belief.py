@@ -183,11 +183,17 @@ def entropy(belief: IntervalBelief) -> float:
     so exploration bonuses stay finite. A uniform belief on [c, d] gives
     log(d - c); the maximum 0 is attained only by the full uniform.
     """
+    widths = tuple(max(width, POINT_WIDTH) for width in belief.partition.widths)
+    return _entropy(belief.masses, widths)
+
+
+def _entropy(masses: tuple[float, ...], widths: tuple[float, ...]) -> float:
+    """Entropy kernel on cell widths already floored at POINT_WIDTH."""
     total = 0.0
-    for mass, width in zip(belief.masses, belief.partition.widths):
+    for mass, width in zip(masses, widths):
         if mass <= 0:
             continue
-        total -= mass * math.log(mass / max(width, POINT_WIDTH))
+        total -= mass * math.log(mass / width)
     return max(total, ENTROPY_FLOOR)
 
 

@@ -49,8 +49,6 @@ def _apply_overrides(scenario: Scenario, config: RunConfig, alpha, strategy_name
     if strategy_name is not None:
         strategy = dataclasses.replace(strategy, kind=StrategyKind(strategy_name))
     if config.lam is not None:
-        if config.lam < 0:
-            raise ScenarioError(f"lambda must be nonnegative, got {config.lam}")
         strategy = dataclasses.replace(strategy, lam=config.lam)
     if config.conflict_aware is not None:
         strategy = dataclasses.replace(strategy, conflict_aware=config.conflict_aware)

@@ -3,34 +3,34 @@
 The leader scores each row by its expected value under the current belief
 plus an optional exploration bonus. Two bonuses are provided: expected
 entropy reduction of the belief, and expected absolute change of the total
-attainable leader value. Both are computed at decision time as expectations
-over the follower responses the belief predicts. A conflict-aware variant
-hedges the expected value against the chance that the opponent also
-believes itself the leader.
+attainable leader value. A conflict-aware variant hedges the expected value
+against the chance that the opponent also believes itself the leader.
+
+Every one of these quantities is constant on each cell of the belief's
+partition. So each call builds one cell table from the game and the
+partition, and checks the partition once while doing so. The table holds
+the follower's best response and the leader's value per row and cell and,
+when conflict-aware, the follower's role-swap preference per cell and the
+conflict region. Exact rationals end at the table: crossings, breakpoints,
+midpoints and best responses are exact, and every score is a float sum
+over the cell masses, in cell order. The posterior after a hypothetical
+response keeps the masses of the cells predicting it, renormalized; no
+best response is solved again.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .belief import (
-    IntervalBelief,
-    Partition,
-    bayes_update,
-    entropy,
-    mass_below,
-    partition_domain,
-    response_per_cell,
-)
+from .belief import POINT_WIDTH, IntervalBelief, Partition, _entropy, mass_below, partition_domain
 from .game import (
     AltruismGame,
     Number,
-    Player,
-    altruistic_reward,
+    _leader_value,
     follower_best_response,
     leader_preference_of_follower,
-    leader_reward_given_alpha,
     line_crossing,
     stackelberg_equilibrium,
 )
@@ -58,8 +58,8 @@ class ExplorationStrategy:
     positive_gain_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("bonus scale must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -73,50 +73,139 @@ class ActionEvaluation:
     outcome_probabilities: tuple[float, ...]
 
 
+class _CellTable:
+    """Per-row, per-cell decision data of one game on one belief partition.
+
+    The constructor checks that the partition refines the game's domain
+    partition and, when conflict-aware, the role-swap breakpoints.
+    ``responses[i][k]`` is the follower's best response to row i on cell k
+    and ``values[i][k]`` the leader's value of it, as a float. ``widths``
+    are the cell widths floored at POINT_WIDTH. When conflict-aware, one
+    role-swap preference per cell gives both ``swapped[i][k]``, the
+    leader's value of row i if the follower plays that preference, and
+    whether the cell is conflicted; adjacent conflicted cells merge into
+    ``region``. The methods take the belief's masses.
+    """
+
+    def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
+        domain = partition_domain(game)
+        if not partition.refines(domain):
+            raise ValueError("belief partition must refine the game's domain partition")
+        if conflict_aware and not partition.refines(domain.refined(tuple(_role_swap_points(game)))):
+            raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
+        rows = range(game.n_leader)
+        midpoints = partition.midpoints
+        self.n_follower = game.n_follower
+        self.responses = [[follower_best_response(game, i, mid) for mid in midpoints] for i in rows]
+        exact = [[_leader_value(game, i, j) for j in self.responses[i]] for i in rows]
+        self.values = [[float(value) for value in row] for row in exact]
+        self.widths = tuple(max(width, POINT_WIDTH) for width in partition.widths)
+        self.swapped: list[list[float]] = [[] for _ in rows]
+        self.region: list[tuple[Number, Number]] = []
+        if not conflict_aware:
+            return
+        for k, ((lo, hi), mid) in enumerate(zip(partition.cells, midpoints)):
+            as_leader = leader_preference_of_follower(game, mid)
+            for i in rows:
+                self.swapped[i].append(float(_leader_value(game, i, as_leader)))
+            equilibrium_row = max(rows, key=lambda i: (exact[i][k], -i))
+            if self.responses[equilibrium_row][k] == as_leader:
+                continue
+            if self.region and self.region[-1][1] == lo:
+                lo = self.region.pop()[0]
+            self.region.append((lo, hi))
+
+    def expectation(self, masses: tuple[float, ...], i: int) -> float:
+        return sum(mass * value for mass, value in zip(masses, self.values[i]))
+
+    def attainable(self, masses: tuple[float, ...]) -> float:
+        """Sum over rows of the belief-weighted leader value."""
+        return sum(self.expectation(masses, i) for i in range(len(self.values)))
+
+    def probabilities(self, masses: tuple[float, ...], i: int) -> tuple[float, ...]:
+        probs = [0.0] * self.n_follower
+        for mass, j in zip(masses, self.responses[i]):
+            probs[j] += mass
+        return tuple(probs)
+
+    def posteriors(self, masses: tuple[float, ...], i: int, probs: tuple[float, ...]):
+        """(probability, posterior masses) of each response the belief predicts.
+
+        The posterior keeps the masses of the cells predicting the response
+        and divides them by their sum, as a one-hot ``bayes_update`` does.
+        """
+        for j, p in enumerate(probs):
+            if p <= 0:
+                continue
+            kept = [mass if r == j else 0.0 for mass, r in zip(masses, self.responses[i])]
+            total = sum(kept)
+            yield p, tuple(mass / total for mass in kept)
+
+    def info_gain(
+        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], prior_entropy: float
+    ) -> float:
+        expected_posterior_entropy = 0.0
+        for p, posterior in self.posteriors(masses, i, probs):
+            expected_posterior_entropy += p * _entropy(posterior, self.widths)
+        return prior_entropy - expected_posterior_entropy
+
+    def reward_gain(
+        self,
+        masses: tuple[float, ...],
+        i: int,
+        probs: tuple[float, ...],
+        base: float,
+        positive_only: bool,
+    ) -> float:
+        bonus = 0.0
+        for p, posterior in self.posteriors(masses, i, probs):
+            change = self.attainable(posterior) - base
+            bonus += p * (max(change, 0.0) if positive_only else abs(change))
+        return bonus
+
+    def hedged(self, masses: tuple[float, ...], i: int, p: float) -> float:
+        """Belief-weighted conflict-hedged value of row i, conflict mass ``p``."""
+        total = 0.0
+        for mass, nominal, conflicted in zip(masses, self.values[i], self.swapped[i]):
+            if mass <= 0:
+                continue
+            total += mass * _hedged(p, nominal, conflicted)
+        return total
+
+
+def _row_table(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> _CellTable:
+    if not 0 <= leader_action < game.n_leader:
+        raise ValueError(f"leader action {leader_action} out of bounds")
+    return _CellTable(game, belief.partition, conflict_aware=False)
+
+
+def _conflict_mass(belief: IntervalBelief, region: list[tuple[Number, Number]]) -> float:
+    return sum(mass_below(belief, hi) - mass_below(belief, lo) for lo, hi in region)
+
+
+def _hedged(p: float, nominal: float, conflicted: float) -> float:
+    return (1 - p) * nominal + p * conflicted
+
+
 def expected_leader_reward(
     game: AltruismGame, belief: IntervalBelief, leader_action: int
 ) -> float:
     """Belief-weighted leader value of the row, follower responding rationally."""
-    _require_refinement(game, belief)
-    return sum(
-        mass * float(leader_reward_given_alpha(game, leader_action, mid))
-        for mass, mid in zip(belief.masses, belief.partition.midpoints)
-    )
+    return _row_table(game, belief, leader_action).expectation(belief.masses, leader_action)
 
 
 def predicted_outcome_distribution(
     game: AltruismGame, belief: IntervalBelief, leader_action: int
 ) -> tuple[float, ...]:
     """Probability of each follower response, summing cell masses by response."""
-    responses = response_per_cell(belief, game, leader_action)
-    probs = [0.0] * game.n_follower
-    for mass, j in zip(belief.masses, responses):
-        probs[j] += mass
-    return tuple(probs)
-
-
-def _posterior_for_outcome(
-    game: AltruismGame, belief: IntervalBelief, leader_action: int, outcome: int
-) -> IntervalBelief:
-    one_hot = tuple(1.0 if j == outcome else 0.0 for j in range(game.n_follower))
-    return bayes_update(belief, game, leader_action, one_hot)
+    return _row_table(game, belief, leader_action).probabilities(belief.masses, leader_action)
 
 
 def info_gain_bonus(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> float:
     """Expected entropy drop of the belief after observing the response."""
-    probs = predicted_outcome_distribution(game, belief, leader_action)
-    expected_posterior_entropy = 0.0
-    for j, p in enumerate(probs):
-        if p <= 0:
-            continue
-        posterior = _posterior_for_outcome(game, belief, leader_action, j)
-        expected_posterior_entropy += p * entropy(posterior)
-    return entropy(belief) - expected_posterior_entropy
-
-
-def attainable_value(game: AltruismGame, belief: IntervalBelief) -> float:
-    """Sum over rows of the belief-weighted leader value."""
-    return sum(expected_leader_reward(game, belief, i) for i in range(game.n_leader))
+    table, masses = _row_table(game, belief, leader_action), belief.masses
+    probs = table.probabilities(masses, leader_action)
+    return table.info_gain(masses, leader_action, probs, _entropy(masses, table.widths))
 
 
 def expected_reward_gain_bonus(
@@ -129,26 +218,9 @@ def expected_reward_gain_bonus(
 
     Uses the absolute change by default; ``positive_only`` counts upside only.
     """
-    probs = predicted_outcome_distribution(game, belief, leader_action)
-    base = attainable_value(game, belief)
-    bonus = 0.0
-    for j, p in enumerate(probs):
-        if p <= 0:
-            continue
-        posterior = _posterior_for_outcome(game, belief, leader_action, j)
-        change = attainable_value(game, posterior) - base
-        bonus += p * (max(change, 0.0) if positive_only else abs(change))
-    return bonus
-
-
-def _require_refinement(game: AltruismGame, belief: IntervalBelief) -> None:
-    if not belief.partition.refines(partition_domain(game)):
-        raise ValueError("belief partition must refine the game's domain partition")
-
-
-def leader_cell_reward(game: AltruismGame, i: int, j: int) -> Number:
-    """Leader's (altruism-weighted) value of a specific cell."""
-    return altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader)
+    table, masses = _row_table(game, belief, leader_action), belief.masses
+    probs = table.probabilities(masses, leader_action)
+    return table.reward_gain(masses, leader_action, probs, table.attainable(masses), positive_only)
 
 
 def is_conflicted(game: AltruismGame, alpha: Number) -> bool:
@@ -157,10 +229,8 @@ def is_conflicted(game: AltruismGame, alpha: Number) -> bool:
     Compares the follower's rational response to the leader's equilibrium
     action with the action the follower would commit to as leader.
     """
-    equilibrium = stackelberg_equilibrium(game, alpha)
-    as_follower = follower_best_response(game, equilibrium.leader_index, alpha)
-    as_leader = leader_preference_of_follower(game, alpha)
-    return as_follower != as_leader
+    as_follower = stackelberg_equilibrium(game, alpha).follower_index
+    return as_follower != leader_preference_of_follower(game, alpha)
 
 
 def _role_swap_points(game: AltruismGame) -> list[Number]:
@@ -195,28 +265,19 @@ def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Part
 def conflict_region(game: AltruismGame) -> tuple[tuple[Number, Number], ...]:
     """Maximal intervals of coefficients where role confusion breaks coordination.
 
-    Cells between candidate breakpoints are classified at their midpoint;
-    adjacent conflicted cells merge. Breakpoints are exact when the game is
-    rational, so e.g. a region ending at 1/2 is reported exactly.
+    Cells of the conflict-aware decision partition are classified at their
+    midpoint; adjacent conflicted cells merge. Breakpoints are exact when
+    the game is rational, so e.g. a region ending at 1/2 is reported exactly.
     """
-    partition = decision_partition(game, conflict_aware=True)
-    intervals: list[list[Number]] = []
-    for (lo, hi), mid in zip(partition.cells, partition.midpoints):
-        if not is_conflicted(game, mid):
-            continue
-        if intervals and intervals[-1][1] == lo:
-            intervals[-1][1] = hi
-        else:
-            intervals.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in intervals)
+    return tuple(_CellTable(game, decision_partition(game, conflict_aware=True), True).region)
 
 
 def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
-    """Belief probability of the conflict region."""
-    return sum(
-        mass_below(belief, hi) - mass_below(belief, lo)
-        for lo, hi in conflict_region(game)
-    )
+    """Belief probability of the conflict region.
+
+    The belief's partition must carry the role-swap breakpoints.
+    """
+    return _conflict_mass(belief, _CellTable(game, belief.partition, True).region)
 
 
 def conflict_adjusted_reward(
@@ -229,47 +290,40 @@ def conflict_adjusted_reward(
 
     Mixes the nominal cell with the cell reached if the follower plays its
     own leader preference at ``alpha``, weighted by the belief mass of the
-    conflict region.
+    conflict region. The belief's partition must carry the role-swap
+    breakpoints.
     """
     i, j = cell
     p = conflict_mass(game, belief)
     j_leader = leader_preference_of_follower(game, alpha)
-    nominal = float(leader_cell_reward(game, i, j))
-    conflicted = float(leader_cell_reward(game, i, j_leader))
-    return (1 - p) * nominal + p * conflicted
-
-
-def _conflict_aware_expected_reward(
-    game: AltruismGame, belief: IntervalBelief, leader_action: int
-) -> float:
-    responses = response_per_cell(belief, game, leader_action)
-    total = 0.0
-    for mass, mid, j in zip(belief.masses, belief.partition.midpoints, responses):
-        if mass <= 0:
-            continue
-        total += mass * conflict_adjusted_reward(game, belief, (leader_action, j), mid)
-    return total
+    return _hedged(
+        p, float(_leader_value(game, i, j)), float(_leader_value(game, i, j_leader))
+    )
 
 
 def evaluate_actions(
     game: AltruismGame, belief: IntervalBelief, strategy: ExplorationStrategy
 ) -> list[ActionEvaluation]:
-    """Score every leader row under the strategy."""
-    _require_refinement(game, belief)
-    if strategy.conflict_aware and not belief.partition.refines(
-        decision_partition(game, conflict_aware=True)
-    ):
-        raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
+    """Score every leader row under the strategy, from one cell table."""
+    table = _CellTable(game, belief.partition, strategy.conflict_aware)
+    masses, kind = belief.masses, strategy.kind
+    if kind is StrategyKind.INFO_GAIN:
+        prior_entropy = _entropy(masses, table.widths)
+    elif kind is StrategyKind.REWARD_GAIN:
+        base = table.attainable(masses)
+    if strategy.conflict_aware:
+        p = _conflict_mass(belief, table.region)
     evaluations = []
     for i in range(game.n_leader):
+        probs = table.probabilities(masses, i)
         if strategy.conflict_aware:
-            reward = _conflict_aware_expected_reward(game, belief, i)
+            reward = table.hedged(masses, i, p)
         else:
-            reward = expected_leader_reward(game, belief, i)
-        if strategy.kind is StrategyKind.INFO_GAIN:
-            bonus = info_gain_bonus(game, belief, i)
-        elif strategy.kind is StrategyKind.REWARD_GAIN:
-            bonus = expected_reward_gain_bonus(game, belief, i, strategy.positive_gain_only)
+            reward = table.expectation(masses, i)
+        if kind is StrategyKind.INFO_GAIN:
+            bonus = table.info_gain(masses, i, probs, prior_entropy)
+        elif kind is StrategyKind.REWARD_GAIN:
+            bonus = table.reward_gain(masses, i, probs, base, strategy.positive_gain_only)
         else:
             bonus = 0.0
         evaluations.append(
@@ -278,7 +332,7 @@ def evaluate_actions(
                 expected_reward=reward,
                 bonus=bonus,
                 total=reward + strategy.lam * bonus,
-                outcome_probabilities=predicted_outcome_distribution(game, belief, i),
+                outcome_probabilities=probs,
             )
         )
     return evaluations

@@ -78,10 +78,14 @@ class Scenario:
             raise ScenarioError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
         if self.episode_steps < 1:
             raise ScenarioError("episode_steps must be at least 1")
-        if self.dt <= 0 or self.horizon < 1:
-            raise ScenarioError("dt must be positive and horizon at least 1")
-        if self.observation_temperature <= 0:
-            raise ScenarioError("observation_temperature must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
+        if self.horizon < 1:
+            raise ScenarioError("horizon must be at least 1")
+        if not (math.isfinite(self.observation_temperature) and self.observation_temperature > 0):
+            raise ScenarioError(
+                f"observation_temperature must be positive and finite, got {self.observation_temperature}"
+            )
         if self.follower_mode not in (FOLLOWER_MODE_FOLLOWER, FOLLOWER_MODE_LEADER):
             raise ScenarioError(f"unknown follower_mode {self.follower_mode!r}")
         for i in range(self.game.n_leader):

@@ -1,7 +1,10 @@
 """Shared game fixtures used across the suite."""
 
+import random
+
 import pytest
 
+from altmerge.belief import IntervalBelief, partition_domain
 from altmerge.game import AltruismGame, OutcomeLabel, build_responsibility_matrix
 
 
@@ -64,6 +67,25 @@ def make_responsibility_lane_game() -> AltruismGame:
         follower_actions=("give_way", "stay_ahead"),
         rewards=build_responsibility_matrix(LANE_MERGE_LABELS),
     )
+
+
+def random_game_belief_pairs(count, seed):
+    """Random 2- or 3-row integer games, each with a uniform belief on a random range.
+
+    The range is at least 0.05 wide; the belief lives on the game's domain
+    partition refined by the range ends.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice([2, 3])
+        rewards = tuple(
+            tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
+            for _ in range(m)
+        )
+        game = AltruismGame(tuple(f"r{i}" for i in range(m)), ("x", "y"), rewards)
+        lo = rng.uniform(0, 0.8)
+        hi = rng.uniform(lo + 0.05, 1.0)
+        yield game, IntervalBelief.uniform_on(lo, hi, partition_domain(game))
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Everything here re-derives results from the raw reward grid with plain
+The grid oracles re-derive results from the raw reward grid with plain
 enumeration or dense coefficient grids, deliberately avoiding the library's
 own game and belief machinery. The planner oracle is the plain nested
 search, built only from the validated ``dynamics.step`` and
 ``dynamics.cost``: it re-solves the follower for every leader candidate and
-caches nothing. It imports the package inside its functions, so this file
-loads without the package on the path, as ``perfbench`` loads it.
+caches nothing. The decision oracle is the per-call evaluation built from
+``game`` and ``belief`` primitives: every helper re-solves its own best
+responses and posteriors, nothing shared. Both import the package inside
+their functions, so this file loads without the package on the path, as
+``perfbench`` loads it.
 """
 
 from __future__ import annotations
@@ -210,3 +213,168 @@ def oracle_bilevel_plan(request):
         oracle_leader_value(request, params4)
     )
     return leader_controls, follower_controls, tuple(leader_traj), tuple(follower_traj), value
+
+
+# ---------------------------------------------------------------------------
+# Decision layer: every helper recomputes its cell quantities on its own
+#
+# The per-call code the decision layer ran before its cell table. Each
+# helper re-checks the partition, re-solves the best response at every
+# belief midpoint and builds every hypothetical posterior with
+# ``bayes_update``; the conflict mass is re-derived for every row and cell.
+
+
+def _oracle_row_reward(game, belief, leader_action):
+    from altmerge.belief import partition_domain
+    from altmerge.game import leader_reward_given_alpha
+
+    if not belief.partition.refines(partition_domain(game)):
+        raise ValueError("belief partition must refine the game's domain partition")
+    return sum(
+        mass * float(leader_reward_given_alpha(game, leader_action, mid))
+        for mass, mid in zip(belief.masses, belief.partition.midpoints)
+    )
+
+
+def _oracle_outcome_distribution(game, belief, leader_action):
+    from altmerge.belief import response_per_cell
+
+    responses = response_per_cell(belief, game, leader_action)
+    probs = [0.0] * game.n_follower
+    for mass, j in zip(belief.masses, responses):
+        probs[j] += mass
+    return tuple(probs)
+
+
+def _oracle_posterior(game, belief, leader_action, outcome):
+    from altmerge.belief import bayes_update
+
+    one_hot = tuple(1.0 if j == outcome else 0.0 for j in range(game.n_follower))
+    return bayes_update(belief, game, leader_action, one_hot)
+
+
+def _oracle_info_gain(game, belief, leader_action):
+    from altmerge.belief import entropy
+
+    probs = _oracle_outcome_distribution(game, belief, leader_action)
+    expected_posterior_entropy = 0.0
+    for j, p in enumerate(probs):
+        if p <= 0:
+            continue
+        posterior = _oracle_posterior(game, belief, leader_action, j)
+        expected_posterior_entropy += p * entropy(posterior)
+    return entropy(belief) - expected_posterior_entropy
+
+
+def _oracle_attainable(game, belief):
+    return sum(_oracle_row_reward(game, belief, i) for i in range(game.n_leader))
+
+
+def _oracle_reward_gain(game, belief, leader_action, positive_only):
+    probs = _oracle_outcome_distribution(game, belief, leader_action)
+    base = _oracle_attainable(game, belief)
+    bonus = 0.0
+    for j, p in enumerate(probs):
+        if p <= 0:
+            continue
+        posterior = _oracle_posterior(game, belief, leader_action, j)
+        change = _oracle_attainable(game, posterior) - base
+        bonus += p * (max(change, 0.0) if positive_only else abs(change))
+    return bonus
+
+
+def _oracle_is_conflicted(game, alpha):
+    from altmerge.game import (
+        follower_best_response,
+        leader_preference_of_follower,
+        stackelberg_equilibrium,
+    )
+
+    equilibrium = stackelberg_equilibrium(game, alpha)
+    as_follower = follower_best_response(game, equilibrium.leader_index, alpha)
+    return as_follower != leader_preference_of_follower(game, alpha)
+
+
+def oracle_conflict_region(game):
+    """Conflicted cells of the conflict-aware decision partition, merged."""
+    from altmerge.explore import decision_partition
+
+    partition = decision_partition(game, conflict_aware=True)
+    intervals = []
+    for (lo, hi), mid in zip(partition.cells, partition.midpoints):
+        if not _oracle_is_conflicted(game, mid):
+            continue
+        if intervals and intervals[-1][1] == lo:
+            intervals[-1][1] = hi
+        else:
+            intervals.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in intervals)
+
+
+def oracle_conflict_mass(game, belief):
+    """Belief probability of the conflict region."""
+    from altmerge.belief import mass_below
+
+    return sum(
+        mass_below(belief, hi) - mass_below(belief, lo)
+        for lo, hi in oracle_conflict_region(game)
+    )
+
+
+def oracle_conflict_adjusted_reward(game, belief, cell, alpha):
+    """Cell value mixed with the role-swap cell by the conflict mass."""
+    from altmerge.game import Player, altruistic_reward, leader_preference_of_follower
+
+    i, j = cell
+    p = oracle_conflict_mass(game, belief)
+    j_leader = leader_preference_of_follower(game, alpha)
+    nominal = float(altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader))
+    conflicted = float(altruistic_reward(game, (i, j_leader), Player.LEADER, game.alpha_leader))
+    return (1 - p) * nominal + p * conflicted
+
+
+def _oracle_conflict_aware_reward(game, belief, leader_action):
+    from altmerge.belief import response_per_cell
+
+    responses = response_per_cell(belief, game, leader_action)
+    total = 0.0
+    for mass, mid, j in zip(belief.masses, belief.partition.midpoints, responses):
+        if mass <= 0:
+            continue
+        total += mass * oracle_conflict_adjusted_reward(game, belief, (leader_action, j), mid)
+    return total
+
+
+def oracle_evaluations(game, belief, strategy):
+    """Every row's ActionEvaluation, each quantity recomputed on its own."""
+    from altmerge.belief import partition_domain
+    from altmerge.explore import ActionEvaluation, StrategyKind, decision_partition
+
+    if not belief.partition.refines(partition_domain(game)):
+        raise ValueError("belief partition must refine the game's domain partition")
+    if strategy.conflict_aware and not belief.partition.refines(
+        decision_partition(game, conflict_aware=True)
+    ):
+        raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
+    evaluations = []
+    for i in range(game.n_leader):
+        if strategy.conflict_aware:
+            reward = _oracle_conflict_aware_reward(game, belief, i)
+        else:
+            reward = _oracle_row_reward(game, belief, i)
+        if strategy.kind is StrategyKind.INFO_GAIN:
+            bonus = _oracle_info_gain(game, belief, i)
+        elif strategy.kind is StrategyKind.REWARD_GAIN:
+            bonus = _oracle_reward_gain(game, belief, i, strategy.positive_gain_only)
+        else:
+            bonus = 0.0
+        evaluations.append(
+            ActionEvaluation(
+                action_index=i,
+                expected_reward=reward,
+                bonus=bonus,
+                total=reward + strategy.lam * bonus,
+                outcome_probabilities=_oracle_outcome_distribution(game, belief, i),
+            )
+        )
+    return evaluations

@@ -34,6 +34,7 @@ from conftest import (
     make_lane_merge_game,
     make_responsibility_lane_game,
     make_two_row_sufficiency_game,
+    random_game_belief_pairs,
 )
 from oracles import oracle_equilibrium, oracle_info_gain, oracle_reward_gain
 
@@ -211,23 +212,9 @@ def test_criterion_8a_equilibrium_oracle_agreement():
             assert (eq.leader_index, eq.follower_index) == oracle_equilibrium(rewards, alpha)
 
 
-def _random_game_belief_pairs(count, seed):
-    rng = random.Random(seed)
-    for _ in range(count):
-        m = rng.choice([2, 3])
-        rewards = tuple(
-            tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
-            for _ in range(m)
-        )
-        game = AltruismGame(tuple(f"r{i}" for i in range(m)), ("x", "y"), rewards)
-        lo = rng.uniform(0, 0.8)
-        hi = rng.uniform(lo + 0.05, 1.0)
-        yield game, IntervalBelief.uniform_on(lo, hi, partition_domain(game))
-
-
 def test_criterion_8b_bonus_nonnegativity_and_zero_scale_reduction():
     with criterion(8, "property suite b: bonus sign and zero-scale reduction"):
-        for game, belief in _random_game_belief_pairs(1000, seed=271828):
+        for game, belief in random_game_belief_pairs(1000, seed=271828):
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) >= -1e-9
                 assert expected_reward_gain_bonus(game, belief, i) >= -1e-9
@@ -241,7 +228,7 @@ def test_criterion_8b_bonus_nonnegativity_and_zero_scale_reduction():
 
 def test_criterion_8c_monte_carlo_bonus_agreement():
     with criterion(8, "property suite c: Monte-Carlo bonus oracle within 1e-2"):
-        for game, belief in _random_game_belief_pairs(50, seed=161803):
+        for game, belief in random_game_belief_pairs(50, seed=161803):
             lo, hi = (float(x) for x in belief.support)
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) == pytest.approx(

@@ -70,6 +70,36 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
+    def _assert_one_error_line(self, status, capsys, word):
+        assert status == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+
+    def test_nan_lambda_flag_exits_one(self, tmp_path, capsys):
+        status = run_cli(
+            "run", "--scenario", SCENARIO, "--lambda", "nan", "--steps", "1",
+            "--out", str(tmp_path / "o"),
+        )
+        self._assert_one_error_line(status, capsys, "lambda")
+        assert not (tmp_path / "o" / "belief.jsonl").exists()
+
+    @pytest.mark.parametrize("path, value, word", [
+        (("strategy", "lambda"), float("nan"), "lambda"),
+        (("observation_temperature",), float("inf"), "observation_temperature"),
+        (("dt",), float("nan"), "dt"),
+    ])
+    def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
+        data = json.loads(Path(SCENARIO).read_text())
+        *parents, key = path
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(data))
+        status = run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
+        self._assert_one_error_line(status, capsys, word)
+
     def test_invalid_scenario_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n "game": [\n}\n')

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import altmerge.explore as explore
 from altmerge.belief import IntervalBelief, Partition, partition_domain
 from altmerge.explore import (
     ExplorationStrategy,
@@ -21,12 +23,20 @@ from altmerge.explore import (
     select_action,
 )
 from altmerge.game import AltruismGame
+from altmerge.sim import load_scenario
+from conftest import random_game_belief_pairs
 from oracles import (
+    oracle_conflict_adjusted_reward,
+    oracle_conflict_mass,
+    oracle_conflict_region,
+    oracle_evaluations,
     oracle_info_gain,
     oracle_outcome_distribution,
     oracle_reward_gain,
     oracle_row_expectation,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def uniform_for(game, lo=0, hi=1):
@@ -177,29 +187,14 @@ class TestSelectAction:
 
 
 class TestBonusProperties:
-    def _random_games_and_beliefs(self, count, seed=42):
-        rng = random.Random(seed)
-        for _ in range(count):
-            m = rng.choice([2, 3])
-            rewards = tuple(
-                tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
-                for _ in range(m)
-            )
-            game = AltruismGame(
-                tuple(f"r{i}" for i in range(m)), ("x", "y"), rewards
-            )
-            lo = rng.uniform(0, 0.8)
-            hi = rng.uniform(lo + 0.05, 1.0)
-            yield game, IntervalBelief.uniform_on(lo, hi, partition_domain(game))
-
     def test_bonuses_are_nonnegative(self):
-        for game, belief in self._random_games_and_beliefs(150):
+        for game, belief in random_game_belief_pairs(150, seed=42):
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) >= -1e-9
                 assert expected_reward_gain_bonus(game, belief, i) >= -1e-9
 
     def test_bonuses_match_grid_oracle(self):
-        for game, belief in self._random_games_and_beliefs(40, seed=7):
+        for game, belief in random_game_belief_pairs(40, seed=7):
             lo, hi = (float(x) for x in belief.support)
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) == pytest.approx(
@@ -284,3 +279,117 @@ class TestConflict:
         evals, chosen = select_action(responsibility_game, b, strategy)
         assert chosen == 2
         assert evals[2].total > evals[0].total
+
+
+def _shipped_games():
+    return [load_scenario(SCENARIO_DIR / f"{name}.json").game
+            for name in ("lane_merge", "lane_merge_responsibility")]
+
+
+def _random_masses(rng, n_cells):
+    """Seeded masses on ``n_cells`` cells, about a third of them exactly zero."""
+    weights = [0.0 if rng.random() < 1 / 3 else rng.expovariate(1.0) for _ in range(n_cells)]
+    if not any(weights):
+        weights[rng.randrange(n_cells)] = 1.0
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+class TestOracleParity:
+    """The cell table against the per-call evaluation in ``oracles.py``."""
+
+    def test_select_action_is_bit_identical_on_shipped_games(self):
+        rng = random.Random(1618)
+        for game in _shipped_games():
+            for aware in (False, True):
+                partition = decision_partition(game, aware)
+                for _ in range(6):
+                    belief = IntervalBelief(partition, _random_masses(rng, partition.n_cells))
+                    for kind in StrategyKind:
+                        for positive_only in (False, True):
+                            strategy = ExplorationStrategy(
+                                kind, lam=0.8, conflict_aware=aware,
+                                positive_gain_only=positive_only,
+                            )
+                            want = oracle_evaluations(game, belief, strategy)
+                            best = max(range(len(want)), key=lambda i: (want[i].total, -i))
+                            assert select_action(game, belief, strategy) == (want, best)
+
+    def test_every_helper_agrees_on_the_8b_random_set(self):
+        kinds = {
+            "passive": ExplorationStrategy(StrategyKind.PASSIVE),
+            "info": ExplorationStrategy(StrategyKind.INFO_GAIN),
+            "gain": ExplorationStrategy(StrategyKind.REWARD_GAIN),
+            "upside": ExplorationStrategy(StrategyKind.REWARD_GAIN, positive_gain_only=True),
+        }
+        for number, (game, belief) in enumerate(random_game_belief_pairs(1000, seed=271828)):
+            want = {name: oracle_evaluations(game, belief, s) for name, s in kinds.items()}
+            for i in range(game.n_leader):
+                pairs = [
+                    (expected_leader_reward(game, belief, i), want["passive"][i].expected_reward),
+                    (info_gain_bonus(game, belief, i), want["info"][i].bonus),
+                    (expected_reward_gain_bonus(game, belief, i), want["gain"][i].bonus),
+                    (expected_reward_gain_bonus(game, belief, i, positive_only=True),
+                     want["upside"][i].bonus),
+                ]
+                pairs += zip(predicted_outcome_distribution(game, belief, i),
+                             want["passive"][i].outcome_probabilities)
+                for got, expected in pairs:
+                    assert abs(got - expected) <= 1e-12
+            assert conflict_region(game) == oracle_conflict_region(game)
+            aware = belief.refined(decision_partition(game, True).breakpoints)
+            assert abs(conflict_mass(game, aware) - oracle_conflict_mass(game, aware)) <= 1e-12
+            cell, alpha = (number % game.n_leader, number % 2), Fraction(number % 7 + 1, 8)
+            got = conflict_adjusted_reward(game, aware, cell, alpha)
+            assert abs(got - oracle_conflict_adjusted_reward(game, aware, cell, alpha)) <= 1e-12
+
+
+class TestChecksOnce:
+    def test_partition_off_the_domain_is_rejected_everywhere(self, lane_merge_game):
+        coarse = IntervalBelief.uniform(Partition((0, 1)))
+        calls = [
+            lambda: expected_leader_reward(lane_merge_game, coarse, 0),
+            lambda: predicted_outcome_distribution(lane_merge_game, coarse, 0),
+            lambda: info_gain_bonus(lane_merge_game, coarse, 0),
+            lambda: expected_reward_gain_bonus(lane_merge_game, coarse, 0),
+            lambda: conflict_mass(lane_merge_game, coarse),
+            lambda: conflict_adjusted_reward(lane_merge_game, coarse, (0, 0), 0.5),
+        ]
+        for kind in StrategyKind:
+            for aware in (False, True):
+                strategy = ExplorationStrategy(kind, conflict_aware=aware)
+                calls.append(lambda s=strategy: select_action(lane_merge_game, coarse, s))
+        for call in calls:
+            with pytest.raises(ValueError, match="domain partition"):
+                call()
+
+    def test_conflict_aware_selection_needs_role_swap_breakpoints(self, lane_merge_game):
+        belief = uniform_for(lane_merge_game)
+        assert belief.partition.n_cells < decision_partition(lane_merge_game, True).n_cells
+        select_action(lane_merge_game, belief, ExplorationStrategy(StrategyKind.REWARD_GAIN))
+        aware = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
+        with pytest.raises(ValueError, match="role-swap"):
+            select_action(lane_merge_game, belief, aware)
+        with pytest.raises(ValueError, match="role-swap"):
+            conflict_mass(lane_merge_game, belief)
+
+    def test_one_role_swap_preference_per_cell(self, lane_merge_game, monkeypatch):
+        partition = decision_partition(lane_merge_game, True)
+        assert partition.n_cells == 10
+        calls = []
+        original = explore.leader_preference_of_follower
+
+        def counted(game, alpha):
+            calls.append(alpha)
+            return original(game, alpha)
+
+        monkeypatch.setattr(explore, "leader_preference_of_follower", counted)
+        strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
+        select_action(lane_merge_game, IntervalBelief.uniform(partition), strategy)
+        assert 0 < len(calls) <= partition.n_cells
+
+    def test_out_of_range_row_is_an_error(self, lane_merge_game):
+        b = uniform_for(lane_merge_game)
+        for row in (-1, 3):
+            with pytest.raises(ValueError, match="out of bounds"):
+                expected_leader_reward(lane_merge_game, b, row)
