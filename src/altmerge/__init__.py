@@ -18,7 +18,6 @@ from .belief import (
     entropy,
     mass_below,
     partition_domain,
-    passive_update,
 )
 from .explore import (
     ActionEvaluation,
@@ -46,7 +45,7 @@ from .game import (
     leader_reward_given_alpha,
     stackelberg_equilibrium,
 )
-from .planner import Plan, PlanRequest, bilevel_plan, follower_plan, mpc_step
+from .planner import Plan, PlanRequest, bilevel_plan, follower_plan
 from .sim import (
     EpisodeResult,
     Scenario,
@@ -95,10 +94,8 @@ __all__ = [
     "leader_reward_given_alpha",
     "load_scenario",
     "mass_below",
-    "mpc_step",
     "observation_likelihoods",
     "partition_domain",
-    "passive_update",
     "predicted_outcome_distribution",
     "run_conflict_experiment",
     "run_episode",

@@ -104,10 +104,11 @@ class IntervalBelief:
         object.__setattr__(self, "masses", masses)
         if len(masses) != self.partition.n_cells:
             raise ValueError("one mass per partition cell required")
-        if any(m < -MASS_TOL for m in masses):
-            raise ValueError("masses must be nonnegative")
-        if abs(sum(masses) - 1.0) > 1e-6:
-            raise ValueError(f"masses must sum to 1, got {sum(masses)}")
+        if any(not m >= -MASS_TOL for m in masses):
+            raise ValueError(f"masses must be nonnegative and finite, got {masses}")
+        total = sum(masses)
+        if not abs(total - 1.0) <= 1e-6:
+            raise ValueError(f"masses must sum to 1, got {total}")
 
     @classmethod
     def uniform(cls, partition: Partition) -> "IntervalBelief":
@@ -128,12 +129,6 @@ class IntervalBelief:
             overlap = max(0.0, min(float(chi), float(hi)) - max(float(clo), float(lo)))
             masses.append(overlap / total)
         return cls(part, tuple(masses))
-
-    @classmethod
-    def point(cls, x: Number) -> "IntervalBelief":
-        """Point-mass collapse, represented as a sliver of width POINT_WIDTH."""
-        lo = max(0.0, min(float(x) - POINT_WIDTH / 2, 1.0 - POINT_WIDTH))
-        return cls.uniform_on(lo, lo + POINT_WIDTH)
 
     @property
     def support(self) -> tuple[Number, Number]:
@@ -156,24 +151,6 @@ class IntervalBelief:
             frac = (float(chi) - float(clo)) / (float(hi) - float(lo))
             masses.append(mass * frac)
         return IntervalBelief(part, tuple(masses))
-
-
-def passive_update(
-    current: tuple[Number, Number], observed: tuple[Number, Number]
-) -> tuple[Number, Number]:
-    """Clamped interval intersection used by passive range tracking.
-
-    Both ranges must lie inside [0, 1]. Disjoint ranges collapse the
-    result to a single point at the nearer current bound.
-    """
-    c_t, d_t = current
-    c, d = observed
-    for lo, hi in (current, observed):
-        if not (0 <= lo <= 1 and 0 <= hi <= 1 and lo <= hi):
-            raise ValueError(f"invalid range [{lo}, {hi}]")
-    new_lo = max(c_t, min(d_t, c))
-    new_hi = min(d_t, max(c_t, d))
-    return new_lo, new_hi
 
 
 def entropy(belief: IntervalBelief) -> float:

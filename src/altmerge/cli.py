@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .explore import StrategyKind
@@ -29,38 +28,22 @@ EXIT_WARNINGS = 2
 TRACE_COLUMNS = ["step", "vehicle", "x", "y", "v", "theta", "accel", "steer", "cell_i", "cell_j"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run request: scenario plus command-line overrides."""
-
-    scenario_path: Path
-    out_dir: Path
-    strategies: tuple[str, ...] = ()
-    alphas: tuple[float, ...] = ()
-    lam: float | None = None
-    steps: int | None = None
-    seed: int = 0
-    emit_plots: bool = False
-    conflict_aware: bool | None = None
-
-
-def _apply_overrides(scenario: Scenario, config: RunConfig, alpha, strategy_name) -> Scenario:
+def _apply_overrides(
+    scenario: Scenario, args: argparse.Namespace, alpha, strategy_name
+) -> Scenario:
+    """The scenario with the run's flags applied; ``Scenario`` checks the result."""
     strategy = scenario.strategy
     if strategy_name is not None:
         strategy = dataclasses.replace(strategy, kind=StrategyKind(strategy_name))
-    if config.lam is not None:
-        strategy = dataclasses.replace(strategy, lam=config.lam)
-    if config.conflict_aware is not None:
-        strategy = dataclasses.replace(strategy, conflict_aware=config.conflict_aware)
-    replacements: dict = {"strategy": strategy, "seed": config.seed}
+    if args.lam is not None:
+        strategy = dataclasses.replace(strategy, lam=args.lam)
+    if args.conflict_aware is not None:
+        strategy = dataclasses.replace(strategy, conflict_aware=args.conflict_aware)
+    replacements: dict = {"strategy": strategy}
     if alpha is not None:
-        if not 0 <= alpha <= 1:
-            raise ScenarioError(f"alpha override must lie in [0, 1], got {alpha}")
         replacements["true_alpha"] = alpha
-    if config.steps is not None:
-        if config.steps < 1:
-            raise ScenarioError(f"steps must be at least 1, got {config.steps}")
-        replacements["episode_steps"] = config.steps
+    if args.steps is not None:
+        replacements["episode_steps"] = args.steps
     return dataclasses.replace(scenario, **replacements)
 
 
@@ -127,30 +110,30 @@ def _write_summary(path: Path, scenario: Scenario, result: EpisodeResult) -> Non
     }, indent=2) + "\n")
 
 
-def run(config: RunConfig) -> int:
-    """Execute the configured runs; 0 on success, 1 on bad input, 2 on warnings."""
+def run(args: argparse.Namespace) -> int:
+    """Execute the runs the ``run`` flags ask for; 0 on success, 1 on bad input, 2 on warnings."""
     try:
-        scenario = load_scenario(config.scenario_path)
+        scenario = load_scenario(args.scenario)
     except ScenarioError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
 
-    alphas = config.alphas or (None,)
-    strategies = config.strategies or (None,)
+    alphas = args.alpha or (None,)
+    strategies = args.strategy or (None,)
     combos = [(a, s) for a in alphas for s in strategies]
     warned = False
     for alpha, strategy_name in combos:
         try:
-            run_scenario = _apply_overrides(scenario, config, alpha, strategy_name)
-        except (ScenarioError, ValueError) as error:
+            run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
+        except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return EXIT_ERROR
         if len(combos) == 1:
-            run_dir = config.out_dir
+            run_dir = args.out
         else:
             label_alpha = run_scenario.true_alpha
             label_strategy = run_scenario.strategy.kind.value
-            run_dir = config.out_dir / f"alpha{label_alpha:g}_{label_strategy}"
+            run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
         run_dir.mkdir(parents=True, exist_ok=True)
         result = run_episode(run_scenario)
         _write_trace(run_dir / "trace.csv", result)
@@ -162,7 +145,7 @@ def run(config: RunConfig) -> int:
                 f"warning: {result.summary.warnings} inference contradiction(s) in {run_dir}",
                 file=sys.stderr,
             )
-        if config.emit_plots:
+        if args.plots:
             status = plot(run_dir)
             if status != EXIT_OK:
                 return status
@@ -387,8 +370,16 @@ def _parse_strategy_list(raw: str) -> tuple[str, ...]:
     return names
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``error:`` line and exit status 1."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="altmerge",
         description="Active altruism learning in a two-vehicle lane merge.",
     )
@@ -403,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--alpha", type=_parse_float_list, default=(),
                       help="true-coefficient override; comma list sweeps")
     runp.add_argument("--steps", type=int, default=None, help="episode length override")
-    runp.add_argument("--seed", type=int, default=0, help="run seed (recorded; solver is deterministic)")
     runp.add_argument("--out", required=True, type=Path, help="output directory")
     runp.add_argument("--plots", action="store_true", help="emit SVG figures per run")
     runp.add_argument("--conflict-aware", action="store_true", default=None,
@@ -418,18 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "plot":
         return plot(args.run_dir)
-    config = RunConfig(
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        strategies=args.strategy,
-        alphas=args.alpha,
-        lam=args.lam,
-        steps=args.steps,
-        seed=args.seed,
-        emit_plots=args.plots,
-        conflict_aware=args.conflict_aware,
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ theta) tuples that skip validation: ``_advance``, ``_features`` and
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -61,8 +62,10 @@ class BicycleParams:
     steer_max: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.wheelbase <= 0 or self.accel_max <= 0 or self.steer_max <= 0:
-            raise ValueError("bicycle parameters must be positive")
+        for name in ("wheelbase", "accel_max", "steer_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def check(self, control: Control) -> None:
         """Reject a control beyond the actuator limits, or a NaN one."""
@@ -95,6 +98,10 @@ class FeatureParams:
     lane_theta: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.vehicle_width <= 0 or self.vehicle_length <= 0:
             raise ValueError("vehicle dimensions must be positive")
         if self.vehicle_width + self.width_margin <= 0:

@@ -301,10 +301,10 @@ def conflict_adjusted_reward(
     )
 
 
-def evaluate_actions(
+def select_action(
     game: AltruismGame, belief: IntervalBelief, strategy: ExplorationStrategy
-) -> list[ActionEvaluation]:
-    """Score every leader row under the strategy, from one cell table."""
+) -> tuple[list[ActionEvaluation], int]:
+    """Score every row from one cell table; return them and the argmax (ties to lowest row)."""
     table = _CellTable(game, belief.partition, strategy.conflict_aware)
     masses, kind = belief.masses, strategy.kind
     if kind is StrategyKind.INFO_GAIN:
@@ -335,13 +335,5 @@ def evaluate_actions(
                 outcome_probabilities=probs,
             )
         )
-    return evaluations
-
-
-def select_action(
-    game: AltruismGame, belief: IntervalBelief, strategy: ExplorationStrategy
-) -> tuple[list[ActionEvaluation], int]:
-    """Evaluations for all rows plus the argmax row (ties to lowest index)."""
-    evaluations = evaluate_actions(game, belief, strategy)
     best = max(range(len(evaluations)), key=lambda i: (evaluations[i].total, -i))
     return evaluations, best

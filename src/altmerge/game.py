@@ -14,6 +14,7 @@ rewards are ints or Fractions, falling back to floats (deduplicated at
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +29,6 @@ class Player(enum.Enum):
 
     LEADER = "leader"
     FOLLOWER = "follower"
-
-    @property
-    def other(self) -> "Player":
-        return Player.FOLLOWER if self is Player.LEADER else Player.LEADER
 
 
 class OutcomeLabel(enum.Enum):
@@ -81,6 +78,8 @@ class AltruismGame:
             for cell in row:
                 if len(cell) != 2:
                     raise ValueError("every cell must hold exactly one reward pair")
+                if not (-math.inf < cell[0] < math.inf and -math.inf < cell[1] < math.inf):
+                    raise ValueError(f"rewards must be finite, got {cell}")
         _check_alpha(self.alpha_leader)
 
     @property
@@ -219,19 +218,11 @@ def build_responsibility_matrix(
     return tuple(grid)
 
 
-def transpose(game: AltruismGame, alpha_leader: Number = 0) -> AltruismGame:
-    """Role-swapped game: the column player leads with coefficient ``alpha_leader``."""
-    rewards = tuple(
-        tuple((game.rewards[i][j][1], game.rewards[i][j][0]) for i in range(game.n_leader))
-        for j in range(game.n_follower)
-    )
-    return AltruismGame(game.follower_actions, game.leader_actions, rewards, alpha_leader)
-
-
 def leader_preference_of_follower(game: AltruismGame, alpha_follower: Number) -> int:
     """Column the follower would commit to if it led at ``alpha_follower``.
 
     The original leader then best-responds with its own fixed coefficient.
     """
-    swapped = transpose(game, alpha_leader=alpha_follower)
+    rewards = tuple(zip(*[[cell[::-1] for cell in row] for row in game.rewards]))
+    swapped = AltruismGame(game.follower_actions, game.leader_actions, rewards, alpha_follower)
     return stackelberg_equilibrium(swapped, alpha_follower=game.alpha_leader).leader_index

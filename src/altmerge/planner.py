@@ -68,7 +68,6 @@ class PlanRequest:
     dt: float = 0.2
     feature_params: FeatureParams = FeatureParams()
     bicycle_params: BicycleParams = BicycleParams()
-    seed: int = 0  # reserved; the search is deterministic
 
     def __post_init__(self) -> None:
         if not isinstance(self.horizon, int) or self.horizon < 1:
@@ -243,31 +242,3 @@ def bilevel_plan(request: PlanRequest) -> Plan:
         value,
     )
 
-
-def mpc_step(
-    leader_state: VehicleState,
-    follower_state: VehicleState,
-    leader_weights: tuple[float, ...],
-    follower_weights: tuple[float, ...],
-    horizon: int = 6,
-    dt: float = 0.2,
-    feature_params: FeatureParams = FeatureParams(),
-    bicycle_params: BicycleParams = BicycleParams(),
-) -> tuple[Control, Control, Plan]:
-    """Plan the full horizon for the active cell, return only the first controls.
-
-    The returned plan always spans ``horizon`` steps regardless of how much
-    episode remains; callers re-plan every timestep.
-    """
-    request = PlanRequest(
-        leader_state=leader_state,
-        follower_state=follower_state,
-        leader_weights=tuple(leader_weights),
-        follower_weights=tuple(follower_weights),
-        horizon=horizon,
-        dt=dt,
-        feature_params=feature_params,
-        bicycle_params=bicycle_params,
-    )
-    plan = bilevel_plan(request)
-    return plan.leader_controls[0], plan.follower_controls[0], plan

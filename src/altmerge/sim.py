@@ -9,8 +9,11 @@ realized cell, and executes one control. The leader then scores the
 follower's observed control under every column's weight vector (softmax)
 and Bayes-updates its belief.
 
-Scenario files are JSON documents; see scenarios/schema.json for the
-layout and scenarios/*.json for the shipped defaults.
+Scenario files are JSON documents; scenarios/*.json are the shipped
+defaults. The parser here is the source of truth for their layout:
+scenarios/schema.json documents it, and a test keeps the two in agreement.
+Every value is checked where it is read, so a malformed document fails
+with one ScenarioError naming the key.
 """
 
 from __future__ import annotations
@@ -38,7 +41,13 @@ from .explore import (
     decision_partition,
     select_action,
 )
-from .game import AltruismGame, build_responsibility_matrix, follower_best_response, leader_preference_of_follower, OutcomeLabel
+from .game import (
+    AltruismGame,
+    OutcomeLabel,
+    build_responsibility_matrix,
+    follower_best_response,
+    leader_preference_of_follower,
+)
 from .planner import PlanRequest, bilevel_plan, follower_plan
 
 #: The follower plays the rational response to the leader's action.
@@ -71,7 +80,6 @@ class Scenario:
     follower_mode: str = FOLLOWER_MODE_FOLLOWER
     feature_params: FeatureParams = FeatureParams()
     bicycle_params: BicycleParams = BicycleParams()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.true_alpha <= 1:
@@ -204,7 +212,6 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
                 dt=scenario.dt,
                 feature_params=scenario.feature_params,
                 bicycle_params=scenario.bicycle_params,
-                seed=scenario.seed,
             )
         )
         leader_control = plan.leader_controls[0]
@@ -297,62 +304,95 @@ def run_conflict_experiment(scenario: Scenario) -> dict[str, EpisodeResult]:
 # Scenario documents
 
 
-def _require(data: dict, key: str, context: str):
+def _require(data, key: str, context: str):
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{context}: expected an object, got {data!r}")
     if key not in data:
         raise ScenarioError(f"{context}: missing required key '{key}'")
     return data[key]
 
 
+def _number(raw, context: str) -> int | float:
+    """A finite JSON number, as parsed: integers stay exact."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not -math.inf < raw < math.inf:
+        raise ScenarioError(f"{context}: expected a finite number, got {raw!r}")
+    return raw
+
+
+def _count(raw, context: str) -> int:
+    """A whole JSON number; 3.0 is accepted, 2.5 is not."""
+    value = _number(raw, context)
+    if value != int(value):
+        raise ScenarioError(f"{context}: expected a whole number, got {raw!r}")
+    return int(value)
+
+
 def _weight_vector(raw, context: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or len(raw) != N_FEATURES:
         raise ScenarioError(f"{context}: expected a list of {N_FEATURES} numbers")
-    vector = tuple(float(v) for v in raw)
-    if not all(math.isfinite(v) for v in vector):
-        raise ScenarioError(f"{context}: weights must be finite, got {list(vector)}")
-    return vector
+    return tuple(float(_number(v, context)) for v in raw)
+
+
+def _action_names(data: dict, key: str, context: str) -> tuple[str, ...]:
+    raw = _require(data, key, context)
+    if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
+        raise ScenarioError(f"{context}.{key}: expected a list of action names, got {raw!r}")
+    return tuple(raw)
 
 
 _LABELS = {label.value: label for label in OutcomeLabel}
 
 
+def _label(raw, context: str) -> OutcomeLabel:
+    if not isinstance(raw, str) or raw not in _LABELS:
+        raise ScenarioError(
+            f"{context}: unknown outcome label {raw!r}; expected one of {sorted(_LABELS)}"
+        )
+    return _LABELS[raw]
+
+
+def _pair_grid(data: dict, key: str, context: str, read) -> tuple[tuple[tuple, ...], ...]:
+    """The ``key`` grid of [leader, follower] pairs, each entry checked by ``read``."""
+    grid, context = data[key], f"{context}.{key}"
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ScenarioError(f"{context}: expected a list of rows")
+    rows = []
+    for i, row in enumerate(grid):
+        cells = []
+        for j, cell in enumerate(row):
+            where = f"{context}[{i}][{j}]"
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise ScenarioError(f"{where}: expected a [leader, follower] pair, got {cell!r}")
+            cells.append((read(cell[0], where), read(cell[1], where)))
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
 def _parse_game(data: dict, context: str) -> AltruismGame:
-    leader_actions = tuple(_require(data, "leader_actions", context))
-    follower_actions = tuple(_require(data, "follower_actions", context))
+    leader_actions = _action_names(data, "leader_actions", context)
+    follower_actions = _action_names(data, "follower_actions", context)
     if "rewards" in data and "outcome_labels" in data:
         raise ScenarioError(f"{context}: give either 'rewards' or 'outcome_labels', not both")
     if "rewards" in data:
-        rewards = tuple(
-            tuple((cell[0], cell[1]) for cell in row) for row in data["rewards"]
-        )
+        rewards = _pair_grid(data, "rewards", context, _number)
     elif "outcome_labels" in data:
-        try:
-            labels = [
-                [(_LABELS[leader], _LABELS[follower]) for leader, follower in row]
-                for row in data["outcome_labels"]
-            ]
-        except KeyError as bad:
-            raise ScenarioError(
-                f"{context}: unknown outcome label {bad}; expected one of {sorted(_LABELS)}"
-            ) from None
-        rewards = build_responsibility_matrix(labels)
+        rewards = build_responsibility_matrix(_pair_grid(data, "outcome_labels", context, _label))
     else:
         raise ScenarioError(f"{context}: needs 'rewards' or 'outcome_labels'")
+    alpha_leader = _number(data.get("alpha_leader", 0), f"{context}.alpha_leader")
     try:
-        return AltruismGame(
-            leader_actions, follower_actions, rewards, data.get("alpha_leader", 0)
-        )
+        return AltruismGame(leader_actions, follower_actions, rewards, alpha_leader)
     except ValueError as error:
         raise ScenarioError(f"{context}: {error}") from None
 
 
 def _parse_state(data: dict, context: str) -> VehicleState:
+    values = [
+        float(_number(_require(data, key, context), f"{context}.{key}"))
+        for key in ("x", "y", "v", "theta")
+    ]
     try:
-        return VehicleState(
-            float(_require(data, "x", context)),
-            float(_require(data, "y", context)),
-            float(_require(data, "v", context)),
-            float(_require(data, "theta", context)),
-        )
+        return VehicleState(*values)
     except ValueError as error:
         raise ScenarioError(f"{context}: {error}") from None
 
@@ -369,7 +409,7 @@ def _parse_strategy(data: dict, context: str) -> ExplorationStrategy:
     try:
         return ExplorationStrategy(
             kind=kind,
-            lam=float(data.get("lambda", 1.0)),
+            lam=float(_number(data.get("lambda", 1.0), f"{context}.lambda")),
             conflict_aware=bool(data.get("conflict_aware", False)),
             positive_gain_only=bool(data.get("positive_gain_only", False)),
         )
@@ -384,18 +424,13 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     weights_raw = _require(data, "weights", source)
     weights: WeightTable = {}
     for i, leader_label in enumerate(game.leader_actions):
-        row = weights_raw.get(leader_label)
-        if row is None:
-            raise ScenarioError(f"{ctx}: missing leader action '{leader_label}'")
+        row = _require(weights_raw, leader_label, ctx)
         for j, follower_label in enumerate(game.follower_actions):
-            cell = row.get(follower_label)
-            if cell is None:
-                raise ScenarioError(
-                    f"{ctx}['{leader_label}']: missing follower action '{follower_label}'"
-                )
+            cell = _require(row, follower_label, f"{ctx}['{leader_label}']")
+            cell_ctx = f"{ctx}['{leader_label}']['{follower_label}']"
             weights[(i, j)] = (
-                _weight_vector(cell.get("leader"), f"{ctx}['{leader_label}']['{follower_label}'].leader"),
-                _weight_vector(cell.get("follower"), f"{ctx}['{leader_label}']['{follower_label}'].follower"),
+                _weight_vector(_require(cell, "leader", cell_ctx), f"{cell_ctx}.leader"),
+                _weight_vector(_require(cell, "follower", cell_ctx), f"{cell_ctx}.follower"),
             )
     try:
         feature_params = FeatureParams(**data.get("feature_params", {}))
@@ -406,27 +441,26 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     except (TypeError, ValueError) as error:
         raise ScenarioError(f"{source}: vehicle: {error}") from None
     states = _require(data, "initial_states", source)
-    try:
-        return Scenario(
-            name=str(data.get("name", Path(source).stem)),
-            game=game,
-            weights=weights,
-            leader_start=_parse_state(_require(states, "leader", f"{source}: initial_states"),
-                                      f"{source}: initial_states.leader"),
-            follower_start=_parse_state(_require(states, "follower", f"{source}: initial_states"),
-                                        f"{source}: initial_states.follower"),
-            true_alpha=float(_require(data, "true_alpha", source)),
-            strategy=_parse_strategy(_require(data, "strategy", source), f"{source}: strategy"),
-            episode_steps=int(data.get("episode_steps", 30)),
-            dt=float(data.get("dt", 0.2)),
-            horizon=int(data.get("horizon_steps", 6)),
-            observation_temperature=float(data.get("observation_temperature", 1.0)),
-            follower_mode=str(data.get("follower_mode", FOLLOWER_MODE_FOLLOWER)),
-            feature_params=feature_params,
-            bicycle_params=bicycle_params,
-        )
-    except TypeError as error:
-        raise ScenarioError(f"{source}: {error}") from None
+    return Scenario(
+        name=str(data.get("name", Path(source).stem)),
+        game=game,
+        weights=weights,
+        leader_start=_parse_state(_require(states, "leader", f"{source}: initial_states"),
+                                  f"{source}: initial_states.leader"),
+        follower_start=_parse_state(_require(states, "follower", f"{source}: initial_states"),
+                                    f"{source}: initial_states.follower"),
+        true_alpha=float(_number(_require(data, "true_alpha", source), f"{source}: true_alpha")),
+        strategy=_parse_strategy(_require(data, "strategy", source), f"{source}: strategy"),
+        episode_steps=_count(data.get("episode_steps", 30), f"{source}: episode_steps"),
+        dt=float(_number(data.get("dt", 0.2), f"{source}: dt")),
+        horizon=_count(data.get("horizon_steps", 6), f"{source}: horizon_steps"),
+        observation_temperature=float(
+            _number(data.get("observation_temperature", 1.0), f"{source}: observation_temperature")
+        ),
+        follower_mode=str(data.get("follower_mode", FOLLOWER_MODE_FOLLOWER)),
+        feature_params=feature_params,
+        bicycle_params=bicycle_params,
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from altmerge.belief import (
     ENTROPY_FLOOR,
+    POINT_WIDTH,
     BeliefContradictionError,
     IntervalBelief,
     Partition,
@@ -17,7 +18,6 @@ from altmerge.belief import (
     entropy,
     mass_below,
     partition_domain,
-    passive_update,
 )
 from altmerge.game import AltruismGame
 
@@ -39,6 +39,13 @@ class TestPartition:
         assert not part.refines(finer)
 
 
+class TestIntervalBelief:
+    @pytest.mark.parametrize("masses", [(math.nan, 0.5), (math.nan, 1.0), (math.inf, 0.0)])
+    def test_rejects_non_finite_mass(self, masses):
+        with pytest.raises(ValueError, match="mass"):
+            IntervalBelief(Partition((0, 0.5, 1)), masses)
+
+
 class TestPartitionDomain:
     def test_lane_merge_domain(self, lane_merge_game):
         part = partition_domain(lane_merge_game)
@@ -53,31 +60,6 @@ class TestPartitionDomain:
         assert partition_domain(game).breakpoints == (0, 1)
 
 
-class TestPassiveUpdate:
-    def test_narrows_to_observed_range(self):
-        assert passive_update((0, 1), (Fraction(5, 12), 1)) == (Fraction(5, 12), 1)
-
-    def test_idempotent_on_same_range(self):
-        rng = (Fraction(5, 12), 1)
-        assert passive_update(rng, rng) == rng
-
-    def test_disjoint_ranges_collapse_to_point(self):
-        assert passive_update((0.5, 1), (0, 0.3)) == (0.5, 0.5)
-
-    def test_never_widens_support(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            c_t, d_t = sorted(rng.uniform(0, 1) for _ in range(2))
-            c, d = sorted(rng.uniform(0, 1) for _ in range(2))
-            lo, hi = passive_update((c_t, d_t), (c, d))
-            assert c_t - 1e-12 <= lo <= hi <= d_t + 1e-12
-            assert hi - lo <= (d_t - c_t) + 1e-12
-
-    def test_rejects_range_outside_domain(self):
-        with pytest.raises(ValueError):
-            passive_update((0, 1.2), (0, 1))
-
-
 class TestEntropy:
     def test_full_uniform_is_zero(self):
         assert entropy(IntervalBelief.uniform(Partition((0, 1)))) == pytest.approx(0.0)
@@ -89,7 +71,8 @@ class TestEntropy:
         assert entropy(narrow) == pytest.approx(math.log(1 / 6))
 
     def test_point_mass_hits_floor(self):
-        assert entropy(IntervalBelief.point(0.5)) == pytest.approx(ENTROPY_FLOOR)
+        sliver = IntervalBelief.uniform_on(0.5 - POINT_WIDTH / 2, 0.5 + POINT_WIDTH / 2)
+        assert entropy(sliver) == pytest.approx(ENTROPY_FLOOR)
 
     def test_maximal_only_for_full_uniform(self):
         rng = random.Random(11)

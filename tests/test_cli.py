@@ -87,6 +87,19 @@ class TestRun:
         (("strategy", "lambda"), float("nan"), "lambda"),
         (("observation_temperature",), float("inf"), "observation_temperature"),
         (("dt",), float("nan"), "dt"),
+        (("episode_steps",), "abc", "episode_steps"),
+        (("episode_steps",), float("inf"), "episode_steps"),  # how JSON reads 1e400
+        (("horizon_steps",), 2.5, "horizon_steps"),
+        (("weights",), [], "weights"),
+        (("weights", "probe"), [], "probe"),
+        (("game", "rewards", 0, 0, 0), "abc", "rewards"),
+        (("game", "rewards", 0, 0, 0), float("nan"), "rewards"),
+        (("game", "rewards", 0, 0), [3], "rewards"),
+        (("game", "alpha_leader"), "0.5", "alpha_leader"),
+        (("game", "leader_actions"), 5, "leader_actions"),
+        (("true_alpha",), "abc", "true_alpha"),
+        (("vehicle", "wheelbase"), float("nan"), "wheelbase"),
+        (("feature_params", "lambda_x"), float("nan"), "lambda_x"),
     ])
     def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
         data = json.loads(Path(SCENARIO).read_text())
@@ -99,6 +112,17 @@ class TestRun:
         bad.write_text(json.dumps(data))
         status = run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
         self._assert_one_error_line(status, capsys, word)
+
+    def test_missing_state_key_is_reported_once(self, tmp_path, capsys):
+        data = json.loads(Path(SCENARIO).read_text())
+        del data["initial_states"]["follower"]["y"]
+        bad = tmp_path / "f.json"
+        bad.write_text(json.dumps(data))
+        status = run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
+        assert status == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {bad}: initial_states.follower: missing required key 'y'\n"
+        )
 
     def test_invalid_scenario_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -140,9 +164,21 @@ class TestRun:
         status = run_cli("run", "--scenario", SCENARIO, "--steps", "3", "--out", str(tmp_path))
         assert status == EXIT_WARNINGS
 
-    def test_unknown_strategy_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_unknown_strategy_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             run_cli("run", "--scenario", SCENARIO, "--strategy", "greedy", "--out", str(tmp_path))
+        self._assert_one_error_line(exit_info.value.code, capsys, "greedy")
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "abc"), ("--seed", "3")])
+    def test_bad_flag_exits_one(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--scenario", SCENARIO, flag, value, "--out", str(tmp_path))
+        self._assert_one_error_line(exit_info.value.code, capsys, flag)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "-h")
+        assert exit_info.value.code == EXIT_OK
 
 
 class TestPlot:

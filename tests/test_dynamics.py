@@ -19,6 +19,19 @@ BP = BicycleParams()
 FP = FeatureParams()
 
 
+class TestParams:
+    @pytest.mark.parametrize("field", ["wheelbase", "accel_max", "steer_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_bicycle_params_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BicycleParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_feature_params_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="lambda_x"):
+            FeatureParams(lambda_x=value)
+
+
 class TestStep:
     def test_straight_line_motion(self):
         state = VehicleState(x=2.5, y=0.0, v=10.0, theta=0.0)

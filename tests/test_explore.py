@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import altmerge.explore as explore
-from altmerge.belief import IntervalBelief, Partition, partition_domain
+from altmerge.belief import POINT_WIDTH, IntervalBelief, Partition, partition_domain
 from altmerge.explore import (
     ExplorationStrategy,
     StrategyKind,
@@ -82,7 +82,8 @@ class TestPredictedOutcomeDistribution:
         )
 
     def test_point_mass_is_one_hot(self, lane_merge_game):
-        b = IntervalBelief.point(0.9).refined(partition_domain(lane_merge_game).breakpoints)
+        sliver = IntervalBelief.uniform_on(0.9 - POINT_WIDTH / 2, 0.9 + POINT_WIDTH / 2)
+        b = sliver.refined(partition_domain(lane_merge_game).breakpoints)
         dist = predicted_outcome_distribution(lane_merge_game, b, 0)
         assert dist == pytest.approx((1.0, 0.0))
 

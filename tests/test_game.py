@@ -1,5 +1,6 @@
 """Game-level behaviour: altruistic rewards, responses, equilibria, crossings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,13 @@ from conftest import (
     make_two_row_sufficiency_game,
 )
 from oracles import oracle_equilibrium
+
+
+class TestAltruismGame:
+    @pytest.mark.parametrize("reward", [math.nan, math.inf])
+    def test_rejects_non_finite_reward(self, reward):
+        with pytest.raises(ValueError, match="finite"):
+            AltruismGame(("a",), ("x", "y"), (((1, reward), (0, 2)),))
 
 
 class TestAltruisticReward:

@@ -18,7 +18,6 @@ from altmerge.planner import (
     PlanRequest,
     bilevel_plan,
     follower_plan,
-    mpc_step,
     rollout,
 )
 from altmerge.sim import load_scenario
@@ -278,27 +277,27 @@ class TestOracleParity:
         assert follower_plan(*args) == oracle_follower_plan(*args)
 
 
-class TestMpcStep:
+class TestRecedingHorizon:
+    """The first controls of a full-horizon plan, re-planned every step."""
+
     def test_stationary_world_zero_weights(self):
-        leader_ctrl, follower_ctrl, plan = mpc_step(
-            VehicleState(2.5, 0.0, 0.0, 0.0),
-            VehicleState(7.5, 0.0, 0.0, 0.0),
-            ZERO, ZERO, 6, 0.2, FP, BP,
-        )
-        assert leader_ctrl == Control(0.0, 0.0)
-        assert follower_ctrl == Control(0.0, 0.0)
+        plan = bilevel_plan(_request(
+            VehicleState(2.5, 0.0, 0.0, 0.0), VehicleState(7.5, 0.0, 0.0, 0.0), (ZERO, ZERO), 6,
+        ))
+        assert plan.leader_controls[0] == Control(0.0, 0.0)
+        assert plan.follower_controls[0] == Control(0.0, 0.0)
 
     def test_plan_length_is_horizon_regardless_of_remaining_steps(self):
-        _, _, plan = mpc_step(LEADER, FOLLOWER, ZERO, ZERO, 6, 0.2, FP, BP)
+        plan = bilevel_plan(_request(LEADER, FOLLOWER, (ZERO, ZERO), 6))
         assert len(plan.leader_controls) == 6
         assert len(plan.follower_trajectory) == 6
 
     def test_repeated_steps_converge_to_speed_limit(self):
         leader = VehicleState(2.5, 0.0, 4.0, 0.0)
         follower = VehicleState(7.5, 300.0, 10.0, 0.0)
-        weights = (0, 0, -1.0, -0.5, 0, 0)
+        weights = ((0, 0, -1.0, -0.5, 0, 0), ZERO)
         for _ in range(30):
-            ctrl, _, _ = mpc_step(leader, follower, weights, ZERO, 6, 0.2, FP, BP)
+            ctrl = bilevel_plan(_request(leader, follower, weights, 6)).leader_controls[0]
             leader = step(leader, ctrl, BP, 0.2)
             follower = step(follower, Control(0.0, 0.0), BP, 0.2)
         assert abs(leader.v - FP.v_limit) < 0.5

@@ -11,6 +11,7 @@ import altmerge.sim as sim
 from altmerge.belief import BeliefContradictionError
 from altmerge.dynamics import BicycleParams, Control, FeatureParams, VehicleState
 from altmerge.explore import ExplorationStrategy, StrategyKind
+from altmerge.game import OutcomeLabel
 from altmerge.planner import PlanRequest, bilevel_plan, follower_plan
 from altmerge.sim import (
     Scenario,
@@ -256,6 +257,13 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="blameless"):
             parse_scenario(data, "doc")
 
+    @pytest.mark.parametrize("cell", ["neutral", ["neutral"], [["neutral"], "neutral"], None])
+    def test_malformed_outcome_label_cell_rejected(self, cell):
+        data = json.loads((SCENARIO_DIR / "lane_merge_responsibility.json").read_text())
+        data["game"]["outcome_labels"][0][0] = cell
+        with pytest.raises(ScenarioError, match=r"outcome_labels\[0\]\[0\]"):
+            parse_scenario(data, "doc")
+
     def test_unknown_feature_param_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
         data["feature_params"]["curvature"] = 2.0
@@ -267,6 +275,55 @@ class TestScenarioParsing:
         bad.write_text('{\n  "name": "x",\n  oops\n}\n')
         with pytest.raises(ScenarioError, match=r"broken\.json:3"):
             load_scenario(bad)
+
+    def test_schema_agrees_with_parser(self):
+        schema = json.loads((SCENARIO_DIR / "schema.json").read_text())
+        props, definitions = schema["properties"], schema["definitions"]
+        game, strategy = props["game"]["properties"], props["strategy"]["properties"]
+        assert strategy["kind"]["enum"] == [kind.value for kind in StrategyKind]
+        label_enum = game["outcome_labels"]["items"]["items"]["items"]["enum"]
+        assert label_enum == [label.value for label in OutcomeLabel]
+        assert props["follower_mode"]["enum"] == [
+            sim.FOLLOWER_MODE_FOLLOWER, sim.FOLLOWER_MODE_LEADER,
+        ]
+        for name, params in (("feature_params", FeatureParams), ("vehicle", BicycleParams)):
+            assert set(props[name]["properties"]) == {f.name for f in dataclasses.fields(params)}
+
+        # a document holding only the required keys parses to the schema's defaults
+        full = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
+        minimal = {key: full[key] for key in schema["required"]}
+        minimal["game"] = {key: full["game"][key] for key in props["game"]["required"]}
+        minimal["game"]["rewards"] = full["game"]["rewards"]
+        minimal["strategy"] = {"kind": full["strategy"]["kind"]}
+        scenario = parse_scenario(minimal, "doc")
+        assert scenario.episode_steps == props["episode_steps"]["default"]
+        assert scenario.dt == props["dt"]["default"]
+        assert scenario.horizon == props["horizon_steps"]["default"]
+        assert scenario.observation_temperature == props["observation_temperature"]["default"]
+        assert scenario.follower_mode == props["follower_mode"]["default"]
+        assert scenario.game.alpha_leader == game["alpha_leader"]["default"]
+        assert scenario.strategy.lam == strategy["lambda"]["default"]
+        assert scenario.strategy.conflict_aware == strategy["conflict_aware"]["default"]
+        assert scenario.strategy.positive_gain_only == strategy["positive_gain_only"]["default"]
+
+        # every key the schema requires is one the parser requires
+        cell = props["weights"]["additionalProperties"]["additionalProperties"]
+        for path, node in [
+            ((), schema),
+            (("game",), props["game"]),
+            (("strategy",), props["strategy"]),
+            (("initial_states",), props["initial_states"]),
+            (("initial_states", "leader"), definitions["state"]),
+            (("weights", "probe", "give_way"), cell),
+        ]:
+            for key in node["required"]:
+                doc = json.loads(json.dumps(minimal))
+                target = doc
+                for part in path:
+                    target = target[part]
+                del target[key]
+                with pytest.raises(ScenarioError, match=f"missing required key '{key}'"):
+                    parse_scenario(doc, "doc")
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ScenarioError):
