@@ -135,7 +135,12 @@ def run(args: argparse.Namespace) -> int:
             label_strategy = run_scenario.strategy.kind.value
             run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        result = run_episode(run_scenario)
+        try:
+            result = run_episode(run_scenario)
+        except (ValueError, ArithmeticError) as error:
+            # finite but extreme values can overflow the dynamics or the features
+            print(f"error: {args.scenario}: {error}", file=sys.stderr)
+            return EXIT_ERROR
         _write_trace(run_dir / "trace.csv", result)
         _write_belief_log(run_dir / "belief.jsonl", result)
         _write_summary(run_dir / "summary.json", run_scenario, result)

@@ -14,9 +14,12 @@ penalizes proximity without rewarding unbounded flight. The lead term is
 tanh of the longitudinal gap.
 
 The arithmetic lives once, in private float kernels on plain (x, y, v,
-theta) tuples that skip validation: ``_advance``, ``_features`` and
-``_cost``. The planner calls them on its inner rollouts; the public
-``step``, ``features`` and ``cost`` validate their input and delegate.
+theta) tuples that skip validation: ``_advance`` for the dynamics, and for
+the cost ``_own_costs`` (features 0-3, which never look at the other
+vehicle) and ``_pair_cost`` (features 4-5, which do). The planner calls
+them on its inner rollouts and keeps a rollout's own-lane terms for every
+other trajectory it is scored against; the public ``step``, ``features``
+and ``cost`` validate their input and delegate.
 """
 
 from __future__ import annotations
@@ -158,17 +161,10 @@ def _advance(
     return states
 
 
-def _features(
-    x: float,
-    y: float,
-    v: float,
-    theta: float,
-    other: tuple[float, float, float, float],
-    params: FeatureParams,
-) -> tuple[float, float, float, float, float, float]:
-    """Float kernel of ``features``; ``other`` is the (x, y, sin, cos) of ``_frame``."""
-    other_x, other_y, sin_o, cos_o = other
-    # bounded penalties 1 - exp(-k * err^2)
+def _own_features(
+    x: float, v: float, theta: float, params: FeatureParams
+) -> tuple[float, float, float, float]:
+    """Features 0-3 of one state: bounded penalties 1 - exp(-k * err^2)."""
     left = x - params.x_left
     right = x - params.x_right
     speed = v - params.v_limit
@@ -177,7 +173,14 @@ def _features(
     phi1 = 1.0 - math.exp(-params.lambda_x * right * right)
     phi2 = 1.0 - math.exp(-params.lambda_v * speed * speed)
     phi3 = 1.0 - math.exp(-params.lambda_theta * heading * heading)
+    return (phi0, phi1, phi2, phi3)
 
+
+def _pair_features(
+    x: float, y: float, other: tuple[float, float, float, float], params: FeatureParams
+) -> tuple[float, float]:
+    """Features 4-5 of one state; ``other`` is the (x, y, sin, cos) of ``_frame``."""
+    other_x, other_y, sin_o, cos_o = other
     dx = x - other_x
     dy = y - other_y
     lateral = dx * cos_o - dy * sin_o
@@ -185,9 +188,8 @@ def _features(
     lat_axis = params.vehicle_width + params.width_margin
     lon_axis = params.vehicle_length + params.length_margin
     phi4 = min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
-
     phi5 = math.tanh(y - other_y)
-    return (phi0, phi1, phi2, phi3, phi4, phi5)
+    return (phi4, phi5)
 
 
 def _frame(
@@ -208,25 +210,43 @@ def features(
     5: longitudinal lead (tanh of the gap, positive when ahead).
     """
     seen = (other.x, other.y, math.sin(other.theta), math.cos(other.theta))
-    return _features(state.x, state.y, state.v, state.theta, seen, params)
+    return (_own_features(state.x, state.v, state.theta, params)
+            + _pair_features(state.x, state.y, seen, params))
 
 
-def _cost(
+def _own_costs(
     states: list[tuple[float, float, float, float]],
+    weights: tuple[float, ...],
+    params: FeatureParams,
+) -> list[float]:
+    """Per state, the weighted features 0-3 summed left to right from 0.0."""
+    w0, w1, w2, w3 = weights[:4]
+    owns = []
+    for x, _, v, theta in states:
+        f0, f1, f2, f3 = _own_features(x, v, theta, params)
+        owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
+    return owns
+
+
+def _pair_cost(
+    states: list[tuple[float, float, float, float]],
+    owns: list[float],
     others: list[tuple[float, float, float, float]],
     weights: tuple[float, ...],
     params: FeatureParams,
     total: float = 0.0,
 ) -> float:
-    """Float kernel of ``cost``: adds each pair's weighted features to ``total``.
+    """Float kernel of ``cost``: adds each state's full weighted features to ``total``.
 
-    Every sum runs left to right from 0.0, so continuing from the partial
-    sum of a trajectory's head gives the same float as the whole sum.
+    ``owns`` are the states' ``_own_costs``. Each state's sum continues
+    left to right as ``own + w4 * f4 + w5 * f5``, and states add to
+    ``total`` in order, so continuing from the partial sum of a
+    trajectory's head gives the same float as the whole sum.
     """
-    w0, w1, w2, w3, w4, w5 = weights
-    for (x, y, v, theta), other in zip(states, others):
-        f0, f1, f2, f3, f4, f5 = _features(x, y, v, theta, other, params)
-        total += 0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4 + w5 * f5
+    w4, w5 = weights[4], weights[5]
+    for (x, y, _, _), own, other in zip(states, owns, others):
+        f4, f5 = _pair_features(x, y, other, params)
+        total += own + w4 * f4 + w5 * f5
     return total
 
 
@@ -243,4 +263,4 @@ def cost(
         raise ValueError(f"expected {N_FEATURES} weights, got {len(weights)}")
     states = [(s.x, s.y, s.v, s.theta) for s in trajectory]
     others = _frame([(o.x, o.y, o.v, o.theta) for o in other_trajectory])
-    return _cost(states, others, weights, params)
+    return _pair_cost(states, _own_costs(states, weights, params), others, weights, params)

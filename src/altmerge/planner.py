@@ -8,18 +8,24 @@ grid that shrinks over three rounds. The scheme is derivative-free, fully
 deterministic, and stops refining a coordinate once the objective improves
 by less than SOLVER_TOL.
 
-Each search evaluates a distinct point once. Its values are memoized for
-one call only: a leader candidate the shrinking grid revisits costs no
-second follower solve, and the winner's follower solution is kept, not
-solved again. Within one follower solve, the first-half rollout's end state
-and partial cost are cached per (accel1, steer1) while the second-half
-coordinates move. No cache outlives the call that made it.
+Each search evaluates a distinct point once, and the winner's follower
+solution is kept, not solved again. Every follower solve of one
+``bilevel_plan`` starts from the same state with the same weights, so the
+plan keeps, for both vehicles, each first-half rollout per (accel1, steer1)
+and each second-half rollout per 4-tuple, with the per-state own-lane cost
+terms (features 0-3, which never look at the other vehicle). It also keeps
+the follower's first-half cost per (leader first half, follower first half),
+so leader candidates that differ only in their second half share it, and
+the search grids per (center, span, limit). A follower evaluation then adds
+only the two pair features per state. These caches live for one
+``bilevel_plan`` call; no cache outlives the call that made it.
 
 Inner rollouts run on plain float tuples through the kernels of
 ``dynamics``, in the same arithmetic order as ``dynamics.step`` and
 ``dynamics.cost``, so every float matches the validated path bit for bit.
 Input is validated once where it enters: ``PlanRequest`` and
-``follower_plan``'s arguments. Candidate controls are clamped into the
+``follower_plan``'s arguments. The horizon is at most MAX_HORIZON steps, so
+a plan's caches stay small. Candidate controls are clamped into the
 actuator limits where they are generated, and a rollout that produces a
 non-finite state still raises ``ValueError``.
 """
@@ -36,8 +42,9 @@ from .dynamics import (
     FeatureParams,
     VehicleState,
     _advance,
-    _cost,
     _frame,
+    _own_costs,
+    _pair_cost,
     step,
 )
 
@@ -46,6 +53,12 @@ SOLVER_TOL = 1e-6
 
 #: Grid-shrink rounds of the coordinate search.
 SEARCH_ROUNDS = 3
+
+#: Longest planning horizon, in steps: 16x the shipped 6. A plan keeps
+#: rollouts of its horizon for every candidate it tries, so the bound keeps
+#: a plan's memory small, and a huge horizon is rejected before anything
+#: horizon-long is built.
+MAX_HORIZON = 100
 
 
 def _check_dt_and_weights(dt: float, *weight_vectors: tuple[float, ...]) -> None:
@@ -70,8 +83,10 @@ class PlanRequest:
     bicycle_params: BicycleParams = BicycleParams()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
+        if not isinstance(self.horizon, int) or not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(
+                f"horizon must be an integer in [1, {MAX_HORIZON}], got {self.horizon!r}"
+            )
         _check_dt_and_weights(self.dt, self.leader_weights, self.follower_weights)
 
 
@@ -137,13 +152,17 @@ def _candidate_values(center: float, span: float, limit: float) -> list[float]:
     return values
 
 
-def _coordinate_search(objective, params: BicycleParams) -> tuple[tuple[float, ...], float]:
+def _coordinate_search(
+    objective, params: BicycleParams, grids: dict
+) -> tuple[tuple[float, ...], float]:
     """Shrinking-grid cyclic coordinate descent from the zero-control start.
 
     ``objective`` maps a 4-tuple (accel1, steer1, accel2, steer2) to the
     value being maximized; it runs once per distinct point of this search.
     Only strict improvements above SOLVER_TOL move the iterate, so flat
-    objectives keep the zero initialization.
+    objectives keep the zero initialization. ``grids`` keeps each
+    ``_candidate_values`` grid by its arguments, for every search that
+    shares it.
     """
     values: dict[tuple[float, ...], float] = {}
 
@@ -158,7 +177,11 @@ def _coordinate_search(objective, params: BicycleParams) -> tuple[tuple[float, .
     spans = list(limits)
     for _ in range(SEARCH_ROUNDS):
         for coord in range(4):
-            for value in _candidate_values(current[coord], spans[coord], limits[coord]):
+            key = (current[coord], spans[coord], limits[coord])
+            grid = grids.get(key)
+            if grid is None:
+                grid = grids[key] = _candidate_values(*key)
+            for value in grid:
                 if abs(value - current[coord]) < 1e-12:
                     continue
                 candidate = list(current)
@@ -169,6 +192,94 @@ def _coordinate_search(objective, params: BicycleParams) -> tuple[tuple[float, .
                     current = candidate
         spans = [s / 2 for s in spans]
     return tuple(current), best
+
+
+class _Rollouts:
+    """One vehicle's half-constant rollouts from a fixed start, each built once.
+
+    A first half is kept per (accel1, steer1) and a second half per 4-tuple,
+    each as (post-step states, per-state ``_own_costs``), so a cost against
+    any other trajectory adds only the pair features.
+    """
+
+    def __init__(
+        self,
+        state: VehicleState,
+        weights: tuple[float, ...],
+        horizon: int,
+        dt: float,
+        feature_params: FeatureParams,
+        wheelbase: float,
+    ) -> None:
+        self.start = (state.x, state.y, state.v, state.theta)
+        self.weights = weights
+        self.first = (horizon + 1) // 2
+        self.rest = horizon - self.first
+        self.dt = dt
+        self.feature_params = feature_params
+        self.wheelbase = wheelbase
+        self._heads: dict[tuple[float, float], tuple[list, list[float]]] = {}
+        self._tails: dict[tuple[float, ...], tuple[list, list[float]]] = {}
+
+    def head(self, accel1: float, steer1: float) -> tuple[list, list[float]]:
+        head = self._heads.get((accel1, steer1))
+        if head is None:
+            states = _advance(self.start, accel1, steer1, self.first, self.wheelbase, self.dt)
+            head = (states, _own_costs(states, self.weights, self.feature_params))
+            self._heads[(accel1, steer1)] = head
+        return head
+
+    def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float]]:
+        tail = self._tails.get(params4)
+        if tail is None:
+            accel1, steer1, accel2, steer2 = params4
+            end = self.head(accel1, steer1)[0][-1]
+            states = _advance(end, accel2, steer2, self.rest, self.wheelbase, self.dt)
+            tail = (states, _own_costs(states, self.weights, self.feature_params))
+            self._tails[params4] = tail
+        return tail
+
+    def states(self, params4: tuple[float, ...]) -> list:
+        return self.head(params4[0], params4[1])[0] + self.tail(params4)[0]
+
+
+class _FollowerSolver:
+    """Follower best responses from one start state, with that state's caches.
+
+    ``head_costs[leader_head][(accel1, steer1)]`` is the follower's
+    first-half cost against a leader first half; ``leader_head`` is any key
+    that identifies the leader's first-half controls.
+    """
+
+    def __init__(
+        self,
+        rollouts: _Rollouts,
+        bicycle_params: BicycleParams,
+        grids: dict,
+    ) -> None:
+        self.rollouts = rollouts
+        self.bicycle_params = bicycle_params
+        self.grids = grids
+        self.head_costs: dict[object, dict[tuple[float, float], float]] = {}
+
+    def solve(self, leader_head, leader_frame: list) -> tuple[float, ...]:
+        """Follower 4-tuple maximizing its weighted features against a leader ``_frame``."""
+        rollouts = self.rollouts
+        weights, feature_params = rollouts.weights, rollouts.feature_params
+        head_frame, tail_frame = leader_frame[:rollouts.first], leader_frame[rollouts.first:]
+        head_costs = self.head_costs.setdefault(leader_head, {})
+
+        def objective(params4: tuple[float, ...]) -> float:
+            accel1, steer1 = params4[0], params4[1]
+            partial = head_costs.get((accel1, steer1))
+            if partial is None:
+                states, owns = rollouts.head(accel1, steer1)
+                partial = _pair_cost(states, owns, head_frame, weights, feature_params)
+                head_costs[(accel1, steer1)] = partial
+            states, owns = rollouts.tail(params4)
+            return _pair_cost(states, owns, tail_frame, weights, feature_params, partial)
+
+        return _coordinate_search(objective, self.bicycle_params, self.grids)[0]
 
 
 def follower_plan(
@@ -182,63 +293,46 @@ def follower_plan(
 ) -> tuple[Control, ...]:
     """Follower controls maximizing its weighted features against a fixed leader plan."""
     _check_dt_and_weights(dt, follower_weights)
-    if not leader_controls:
-        raise ValueError("leader control sequence must be nonempty")
+    horizon = len(leader_controls)
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"leader control sequence must have 1 to {MAX_HORIZON} steps")
     for control in leader_controls:
         bicycle_params.check(control)
     wheelbase = bicycle_params.wheelbase
     leader = _frame(_float_rollout(leader_state, leader_controls, wheelbase, dt))
-    horizon = len(leader_controls)
-    first = (horizon + 1) // 2
-    leader_head, leader_tail = leader[:first], leader[first:]
-    start = (follower_state.x, follower_state.y, follower_state.v, follower_state.theta)
-    heads: dict[tuple[float, float], tuple[tuple[float, float, float, float], float]] = {}
-
-    def objective(params4: tuple[float, ...]) -> float:
-        accel1, steer1, accel2, steer2 = params4
-        head = heads.get((accel1, steer1))
-        if head is None:
-            states = _advance(start, accel1, steer1, first, wheelbase, dt)
-            partial = _cost(states, leader_head, follower_weights, feature_params)
-            head = heads[(accel1, steer1)] = (states[-1], partial)
-        end, partial = head
-        tail = _advance(end, accel2, steer2, horizon - first, wheelbase, dt)
-        return _cost(tail, leader_tail, follower_weights, feature_params, partial)
-
-    params4, _ = _coordinate_search(objective, bicycle_params)
-    return _expand(params4, horizon)
+    rollouts = _Rollouts(follower_state, follower_weights, horizon, dt, feature_params, wheelbase)
+    solver = _FollowerSolver(rollouts, bicycle_params, {})
+    return _expand(solver.solve(leader_controls[:rollouts.first], leader), horizon)
 
 
 def bilevel_plan(request: PlanRequest) -> Plan:
     """Nested optimization: leader search with one follower solve per distinct candidate."""
-    dt, wheelbase = request.dt, request.bicycle_params.wheelbase
-    solved: dict[tuple[float, ...], tuple] = {}
+    dt, horizon = request.dt, request.horizon
+    feature_params, bicycle_params = request.feature_params, request.bicycle_params
+    wheelbase = bicycle_params.wheelbase
+    leader = _Rollouts(request.leader_state, request.leader_weights, horizon, dt,
+                       feature_params, wheelbase)
+    follower = _Rollouts(request.follower_state, request.follower_weights, horizon, dt,
+                         feature_params, wheelbase)
+    grids: dict = {}
+    solver = _FollowerSolver(follower, bicycle_params, grids)
+    responses: dict[tuple[float, ...], tuple[float, ...]] = {}
 
     def objective(params4: tuple[float, ...]) -> float:
-        leader_controls = _expand(params4, request.horizon)
-        follower_controls = follower_plan(
-            request.follower_state,
-            request.leader_state,
-            leader_controls,
-            request.follower_weights,
-            dt,
-            request.feature_params,
-            request.bicycle_params,
-        )
-        leader_traj = _float_rollout(request.leader_state, leader_controls, wheelbase, dt)
-        follower_traj = _float_rollout(request.follower_state, follower_controls, wheelbase, dt)
-        solved[params4] = (leader_controls, follower_controls)
-        return _cost(
-            leader_traj, _frame(follower_traj), request.leader_weights, request.feature_params
-        )
+        head_states, head_owns = leader.head(params4[0], params4[1])
+        tail_states, tail_owns = leader.tail(params4)
+        states = head_states + tail_states
+        response = responses[params4] = solver.solve(params4[:2], _frame(states))
+        return _pair_cost(states, head_owns + tail_owns, _frame(follower.states(response)),
+                          request.leader_weights, feature_params)
 
-    params4, value = _coordinate_search(objective, request.bicycle_params)
-    leader_controls, follower_controls = solved[params4]
+    params4, value = _coordinate_search(objective, bicycle_params, grids)
+    leader_controls = _expand(params4, horizon)
+    follower_controls = _expand(responses[params4], horizon)
     return Plan(
         leader_controls,
         follower_controls,
-        rollout(request.leader_state, leader_controls, request.bicycle_params, dt),
-        rollout(request.follower_state, follower_controls, request.bicycle_params, dt),
+        rollout(request.leader_state, leader_controls, bicycle_params, dt),
+        rollout(request.follower_state, follower_controls, bicycle_params, dt),
         value,
     )
-

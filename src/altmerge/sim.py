@@ -48,7 +48,7 @@ from .game import (
     follower_best_response,
     leader_preference_of_follower,
 )
-from .planner import PlanRequest, bilevel_plan, follower_plan
+from .planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
 
 #: The follower plays the rational response to the leader's action.
 FOLLOWER_MODE_FOLLOWER = "follower"
@@ -88,8 +88,8 @@ class Scenario:
             raise ScenarioError("episode_steps must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be at least 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon:g}")
         if not (math.isfinite(self.observation_temperature) and self.observation_temperature > 0):
             raise ScenarioError(
                 f"observation_temperature must be positive and finite, got {self.observation_temperature}"

@@ -1,15 +1,21 @@
 """CLI contract: exit codes, output files, round-trips, figure determinism."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import altmerge.cli as cli
 from altmerge.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
 
-SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "lane_merge.json")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO = str(SCENARIO_DIR / "lane_merge.json")
 
 
 def run_cli(*argv):
@@ -102,16 +108,33 @@ class TestRun:
         (("feature_params", "lambda_x"), float("nan"), "lambda_x"),
     ])
     def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
+        status = self._run_with_value(tmp_path, path, value)
+        self._assert_one_error_line(status, capsys, word)
+
+    @pytest.mark.parametrize("path, value, word", [
+        (("dt",), 1e308, "non-finite state"),
+        (("vehicle", "accel_max"), 1e308, "out of range"),
+        (("initial_states", "follower", "y"), 1e308, "out of range"),
+        (("feature_params", "lambda_x"), -1e308, "math range error"),
+        (("horizon_steps",), 1e12, "horizon"),
+        (("horizon_steps",), 1e308, "horizon"),
+        (("horizon_steps",), 101, "horizon"),
+    ])
+    def test_extreme_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
+        status = self._run_with_value(tmp_path, path, value)
+        self._assert_one_error_line(status, capsys, word)
+
+    def _run_with_value(self, tmp_path, path, value):
+        """Run one step of the shipped scenario with the value at ``path`` replaced."""
         data = json.loads(Path(SCENARIO).read_text())
         *parents, key = path
         target = data
         for parent in parents:
             target = target[parent]
         target[key] = value
-        bad = tmp_path / "non_finite.json"
+        bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(data))
-        status = run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
-        self._assert_one_error_line(status, capsys, word)
+        return run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
 
     def test_missing_state_key_is_reported_once(self, tmp_path, capsys):
         data = json.loads(Path(SCENARIO).read_text())
@@ -209,3 +232,57 @@ class TestPlot:
             cli.plot(tmp_path / name)
         for svg in ("trajectory.svg", "relative_position.svg", "belief.svg", "bonuses.svg"):
             assert (tmp_path / "a" / svg).read_bytes() == (tmp_path / "b" / svg).read_bytes()
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list entry below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = []
+    for key, child in children:
+        paths.append(prefix + (key,))
+        if isinstance(child, (dict, list)):
+            paths += _paths(child, prefix + (key,))
+    return paths
+
+
+SHIPPED = {name: json.loads((SCENARIO_DIR / name).read_text())
+           for name in ("lane_merge.json", "lane_merge_responsibility.json")}
+DELETE = object()
+MUTATIONS = (DELETE, "x", None, True, [], {}, [[]], float("nan"), float("inf"), float("-inf"),
+             -1, -2.5, 0, 1e308, -1e308)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one to three values deleted or replaced."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    data = json.loads(json.dumps(SHIPPED[name]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_paths(data)))
+        *parents, key = path
+        target = data
+        for parent in parents:
+            target = target[parent]
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if mutation is DELETE:
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(mutation)
+    return data
+
+
+class TestScenarioMutation:
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_scenarios())
+    def test_mutated_scenario_never_raises(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(data))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                status = run_cli("run", "--scenario", str(path), "--steps", "1",
+                                 "--out", str(Path(tmp) / "o"))
+        assert status in (EXIT_OK, EXIT_ERROR, EXIT_WARNINGS)
+        if status == EXIT_ERROR:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")

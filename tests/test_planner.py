@@ -14,7 +14,10 @@ from altmerge.dynamics import (
     cost,
     step,
 )
+import altmerge.planner as planner
+from altmerge.dynamics import _advance
 from altmerge.planner import (
+    MAX_HORIZON,
     PlanRequest,
     bilevel_plan,
     follower_plan,
@@ -175,6 +178,14 @@ class TestBilevelPlan:
         with pytest.raises(ValueError, match="horizon"):
             self._request(ZERO, ZERO, horizon=2.5)
 
+    def test_horizon_is_bounded(self):
+        assert self._request(ZERO, ZERO, horizon=MAX_HORIZON).horizon == MAX_HORIZON
+        for horizon in (MAX_HORIZON + 1, 10**12):
+            with pytest.raises(ValueError, match="horizon"):
+                self._request(ZERO, ZERO, horizon=horizon)
+        with pytest.raises(ValueError, match="steps"):
+            follower_plan(FOLLOWER, LEADER, (Control(0.0, 0.0),) * (MAX_HORIZON + 1), ZERO)
+
 
 class TestFollowerPlanInput:
     CONTROLS = (Control(0.0, 0.0),) * 6
@@ -237,6 +248,8 @@ BRAKING = ((0, -1.0, -0.5, 0, 0.3, -1.0), (0, 0, -0.5, 0, 0.3, -1.0))
 
 OFF_CENTRE = (VehicleState(4.0, 0.0, 8.0, 0.15), VehicleState(6.0, -4.0, 9.0, -0.1))
 STEERING = ((-2.0, 0, 0, -0.5, 0.3, 1.0), (0, -2.0, -0.5, -0.5, 0.3, -0.5))
+# a distinct nonzero weight on every feature of both vehicles
+UNEVEN = ((-1.7, -0.6, -0.9, -1.3, 0.8, 1.1), (-0.4, -1.9, -0.7, -1.2, 0.6, -0.8))
 
 
 class TestOracleParity:
@@ -270,6 +283,28 @@ class TestOracleParity:
         full_brake = oracle_leader_value(request, (-BP.accel_max, 0.0, -BP.accel_max, 0.0))
         assert all(state.v == 0.0 for state in full_brake[3])
         self._assert_parity(request)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7])
+    def test_uneven_weights_on_every_feature(self, horizon):
+        # horizon 1 has an empty second half; 2 and 7 split evenly and unevenly
+        self._assert_parity(_request(*OFF_CENTRE, UNEVEN, horizon))
+
+    def test_one_follower_first_half_rollout_per_control_pair(self, monkeypatch):
+        request = _scenario_requests()[0].values[0]  # lane_merge.json, first weight cell
+        follower = request.follower_state
+        start = (follower.x, follower.y, follower.v, follower.theta)
+        first = (request.horizon + 1) // 2
+        heads = []
+
+        def counting_advance(state, accel, steer, steps, wheelbase, dt):
+            if state == start and steps == first:
+                heads.append((accel, steer))
+            return _advance(state, accel, steer, steps, wheelbase, dt)
+
+        monkeypatch.setattr(planner, "_advance", counting_advance)
+        bilevel_plan(request)
+        assert len(heads) > 1
+        assert len(heads) == len(set(heads))
 
     def test_follower_plan_against_uneven_leader_controls(self):
         leader_controls = tuple(Control(1.5 - k, 0.1 * (-1) ** k) for k in range(5))

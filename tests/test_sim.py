@@ -12,7 +12,7 @@ from altmerge.belief import BeliefContradictionError
 from altmerge.dynamics import BicycleParams, Control, FeatureParams, VehicleState
 from altmerge.explore import ExplorationStrategy, StrategyKind
 from altmerge.game import OutcomeLabel
-from altmerge.planner import PlanRequest, bilevel_plan, follower_plan
+from altmerge.planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
 from altmerge.sim import (
     Scenario,
     ScenarioError,
@@ -305,6 +305,15 @@ class TestScenarioParsing:
         assert scenario.strategy.lam == strategy["lambda"]["default"]
         assert scenario.strategy.conflict_aware == strategy["conflict_aware"]["default"]
         assert scenario.strategy.positive_gain_only == strategy["positive_gain_only"]["default"]
+
+        # the schema's horizon range is the parser's
+        horizon = props["horizon_steps"]
+        assert horizon["maximum"] == MAX_HORIZON
+        for steps in (horizon["minimum"], horizon["maximum"]):
+            assert parse_scenario({**minimal, "horizon_steps": steps}, "doc").horizon == steps
+        for steps in (horizon["minimum"] - 1, horizon["maximum"] + 1):
+            with pytest.raises(ScenarioError, match="horizon"):
+                parse_scenario({**minimal, "horizon_steps": steps}, "doc")
 
         # every key the schema requires is one the parser requires
         cell = props["weights"]["additionalProperties"]["additionalProperties"]
