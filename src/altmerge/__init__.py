@@ -45,7 +45,7 @@ from .game import (
     leader_reward_given_alpha,
     stackelberg_equilibrium,
 )
-from .planner import Plan, PlanRequest, bilevel_plan, follower_plan
+from .planner import Plan, PlanRequest, PlanStats, bilevel_plan, follower_plan
 from .sim import (
     EpisodeResult,
     Scenario,
@@ -71,6 +71,7 @@ __all__ = [
     "Partition",
     "Plan",
     "PlanRequest",
+    "PlanStats",
     "Player",
     "Scenario",
     "ScenarioError",

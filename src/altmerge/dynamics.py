@@ -219,12 +219,21 @@ def _own_costs(
     weights: tuple[float, ...],
     params: FeatureParams,
 ) -> list[float]:
-    """Per state, the weighted features 0-3 summed left to right from 0.0."""
+    """Per state, the weighted features 0-3 summed left to right from 0.0.
+
+    An ``OverflowError`` of ``exp`` is raised again naming the state.
+    """
     w0, w1, w2, w3 = weights[:4]
     owns = []
-    for x, _, v, theta in states:
-        f0, f1, f2, f3 = _own_features(x, v, theta, params)
-        owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
+    try:
+        for x, _, v, theta in states:
+            f0, f1, f2, f3 = _own_features(x, v, theta, params)
+            owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
+    except OverflowError as error:
+        raise OverflowError(
+            f"lane, speed or heading feature out of range at (x, v, theta) = "
+            f"({x!r}, {v!r}, {theta!r}): {error}"
+        ) from None
     return owns
 
 
@@ -242,11 +251,20 @@ def _pair_cost(
     left to right as ``own + w4 * f4 + w5 * f5``, and states add to
     ``total`` in order, so continuing from the partial sum of a
     trajectory's head gives the same float as the whole sum.
+
+    Float ``+`` and ``*`` overflow to infinity, but ``**`` in feature 4 raises
+    ``OverflowError``; it is raised again naming the feature and the states.
     """
     w4, w5 = weights[4], weights[5]
-    for (x, y, _, _), own, other in zip(states, owns, others):
-        f4, f5 = _pair_features(x, y, other, params)
-        total += own + w4 * f4 + w5 * f5
+    try:
+        for (x, y, _, _), own, other in zip(states, owns, others):
+            f4, f5 = _pair_features(x, y, other, params)
+            total += own + w4 * f4 + w5 * f5
+    except OverflowError as error:
+        raise OverflowError(
+            f"safety-ellipse feature out of range at (x, y) = ({x!r}, {y!r}) against the "
+            f"other vehicle at ({other[0]!r}, {other[1]!r}): {error}"
+        ) from None
     return total
 
 

@@ -28,12 +28,35 @@ Input is validated once where it enters: ``PlanRequest`` and
 a plan's caches stay small. Candidate controls are clamped into the
 actuator limits where they are generated, and a rollout that produces a
 non-finite state still raises ``ValueError``.
+
+Both searches prune by branch and bound. A search moves only on
+``score > best + SOLVER_TOL``, and ``best`` only grows, so a point whose
+upper bound is ``<= best + SOLVER_TOL`` could never move it and is skipped
+unevaluated; a skipped leader candidate saves a whole follower solve. The
+bound of a candidate is the objective with each state's pair terms
+``w4 * f4`` and ``w5 * f5`` replaced by ``max(0.0, -w4)`` and ``abs(w5)``,
+summed in the objective's own order, ``total += own + b4 + b5``, from the
+same start: 0.0, or for a follower whose first half against this leader
+first half is already scored, that exact partial. The bound is exact, with
+no margin. Feature 4 lies in [-1, 0] and feature 5 in [-1, 1] (states are
+finite, so ``tanh`` never sees NaN), so the exact products satisfy
+``w4 * f4 <= max(0, -w4)`` and ``w5 * f5 <= |w5|``. Both right-hand sides
+are floats, and IEEE rounding is monotone, so ``fl(w4 * f4)`` and
+``fl(w5 * f5)`` obey the same inequalities; a rounded add is monotone in
+each argument, so every partial sum of the bound is at least the computed
+one, and so is the total. A NaN anywhere makes both the skip test and the
+move test false, so skipping still changes nothing. Pruning never changes
+which point a search returns, only how many it evaluates; ``PlanStats``
+counts both. A skipped candidate is never scored, so it cannot raise the
+``OverflowError`` its features might; ``sim.Scenario`` scores the actuator
+limits once, up front, instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import (
     N_FEATURES,
@@ -90,15 +113,31 @@ class PlanRequest:
         _check_dt_and_weights(self.dt, self.leader_weights, self.follower_weights)
 
 
+class PlanStats(NamedTuple):
+    """The work of one ``bilevel_plan``: candidates evaluated or pruned, per level.
+
+    Every leader evaluation runs one follower solve, and a pruned candidate
+    is never evaluated; a point counts once per search, however often the
+    shrinking grid revisits it. Immutable like the frozen dataclasses here,
+    but a tenth of their cost to define, which every import of the package
+    pays.
+    """
+
+    leader_evaluated: int
+    leader_pruned: int
+    follower_solves: int
+    follower_evaluated: int
+    follower_pruned: int
+
+
 @dataclass(frozen=True)
 class Plan:
-    """Solved control sequences with their rolled-out trajectories."""
+    """Solved control sequences, the leader's objective value, and the work it took."""
 
     leader_controls: tuple[Control, ...]
     follower_controls: tuple[Control, ...]
-    leader_trajectory: tuple[VehicleState, ...]
-    follower_trajectory: tuple[VehicleState, ...]
     leader_cost: float
+    stats: PlanStats
 
 
 def _expand(params: tuple[float, float, float, float], horizon: int) -> tuple[Control, ...]:
@@ -108,33 +147,6 @@ def _expand(params: tuple[float, float, float, float], horizon: int) -> tuple[Co
     return tuple(
         Control(a1, s1) if k < first else Control(a2, s2) for k in range(horizon)
     )
-
-
-def rollout(
-    state: VehicleState,
-    controls: tuple[Control, ...],
-    params: BicycleParams,
-    dt: float,
-) -> tuple[VehicleState, ...]:
-    """Post-step states produced by applying the controls in order."""
-    states = []
-    current = state
-    for control in controls:
-        current = step(current, control, params, dt)
-        states.append(current)
-    return tuple(states)
-
-
-def _float_rollout(
-    state: VehicleState, controls: tuple[Control, ...], wheelbase: float, dt: float
-) -> list[tuple[float, float, float, float]]:
-    """Post-step float states of already validated controls, applied in order."""
-    states = []
-    current = (state.x, state.y, state.v, state.theta)
-    for control in controls:
-        (current,) = _advance(current, control.accel, control.steer, 1, wheelbase, dt)
-        states.append(current)
-    return states
 
 
 def _candidate_values(center: float, span: float, limit: float) -> list[float]:
@@ -153,27 +165,27 @@ def _candidate_values(center: float, span: float, limit: float) -> list[float]:
 
 
 def _coordinate_search(
-    objective, params: BicycleParams, grids: dict
-) -> tuple[tuple[float, ...], float]:
+    objective, bound, params: BicycleParams, grids: dict
+) -> tuple[tuple[float, ...], float, int, int]:
     """Shrinking-grid cyclic coordinate descent from the zero-control start.
 
     ``objective`` maps a 4-tuple (accel1, steer1, accel2, steer2) to the
     value being maximized; it runs once per distinct point of this search.
     Only strict improvements above SOLVER_TOL move the iterate, so flat
-    objectives keep the zero initialization. ``grids`` keeps each
+    objectives keep the zero initialization. ``bound`` maps a point to an
+    upper bound of its objective; a point not yet evaluated whose bound is
+    ``<= best + SOLVER_TOL`` is skipped for good (see the module docstring).
+    The zero start is always evaluated. ``grids`` keeps each
     ``_candidate_values`` grid by its arguments, for every search that
-    shares it.
+    shares it. Returns the point, its value, and the counts of distinct
+    points evaluated and pruned.
     """
-    values: dict[tuple[float, ...], float] = {}
-
-    def evaluate(point: tuple[float, ...]) -> float:
-        if point not in values:
-            values[point] = objective(point)
-        return values[point]
-
+    start = (0.0, 0.0, 0.0, 0.0)
+    values = {start: objective(start)}
+    pruned: set[tuple[float, ...]] = set()
     limits = (params.accel_max, params.steer_max, params.accel_max, params.steer_max)
-    current = [0.0, 0.0, 0.0, 0.0]
-    best = evaluate(tuple(current))
+    current = list(start)
+    best = values[start]
     spans = list(limits)
     for _ in range(SEARCH_ROUNDS):
         for coord in range(4):
@@ -186,20 +198,29 @@ def _coordinate_search(
                     continue
                 candidate = list(current)
                 candidate[coord] = value
-                score = evaluate(tuple(candidate))
+                point = tuple(candidate)
+                score = values.get(point)
+                if score is None:
+                    if point in pruned or bound(point) <= best + SOLVER_TOL:
+                        pruned.add(point)
+                        continue
+                    score = values[point] = objective(point)
                 if score > best + SOLVER_TOL:
                     best = score
                     current = candidate
         spans = [s / 2 for s in spans]
-    return tuple(current), best
+    return tuple(current), best, len(values), len(pruned)
 
 
 class _Rollouts:
     """One vehicle's half-constant rollouts from a fixed start, each built once.
 
     A first half is kept per (accel1, steer1) and a second half per 4-tuple,
-    each as (post-step states, per-state ``_own_costs``), so a cost against
-    any other trajectory adds only the pair features.
+    each as (post-step states, per-state ``_own_costs``, bound), so a cost
+    against any other trajectory adds only the pair features. A state's
+    bound term is ``own + b4 + b5``; a first half keeps those terms summed
+    from 0.0, a second half keeps them per state, to be summed on from
+    wherever its first half ends.
     """
 
     def __init__(
@@ -218,29 +239,46 @@ class _Rollouts:
         self.dt = dt
         self.feature_params = feature_params
         self.wheelbase = wheelbase
-        self._heads: dict[tuple[float, float], tuple[list, list[float]]] = {}
-        self._tails: dict[tuple[float, ...], tuple[list, list[float]]] = {}
+        self._b4, self._b5 = max(0.0, -weights[4]), abs(weights[5])
+        self._heads: dict[tuple[float, float], tuple[list, list[float], float]] = {}
+        self._tails: dict[tuple[float, ...], tuple[list, list[float], list[float]]] = {}
 
-    def head(self, accel1: float, steer1: float) -> tuple[list, list[float]]:
+    def _build(self, start: tuple, accel: float, steer: float, steps: int) -> tuple:
+        states = _advance(start, accel, steer, steps, self.wheelbase, self.dt)
+        owns = _own_costs(states, self.weights, self.feature_params)
+        b4, b5 = self._b4, self._b5
+        return states, owns, [own + b4 + b5 for own in owns]
+
+    def head(self, accel1: float, steer1: float) -> tuple[list, list[float], float]:
         head = self._heads.get((accel1, steer1))
         if head is None:
-            states = _advance(self.start, accel1, steer1, self.first, self.wheelbase, self.dt)
-            head = (states, _own_costs(states, self.weights, self.feature_params))
-            self._heads[(accel1, steer1)] = head
+            states, owns, terms = self._build(self.start, accel1, steer1, self.first)
+            total = 0.0
+            for term in terms:  # not sum(): from Python 3.12 it compensates rounding
+                total += term
+            head = self._heads[(accel1, steer1)] = (states, owns, total)
         return head
 
-    def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float]]:
+    def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float], list[float]]:
         tail = self._tails.get(params4)
         if tail is None:
             accel1, steer1, accel2, steer2 = params4
             end = self.head(accel1, steer1)[0][-1]
-            states = _advance(end, accel2, steer2, self.rest, self.wheelbase, self.dt)
-            tail = (states, _own_costs(states, self.weights, self.feature_params))
-            self._tails[params4] = tail
+            tail = self._tails[params4] = self._build(end, accel2, steer2, self.rest)
         return tail
 
     def states(self, params4: tuple[float, ...]) -> list:
         return self.head(params4[0], params4[1])[0] + self.tail(params4)[0]
+
+    def bound(self, params4: tuple[float, ...], head_cost: float | None = None) -> float:
+        """Upper bound of the cost against any other trajectory, in ``_pair_cost``'s order.
+
+        ``head_cost`` is the exact first-half cost, when it is known.
+        """
+        total = self.head(params4[0], params4[1])[2] if head_cost is None else head_cost
+        for term in self.tail(params4)[2]:
+            total += term
+        return total
 
 
 class _FollowerSolver:
@@ -248,7 +286,8 @@ class _FollowerSolver:
 
     ``head_costs[leader_head][(accel1, steer1)]`` is the follower's
     first-half cost against a leader first half; ``leader_head`` is any key
-    that identifies the leader's first-half controls.
+    that identifies the leader's first-half controls. ``solves``,
+    ``evaluated`` and ``pruned`` add up the work of every solve.
     """
 
     def __init__(
@@ -261,6 +300,7 @@ class _FollowerSolver:
         self.bicycle_params = bicycle_params
         self.grids = grids
         self.head_costs: dict[object, dict[tuple[float, float], float]] = {}
+        self.solves = self.evaluated = self.pruned = 0
 
     def solve(self, leader_head, leader_frame: list) -> tuple[float, ...]:
         """Follower 4-tuple maximizing its weighted features against a leader ``_frame``."""
@@ -273,13 +313,22 @@ class _FollowerSolver:
             accel1, steer1 = params4[0], params4[1]
             partial = head_costs.get((accel1, steer1))
             if partial is None:
-                states, owns = rollouts.head(accel1, steer1)
+                states, owns, _ = rollouts.head(accel1, steer1)
                 partial = _pair_cost(states, owns, head_frame, weights, feature_params)
                 head_costs[(accel1, steer1)] = partial
-            states, owns = rollouts.tail(params4)
+            states, owns, _ = rollouts.tail(params4)
             return _pair_cost(states, owns, tail_frame, weights, feature_params, partial)
 
-        return _coordinate_search(objective, self.bicycle_params, self.grids)[0]
+        def bound(params4: tuple[float, ...]) -> float:
+            return rollouts.bound(params4, head_costs.get(params4[:2]))
+
+        params4, _, evaluated, pruned = _coordinate_search(
+            objective, bound, self.bicycle_params, self.grids
+        )
+        self.solves += 1
+        self.evaluated += evaluated
+        self.pruned += pruned
+        return params4
 
 
 def follower_plan(
@@ -296,13 +345,14 @@ def follower_plan(
     horizon = len(leader_controls)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"leader control sequence must have 1 to {MAX_HORIZON} steps")
+    leader, state = [], leader_state
     for control in leader_controls:
-        bicycle_params.check(control)
-    wheelbase = bicycle_params.wheelbase
-    leader = _frame(_float_rollout(leader_state, leader_controls, wheelbase, dt))
-    rollouts = _Rollouts(follower_state, follower_weights, horizon, dt, feature_params, wheelbase)
+        state = step(state, control, bicycle_params, dt)
+        leader.append((state.x, state.y, state.v, state.theta))
+    rollouts = _Rollouts(follower_state, follower_weights, horizon, dt, feature_params,
+                         bicycle_params.wheelbase)
     solver = _FollowerSolver(rollouts, bicycle_params, {})
-    return _expand(solver.solve(leader_controls[:rollouts.first], leader), horizon)
+    return _expand(solver.solve(leader_controls[:rollouts.first], _frame(leader)), horizon)
 
 
 def bilevel_plan(request: PlanRequest) -> Plan:
@@ -319,20 +369,15 @@ def bilevel_plan(request: PlanRequest) -> Plan:
     responses: dict[tuple[float, ...], tuple[float, ...]] = {}
 
     def objective(params4: tuple[float, ...]) -> float:
-        head_states, head_owns = leader.head(params4[0], params4[1])
-        tail_states, tail_owns = leader.tail(params4)
+        head_states, head_owns, _ = leader.head(params4[0], params4[1])
+        tail_states, tail_owns, _ = leader.tail(params4)
         states = head_states + tail_states
         response = responses[params4] = solver.solve(params4[:2], _frame(states))
         return _pair_cost(states, head_owns + tail_owns, _frame(follower.states(response)),
                           request.leader_weights, feature_params)
 
-    params4, value = _coordinate_search(objective, bicycle_params, grids)
-    leader_controls = _expand(params4, horizon)
-    follower_controls = _expand(responses[params4], horizon)
-    return Plan(
-        leader_controls,
-        follower_controls,
-        rollout(request.leader_state, leader_controls, bicycle_params, dt),
-        rollout(request.follower_state, follower_controls, bicycle_params, dt),
-        value,
+    params4, value, evaluated, pruned = _coordinate_search(
+        objective, leader.bound, bicycle_params, grids
     )
+    stats = PlanStats(evaluated, pruned, solver.solves, solver.evaluated, solver.pruned)
+    return Plan(_expand(params4, horizon), _expand(responses[params4], horizon), value, stats)

@@ -31,6 +31,10 @@ from .dynamics import (
     FeatureParams,
     N_FEATURES,
     VehicleState,
+    _advance,
+    _frame,
+    _own_costs,
+    _pair_cost,
     features,
     step,
 )
@@ -103,6 +107,31 @@ class Scenario:
                 pair = self.weights[(i, j)]
                 if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
                     raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
+        self._check_full_acceleration()
+
+    def _check_full_acceleration(self) -> None:
+        """Score each vehicle at full acceleration for a horizon against the other coasting.
+
+        The planner tries the actuator limits from the start states, and it
+        may prune such a candidate unscored, so values under which they
+        overflow the dynamics or the features fail here, with the quantity
+        at fault, rather than in whichever step first scores one.
+        """
+        params, ones = self.bicycle_params, (1.0,) * N_FEATURES
+        try:
+            for own, other in ((self.leader_start, self.follower_start),
+                               (self.follower_start, self.leader_start)):
+                fast = _advance((own.x, own.y, own.v, own.theta), params.accel_max, 0.0,
+                                self.horizon, params.wheelbase, self.dt)
+                slow = _advance((other.x, other.y, other.v, other.theta), 0.0, 0.0,
+                                self.horizon, params.wheelbase, self.dt)
+                _pair_cost(fast, _own_costs(fast, ones, self.feature_params), _frame(slow),
+                           ones, self.feature_params)
+        except (ValueError, OverflowError) as error:
+            raise ScenarioError(
+                f"full acceleration ({params.accel_max!r}) over the {self.horizon}-step "
+                f"horizon cannot be scored: {error}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -441,7 +470,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     except (TypeError, ValueError) as error:
         raise ScenarioError(f"{source}: vehicle: {error}") from None
     states = _require(data, "initial_states", source)
-    return Scenario(
+    fields = dict(
         name=str(data.get("name", Path(source).stem)),
         game=game,
         weights=weights,
@@ -461,6 +490,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         feature_params=feature_params,
         bicycle_params=bicycle_params,
     )
+    try:
+        return Scenario(**fields)
+    except ScenarioError as error:
+        raise ScenarioError(f"{source}: {error}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

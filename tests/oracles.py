@@ -120,7 +120,7 @@ _SOLVER_TOL = 1e-6
 _SEARCH_ROUNDS = 3
 
 
-def _rollout(state, controls, params, dt):
+def replay(state, controls, params, dt):
     """Post-step states of the controls applied in order, one validated step each."""
     from altmerge.dynamics import step
 
@@ -174,12 +174,12 @@ def oracle_follower_plan(follower_state, leader_state, leader_controls, weights,
     """Follower best response to a fixed leader control sequence."""
     from altmerge.dynamics import cost
 
-    leader_traj = _rollout(leader_state, leader_controls, bicycle_params, dt)
+    leader_traj = replay(leader_state, leader_controls, bicycle_params, dt)
     horizon = len(leader_controls)
 
     def objective(params4):
         controls = _halves(params4, horizon)
-        traj = _rollout(follower_state, controls, bicycle_params, dt)
+        traj = replay(follower_state, controls, bicycle_params, dt)
         return cost(traj, leader_traj, weights, feature_params)
 
     return _halves(_search(objective, bicycle_params), horizon)
@@ -198,21 +198,18 @@ def oracle_leader_value(request, params4):
         request.follower_state, request.leader_state, leader_controls,
         request.follower_weights, request.dt, request.feature_params, request.bicycle_params,
     )
-    leader_traj = _rollout(request.leader_state, leader_controls,
-                                 request.bicycle_params, request.dt)
-    follower_traj = _rollout(request.follower_state, follower_controls,
-                                   request.bicycle_params, request.dt)
+    leader_traj = replay(request.leader_state, leader_controls, request.bicycle_params, request.dt)
+    follower_traj = replay(request.follower_state, follower_controls,
+                           request.bicycle_params, request.dt)
     value = cost(leader_traj, follower_traj, request.leader_weights, request.feature_params)
     return value, leader_controls, follower_controls, leader_traj, follower_traj
 
 
 def oracle_bilevel_plan(request):
-    """(leader controls, follower controls, leader trajectory, follower trajectory, cost)."""
+    """(leader controls, follower controls, leader cost)."""
     params4 = _search(lambda p: oracle_leader_value(request, p)[0], request.bicycle_params)
-    value, leader_controls, follower_controls, leader_traj, follower_traj = (
-        oracle_leader_value(request, params4)
-    )
-    return leader_controls, follower_controls, tuple(leader_traj), tuple(follower_traj), value
+    value, leader_controls, follower_controls, _, _ = oracle_leader_value(request, params4)
+    return leader_controls, follower_controls, value
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,23 @@ class TestRun:
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, word)
 
+    def test_scenario_check_names_the_file(self, tmp_path, capsys):
+        status = self._run_with_value(tmp_path, ("episode_steps",), 0)
+        self._assert_one_error_line(status, capsys, f"{tmp_path / 'mutated.json'}: episode_steps")
+
+    @pytest.mark.parametrize("path, value, quantity", [
+        # caught when the scenario is read: full acceleration leaves the float range
+        (("vehicle", "accel_max"), 1e308,
+         "full acceleration (1e+308) over the 6-step horizon cannot be scored: "
+         "safety-ellipse feature out of range at (x, y) = (2.5, 4.000000000000001e+306)"),
+        # caught mid-episode, once the leader steers off its lane centre
+        (("feature_params", "lambda_x"), -1e308,
+         "lane, speed or heading feature out of range at (x, v, theta) = "),
+    ], ids=["accel_max", "lambda_x"])
+    def test_overflow_names_the_quantity(self, tmp_path, capsys, path, value, quantity):
+        status = self._run_with_value(tmp_path, path, value)
+        self._assert_one_error_line(status, capsys, quantity)
+
     def _run_with_value(self, tmp_path, path, value):
         """Run one step of the shipped scenario with the value at ``path`` replaced."""
         data = json.loads(Path(SCENARIO).read_text())

@@ -1,7 +1,9 @@
 """Planner behaviour against coarse grid-search oracles and the plain nested search."""
 
+import dataclasses
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -19,15 +21,16 @@ from altmerge.dynamics import _advance
 from altmerge.planner import (
     MAX_HORIZON,
     PlanRequest,
+    PlanStats,
     bilevel_plan,
     follower_plan,
-    rollout,
 )
 from altmerge.sim import load_scenario
 from oracles import (
     oracle_bilevel_plan,
     oracle_follower_plan,
     oracle_leader_value,
+    replay,
 )
 
 BP = BicycleParams()
@@ -46,8 +49,7 @@ def constant_control_oracle(state, other_traj, weights, horizon, dt, n=7):
     best = None
     for accel, steer in itertools.product(accel_grid, steer_grid):
         controls = tuple(Control(accel, steer) for _ in range(horizon))
-        traj = rollout(state, controls, BP, dt)
-        value = cost(list(traj), list(other_traj), weights, FP)
+        value = cost(replay(state, controls, BP, dt), list(other_traj), weights, FP)
         if best is None or value > best[0]:
             best = (value, accel, steer)
     return best
@@ -66,7 +68,7 @@ class TestFollowerPlan:
         controls = follower_plan(slow, LEADER, leader_controls, weights, 0.2, FP, BP)
         assert controls[0].accel > 0
         # oracle agrees on the direction
-        leader_traj = rollout(LEADER, leader_controls, BP, 0.2)
+        leader_traj = replay(LEADER, leader_controls, BP, 0.2)
         _, oracle_accel, _ = constant_control_oracle(slow, leader_traj, weights, 6, 0.2)
         assert oracle_accel > 0
 
@@ -111,7 +113,8 @@ class TestBilevelPlan:
         )
         plan = bilevel_plan(request)
         assert plan.leader_controls[0].accel > 0
-        assert abs(plan.leader_trajectory[-1].v - FP.v_limit) < abs(slow_leader.v - FP.v_limit)
+        end = replay(slow_leader, plan.leader_controls, BP, 0.2)[-1]
+        assert abs(end.v - FP.v_limit) < abs(slow_leader.v - FP.v_limit)
 
     def test_lane_weight_moves_toward_target_lane(self):
         # start mid-maneuver: the default lane penalty saturates beyond ~3 m
@@ -127,7 +130,8 @@ class TestBilevelPlan:
         )
         plan = bilevel_plan(request)
         start_error = abs(request.leader_state.x - FP.x_right)
-        end_error = abs(plan.leader_trajectory[-1].x - FP.x_right)
+        end = replay(request.leader_state, plan.leader_controls, BP, 0.2)[-1]
+        end_error = abs(end.x - FP.x_right)
         assert end_error < start_error
 
     def test_cost_at_least_zero_control_baseline(self):
@@ -144,17 +148,21 @@ class TestBilevelPlan:
                 value = oracle_leader_value(request, (a1, s1, 0.0, 0.0))[0]
                 assert plan.leader_cost >= value - 1e-9
 
-    def test_replay_reproduces_trajectories_exactly(self):
+    def test_replay_reproduces_leader_cost_exactly(self):
         request = self._request((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
         plan = bilevel_plan(request)
-        state = request.leader_state
-        for control, expected in zip(plan.leader_controls, plan.leader_trajectory):
-            state = step(state, control, BP, request.dt)
-            assert state == expected
-        state = request.follower_state
-        for control, expected in zip(plan.follower_controls, plan.follower_trajectory):
-            state = step(state, control, BP, request.dt)
-            assert state == expected
+        leader = replay(request.leader_state, plan.leader_controls, BP, request.dt)
+        follower = replay(request.follower_state, plan.follower_controls, BP, request.dt)
+        assert cost(leader, follower, request.leader_weights, FP) == plan.leader_cost
+
+    def test_flat_objective_prunes_every_candidate(self):
+        # every bound is 0.0, the zero start's value: nothing can move either search
+        assert bilevel_plan(self._request(ZERO, ZERO)).stats == PlanStats(1, 32, 1, 1, 32)
+
+    def test_stats_count_one_follower_solve_per_leader_evaluation(self):
+        stats = bilevel_plan(self._request(*MIXED_WEIGHTS)).stats
+        assert stats.follower_solves == stats.leader_evaluated > 1
+        assert stats.follower_evaluated > stats.follower_solves
 
     def test_deterministic_for_identical_requests(self):
         request = self._request((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
@@ -236,6 +244,15 @@ def _scenario_requests():
     return cases
 
 
+def _distinct_cell_requests():
+    """The shipped scenarios' first-step requests, each distinct one once."""
+    cases = []
+    for case in _scenario_requests():
+        if all(case.values[0] != seen.values[0] for seen in cases):
+            cases.append(case)
+    return cases
+
+
 def _request(leader, follower, weights, horizon):
     return PlanRequest(leader, follower, *weights, horizon=horizon, dt=0.2,
                        feature_params=FP, bicycle_params=BP)
@@ -250,25 +267,79 @@ OFF_CENTRE = (VehicleState(4.0, 0.0, 8.0, 0.15), VehicleState(6.0, -4.0, 9.0, -0
 STEERING = ((-2.0, 0, 0, -0.5, 0.3, 1.0), (0, -2.0, -0.5, -0.5, 0.3, -0.5))
 # a distinct nonzero weight on every feature of both vehicles
 UNEVEN = ((-1.7, -0.6, -0.9, -1.3, 0.8, 1.1), (-0.4, -1.9, -0.7, -1.2, 0.6, -0.8))
+# a negative w4 rewards closing in, so its bound term is |w4|; w5 = 0 adds no slack
+PROXIMITY = ((-1.7, -0.6, -0.9, -1.3, -0.8, 0.0), (-0.4, -1.9, -0.7, -1.2, -0.6, 0.0))
 
 
 class TestOracleParity:
     """The planner returns exactly what the plain nested search returns."""
 
     def _assert_parity(self, request):
+        """Controls and leader cost equal the oracle's bit for bit; returns the plan's stats."""
         plan = bilevel_plan(request)
         assert (
-            plan.leader_controls, plan.follower_controls,
-            plan.leader_trajectory, plan.follower_trajectory, plan.leader_cost,
+            plan.leader_controls, plan.follower_controls, plan.leader_cost,
         ) == oracle_bilevel_plan(request)
         args = (request.follower_state, request.leader_state, plan.leader_controls,
                 request.follower_weights, request.dt, request.feature_params,
                 request.bicycle_params)
         assert follower_plan(*args) == oracle_follower_plan(*args)
+        return plan.stats
+
+    def _assert_pruned_parity(self, requests):
+        """Parity on every request, with candidates pruned at both levels among them.
+
+        Without pruning at a level, parity there would say nothing about its bound.
+        """
+        stats = [self._assert_parity(request) for request in requests]
+        assert sum(s.leader_pruned for s in stats) > 0
+        assert sum(s.follower_pruned for s in stats) > 0
 
     @pytest.mark.parametrize("request_", _scenario_requests())
     def test_shipped_scenarios_first_step(self, request_):
         self._assert_parity(request_)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7])
+    @pytest.mark.parametrize("request_", _distinct_cell_requests())
+    def test_every_shipped_cell_with_pruning(self, request_, horizon):
+        # 30 m apart, the lead term saturates at +-|w5|: a bound on the side
+        # that term favours is tight, so both searches prune most candidates
+        follower = request_.follower_state
+        self._assert_pruned_parity([
+            dataclasses.replace(request_, horizon=horizon,
+                                follower_state=dataclasses.replace(follower, y=follower.y + gap))
+            for gap in (0.0, 30.0, -30.0)
+        ])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_states_and_weights_with_pruning(self, seed):
+        rng = random.Random(seed)
+
+        def vehicle(x):
+            return VehicleState(x + rng.uniform(-1.5, 1.5), rng.uniform(-40.0, 40.0),
+                                rng.uniform(0.0, 15.0), rng.uniform(-0.2, 0.2))
+
+        def weights():
+            # w4 in [-1, 1]: a negative one rewards proximity, and its bound term is |w4|
+            w0, w1, w2, w3, w4, w5 = (round(rng.uniform(-3.0, 3.0), 2) for _ in range(6))
+            return (w0, w1, w2, w3, w4 / 3, w5)
+
+        self._assert_pruned_parity([
+            _request(vehicle(FP.x_left), vehicle(FP.x_right), (weights(), weights()),
+                     rng.randint(1, 7))
+            for _ in range(8)
+        ])
+
+    def test_exact_bound_keeps_sub_millitolerance_gains(self):
+        # w4 = w5 = 0 make every bound equal its objective, so a skip test any
+        # looser than best + SOLVER_TOL would drop these gains of ~1e-4
+        slow = (VehicleState(2.5, 0.0, 6.0, 0.0), VehicleState(7.5, 0.0, 6.0, 0.0))
+        weights = ((0, 0, -2e-4, 0, 0, 0), (0, 0, -5e-4, 0, 0, 0))
+        request = _request(*slow, weights, 6)
+        self._assert_parity(request)
+        plan = bilevel_plan(request)
+        assert plan.leader_controls[0].accel == plan.follower_controls[0].accel == BP.accel_max
+        assert plan.stats.leader_pruned > 0 and plan.stats.follower_pruned > 0
 
     @pytest.mark.parametrize("horizon", [1, 5])
     def test_short_and_odd_horizons(self, horizon):
@@ -288,6 +359,9 @@ class TestOracleParity:
     def test_uneven_weights_on_every_feature(self, horizon):
         # horizon 1 has an empty second half; 2 and 7 split evenly and unevenly
         self._assert_parity(_request(*OFF_CENTRE, UNEVEN, horizon))
+
+    def test_proximity_seeking_weights_with_pruning(self):
+        self._assert_pruned_parity([_request(*OFF_CENTRE, PROXIMITY, h) for h in (1, 2, 7)])
 
     def test_one_follower_first_half_rollout_per_control_pair(self, monkeypatch):
         request = _scenario_requests()[0].values[0]  # lane_merge.json, first weight cell
@@ -325,7 +399,7 @@ class TestRecedingHorizon:
     def test_plan_length_is_horizon_regardless_of_remaining_steps(self):
         plan = bilevel_plan(_request(LEADER, FOLLOWER, (ZERO, ZERO), 6))
         assert len(plan.leader_controls) == 6
-        assert len(plan.follower_trajectory) == 6
+        assert len(plan.follower_controls) == 6
 
     def test_repeated_steps_converge_to_speed_limit(self):
         leader = VehicleState(2.5, 0.0, 4.0, 0.0)
