@@ -23,7 +23,6 @@ from .explore import (
     ActionEvaluation,
     ExplorationStrategy,
     StrategyKind,
-    conflict_adjusted_reward,
     conflict_region,
     expected_leader_reward,
     expected_reward_gain_bonus,
@@ -82,7 +81,6 @@ __all__ = [
     "bilevel_plan",
     "build_responsibility_matrix",
     "condition_on_interval",
-    "conflict_adjusted_reward",
     "conflict_region",
     "entropy",
     "expected_leader_reward",

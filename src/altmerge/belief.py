@@ -84,12 +84,17 @@ class Partition:
 
 def partition_domain(game: AltruismGame) -> Partition:
     """Partition of [0, 1] at every reward-line crossing of every leader row."""
-    points: list[Number] = []
-    for i in range(game.n_leader):
-        for alpha in intersection_points(game, i):
-            if not any(abs(float(alpha) - float(p)) <= MASS_TOL for p in points):
-                points.append(alpha)
-    return Partition((0, *sorted(points, key=float), 1))
+    return Partition((0, 1)).refined(
+        tuple(alpha for i in range(game.n_leader) for alpha in intersection_points(game, i))
+    )
+
+
+def _sum_in_order(values) -> float:
+    """Float sum from 0.0, left to right: ``sum`` compensates rounding from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,7 @@ class IntervalBelief:
             raise ValueError("one mass per partition cell required")
         if any(not m >= -MASS_TOL for m in masses):
             raise ValueError(f"masses must be nonnegative and finite, got {masses}")
-        total = sum(masses)
+        total = _sum_in_order(masses)
         if not abs(total - 1.0) <= 1e-6:
             raise ValueError(f"masses must sum to 1, got {total}")
 
@@ -189,7 +194,7 @@ def condition_on_interval(
     for (clo, chi), mass in zip(refined.partition.cells, refined.masses):
         inside = float(lo) - MASS_TOL <= float(clo) and float(chi) <= float(hi) + MASS_TOL
         masses.append(mass if inside else 0.0)
-    total = sum(masses)
+    total = _sum_in_order(masses)
     if total <= MASS_TOL:
         raise BeliefContradictionError(
             f"conditioning interval [{lo}, {hi}] has zero probability"
@@ -232,7 +237,7 @@ def bayes_update(
     weighted = [
         mass * observation_likelihoods[j] for mass, j in zip(belief.masses, responses)
     ]
-    total = sum(weighted)
+    total = _sum_in_order(weighted)
     if total <= 0:
         raise BeliefContradictionError(
             "observation is inconsistent with every cell of positive mass"

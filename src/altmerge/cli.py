@@ -12,6 +12,7 @@ identical traces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -214,23 +215,20 @@ def _label(x: float, y: float, text: str, color="#333333", size=11, anchor="star
             f'font-size="{size}" text-anchor="{anchor}">{text}</text>')
 
 
-def _read_trace(run_dir: Path) -> list[dict]:
-    trace_path = run_dir / "trace.csv"
-    if not trace_path.exists():
-        raise FileNotFoundError(f"{trace_path} not found; run the scenario first")
-    with trace_path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        raise ValueError(f"{trace_path} is empty")
-    return rows
+@contextlib.contextmanager
+def _reading(path: Path):
+    """Report a missing, empty or malformed run file as one ValueError naming it."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise ValueError(f"{path} not found; run the scenario first") from None
+    except (KeyError, IndexError, TypeError, ValueError, csv.Error) as error:
+        raise ValueError(f"{path} is empty or malformed: {error!r}") from None
 
 
-def _plot_trajectories(rows: list[dict], summary: dict) -> str:
-    lanes = summary.get("lanes", {"x_left": 2.5, "x_right": 7.5})
-    half_lane = (lanes["x_right"] - lanes["x_left"]) / 2
-    edges = [lanes["x_left"] - half_lane,
-             (lanes["x_left"] + lanes["x_right"]) / 2,
-             lanes["x_right"] + half_lane]
+def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
+    half_lane = (x_right - x_left) / 2
+    edges = [x_left - half_lane, (x_left + x_right) / 2, x_right + half_lane]
     per_vehicle: dict[str, list[tuple[float, float]]] = {"leader": [], "follower": []}
     for row in rows:
         per_vehicle[row["vehicle"]].append((float(row["x"]), float(row["y"])))
@@ -267,16 +265,6 @@ def _plot_relative_position(rows: list[dict]) -> str:
     return _svg_document(body, "relative longitudinal position")
 
 
-def _read_belief_log(run_dir: Path) -> list[dict]:
-    path = run_dir / "belief.jsonl"
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run the scenario first")
-    records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    if not records:
-        raise ValueError(f"{path} is empty")
-    return records
-
-
 def _plot_belief(records: list[dict]) -> str:
     steps = [r["step"] for r in records]
     frame = _Frame(steps, [0.0, 1.0])
@@ -293,10 +281,7 @@ def _plot_belief(records: list[dict]) -> str:
     return _svg_document(body, "belief evolution over coefficient cells")
 
 
-def _plot_bonuses(records: list[dict], summary: dict) -> str:
-    actions = summary.get("leader_actions") or [
-        f"action {e['action']}" for e in records[0]["evaluations"]
-    ]
+def _plot_bonuses(records: list[dict], actions: list[str]) -> str:
     n_actions = len(records[0]["evaluations"])
     totals = [abs(e["expected_reward"]) + e["bonus"]
               for r in records for e in r["evaluations"]]
@@ -336,20 +321,27 @@ def _plot_bonuses(records: list[dict], summary: dict) -> str:
 
 
 def plot(run_dir: str | Path) -> int:
-    """Render the four SVG views of a finished run directory."""
+    """Render the four SVG views of a run directory; a bad file writes none and returns 1."""
     run_dir = Path(run_dir)
+    trace, log, summary = (run_dir / name for name in ("trace.csv", "belief.jsonl", "summary.json"))
     try:
-        rows = _read_trace(run_dir)
-        records = _read_belief_log(run_dir)
-        summary_path = run_dir / "summary.json"
-        summary = json.loads(summary_path.read_text()) if summary_path.exists() else {}
+        with _reading(summary):
+            facts = json.loads(summary.read_text())
+            lanes = float(facts["lanes"]["x_left"]), float(facts["lanes"]["x_right"])
+            actions = [str(name) for name in facts["leader_actions"]]
+        with _reading(trace), trace.open() as handle:
+            rows = list(csv.DictReader(handle))
+            figures = {"trajectory.svg": _plot_trajectories(rows, *lanes),
+                       "relative_position.svg": _plot_relative_position(rows)}
+        with _reading(log):
+            records = [json.loads(line) for line in log.read_text().splitlines() if line.strip()]
+            figures["belief.svg"] = _plot_belief(records)
+            figures["bonuses.svg"] = _plot_bonuses(records, actions)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    (run_dir / "trajectory.svg").write_text(_plot_trajectories(rows, summary))
-    (run_dir / "relative_position.svg").write_text(_plot_relative_position(rows))
-    (run_dir / "belief.svg").write_text(_plot_belief(records))
-    (run_dir / "bonuses.svg").write_text(_plot_bonuses(records, summary))
+    for name, svg in figures.items():
+        (run_dir / name).write_text(svg)
     return EXIT_OK
 
 

@@ -83,9 +83,10 @@ class FeatureParams:
     """Shape constants of the cost features.
 
     ``x_left`` and ``x_right`` are the two lane centres, ``lane_theta`` the
-    lane heading. ``width_margin`` and ``length_margin`` pad the vehicle
-    footprint into the safety-ellipse semi-axes (width + margin laterally,
-    length + margin longitudinally).
+    lane heading. The penalty rates ``lambda_x``, ``lambda_theta`` and
+    ``lambda_v`` are nonnegative. ``width_margin`` and ``length_margin`` pad
+    the vehicle footprint into the safety-ellipse semi-axes (width + margin
+    laterally, length + margin longitudinally).
     """
 
     lambda_x: float = 0.5
@@ -105,6 +106,8 @@ class FeatureParams:
             value = getattr(self, field.name)
             if not -math.inf < value < math.inf:
                 raise ValueError(f"{field.name} must be finite, got {value}")
+            if field.name.startswith("lambda_") and value < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got {value}")
         if self.vehicle_width <= 0 or self.vehicle_length <= 0:
             raise ValueError("vehicle dimensions must be positive")
         if self.vehicle_width + self.width_margin <= 0:
@@ -221,19 +224,13 @@ def _own_costs(
 ) -> list[float]:
     """Per state, the weighted features 0-3 summed left to right from 0.0.
 
-    An ``OverflowError`` of ``exp`` is raised again naming the state.
+    The penalty rates are nonnegative, so ``exp`` never overflows here.
     """
     w0, w1, w2, w3 = weights[:4]
     owns = []
-    try:
-        for x, _, v, theta in states:
-            f0, f1, f2, f3 = _own_features(x, v, theta, params)
-            owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
-    except OverflowError as error:
-        raise OverflowError(
-            f"lane, speed or heading feature out of range at (x, v, theta) = "
-            f"({x!r}, {v!r}, {theta!r}): {error}"
-        ) from None
+    for x, _, v, theta in states:
+        f0, f1, f2, f3 = _own_features(x, v, theta, params)
+        owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
     return owns
 
 

@@ -24,10 +24,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .belief import POINT_WIDTH, IntervalBelief, Partition, _entropy, mass_below, partition_domain
+from .belief import (POINT_WIDTH, IntervalBelief, Partition, _entropy, _sum_in_order, mass_below,
+                     partition_domain)
 from .game import (
     AltruismGame,
     Number,
+    _check_row,
     _leader_value,
     follower_best_response,
     leader_preference_of_follower,
@@ -46,16 +48,14 @@ class StrategyKind(enum.Enum):
 class ExplorationStrategy:
     """How the leader trades immediate value against learning.
 
-    ``lam`` scales the exploration bonus (unused by PASSIVE). With
-    ``positive_gain_only`` the value-change bonus counts only upside,
-    instead of the default absolute change. ``conflict_aware`` switches
-    the expected-value term to the conflict-hedged reward.
+    ``lam`` scales the exploration bonus (unused by PASSIVE).
+    ``conflict_aware`` switches the expected-value term to the
+    conflict-hedged reward.
     """
 
     kind: StrategyKind
     lam: float = 1.0
     conflict_aware: bool = False
-    positive_gain_only: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -91,7 +91,7 @@ class _CellTable:
         domain = partition_domain(game)
         if not partition.refines(domain):
             raise ValueError("belief partition must refine the game's domain partition")
-        if conflict_aware and not partition.refines(domain.refined(tuple(_role_swap_points(game)))):
+        if conflict_aware and not partition.refines(domain.refined(_role_swap_points(game))):
             raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
         rows = range(game.n_leader)
         midpoints = partition.midpoints
@@ -116,11 +116,11 @@ class _CellTable:
             self.region.append((lo, hi))
 
     def expectation(self, masses: tuple[float, ...], i: int) -> float:
-        return sum(mass * value for mass, value in zip(masses, self.values[i]))
+        return _sum_in_order(mass * value for mass, value in zip(masses, self.values[i]))
 
     def attainable(self, masses: tuple[float, ...]) -> float:
         """Sum over rows of the belief-weighted leader value."""
-        return sum(self.expectation(masses, i) for i in range(len(self.values)))
+        return _sum_in_order(self.expectation(masses, i) for i in range(len(self.values)))
 
     def probabilities(self, masses: tuple[float, ...], i: int) -> tuple[float, ...]:
         probs = [0.0] * self.n_follower
@@ -138,7 +138,7 @@ class _CellTable:
             if p <= 0:
                 continue
             kept = [mass if r == j else 0.0 for mass, r in zip(masses, self.responses[i])]
-            total = sum(kept)
+            total = _sum_in_order(kept)
             yield p, tuple(mass / total for mass in kept)
 
     def info_gain(
@@ -150,17 +150,11 @@ class _CellTable:
         return prior_entropy - expected_posterior_entropy
 
     def reward_gain(
-        self,
-        masses: tuple[float, ...],
-        i: int,
-        probs: tuple[float, ...],
-        base: float,
-        positive_only: bool,
+        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], base: float
     ) -> float:
         bonus = 0.0
         for p, posterior in self.posteriors(masses, i, probs):
-            change = self.attainable(posterior) - base
-            bonus += p * (max(change, 0.0) if positive_only else abs(change))
+            bonus += p * abs(self.attainable(posterior) - base)
         return bonus
 
     def hedged(self, masses: tuple[float, ...], i: int, p: float) -> float:
@@ -169,22 +163,17 @@ class _CellTable:
         for mass, nominal, conflicted in zip(masses, self.values[i], self.swapped[i]):
             if mass <= 0:
                 continue
-            total += mass * _hedged(p, nominal, conflicted)
+            total += mass * ((1 - p) * nominal + p * conflicted)
         return total
 
 
 def _row_table(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> _CellTable:
-    if not 0 <= leader_action < game.n_leader:
-        raise ValueError(f"leader action {leader_action} out of bounds")
+    _check_row(game, leader_action)
     return _CellTable(game, belief.partition, conflict_aware=False)
 
 
 def _conflict_mass(belief: IntervalBelief, region: list[tuple[Number, Number]]) -> float:
-    return sum(mass_below(belief, hi) - mass_below(belief, lo) for lo, hi in region)
-
-
-def _hedged(p: float, nominal: float, conflicted: float) -> float:
-    return (1 - p) * nominal + p * conflicted
+    return _sum_in_order(mass_below(belief, hi) - mass_below(belief, lo) for lo, hi in region)
 
 
 def expected_leader_reward(
@@ -209,18 +198,12 @@ def info_gain_bonus(game: AltruismGame, belief: IntervalBelief, leader_action: i
 
 
 def expected_reward_gain_bonus(
-    game: AltruismGame,
-    belief: IntervalBelief,
-    leader_action: int,
-    positive_only: bool = False,
+    game: AltruismGame, belief: IntervalBelief, leader_action: int
 ) -> float:
-    """Expected change in total attainable leader value after the response.
-
-    Uses the absolute change by default; ``positive_only`` counts upside only.
-    """
+    """Expected absolute change in total attainable leader value after the response."""
     table, masses = _row_table(game, belief, leader_action), belief.masses
     probs = table.probabilities(masses, leader_action)
-    return table.reward_gain(masses, leader_action, probs, table.attainable(masses), positive_only)
+    return table.reward_gain(masses, leader_action, probs, table.attainable(masses))
 
 
 def is_conflicted(game: AltruismGame, alpha: Number) -> bool:
@@ -233,33 +216,22 @@ def is_conflicted(game: AltruismGame, alpha: Number) -> bool:
     return as_follower != leader_preference_of_follower(game, alpha)
 
 
-def _role_swap_points(game: AltruismGame) -> list[Number]:
-    """Coefficients where any two cells' follower-altruistic values cross.
+def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:
+    """Coefficients in (0, 1) where any two cells' follower-altruistic values cross.
 
     Superset of every point where the follower-as-leader preference or its
-    tie-breaking can change; used to bound conflict-region cells.
+    tie-breaking can change; used to bound conflict-region cells. Raw, with
+    repeats: ``Partition.refined`` deduplicates and sorts them.
     """
-    cells = [
-        (game.rewards[i][j][1], game.rewards[i][j][0])
-        for i in range(game.n_leader)
-        for j in range(game.n_follower)
-    ]
-    points: list[Number] = []
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            alpha = line_crossing(cells[a][0], cells[a][1], cells[b][0], cells[b][1])
-            if alpha is not None and 0 < alpha < 1:
-                if not any(abs(float(alpha) - float(p)) <= 1e-12 for p in points):
-                    points.append(alpha)
-    return sorted(points, key=float)
+    cells = [(cell[1], cell[0]) for row in game.rewards for cell in row]
+    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
+    return tuple(alpha for alpha in crossings if alpha is not None and 0 < alpha < 1)
 
 
 def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Partition:
     """Partition on which every decision-time quantity is cellwise constant."""
     base = partition_domain(game)
-    if not conflict_aware:
-        return base
-    return base.refined(tuple(_role_swap_points(game)))
+    return base.refined(_role_swap_points(game)) if conflict_aware else base
 
 
 def conflict_region(game: AltruismGame) -> tuple[tuple[Number, Number], ...]:
@@ -280,27 +252,6 @@ def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
     return _conflict_mass(belief, _CellTable(game, belief.partition, True).region)
 
 
-def conflict_adjusted_reward(
-    game: AltruismGame,
-    belief: IntervalBelief,
-    cell: tuple[int, int],
-    alpha: Number,
-) -> float:
-    """Cell value hedged by the chance the follower acts as leader.
-
-    Mixes the nominal cell with the cell reached if the follower plays its
-    own leader preference at ``alpha``, weighted by the belief mass of the
-    conflict region. The belief's partition must carry the role-swap
-    breakpoints.
-    """
-    i, j = cell
-    p = conflict_mass(game, belief)
-    j_leader = leader_preference_of_follower(game, alpha)
-    return _hedged(
-        p, float(_leader_value(game, i, j)), float(_leader_value(game, i, j_leader))
-    )
-
-
 def select_action(
     game: AltruismGame, belief: IntervalBelief, strategy: ExplorationStrategy
 ) -> tuple[list[ActionEvaluation], int]:
@@ -311,29 +262,19 @@ def select_action(
         prior_entropy = _entropy(masses, table.widths)
     elif kind is StrategyKind.REWARD_GAIN:
         base = table.attainable(masses)
-    if strategy.conflict_aware:
+    aware = strategy.conflict_aware
+    if aware:
         p = _conflict_mass(belief, table.region)
     evaluations = []
     for i in range(game.n_leader):
         probs = table.probabilities(masses, i)
-        if strategy.conflict_aware:
-            reward = table.hedged(masses, i, p)
-        else:
-            reward = table.expectation(masses, i)
+        reward = table.hedged(masses, i, p) if aware else table.expectation(masses, i)
         if kind is StrategyKind.INFO_GAIN:
             bonus = table.info_gain(masses, i, probs, prior_entropy)
         elif kind is StrategyKind.REWARD_GAIN:
-            bonus = table.reward_gain(masses, i, probs, base, strategy.positive_gain_only)
+            bonus = table.reward_gain(masses, i, probs, base)
         else:
             bonus = 0.0
-        evaluations.append(
-            ActionEvaluation(
-                action_index=i,
-                expected_reward=reward,
-                bonus=bonus,
-                total=reward + strategy.lam * bonus,
-                outcome_probabilities=probs,
-            )
-        )
+        evaluations.append(ActionEvaluation(i, reward, bonus, reward + strategy.lam * bonus, probs))
     best = max(range(len(evaluations)), key=lambda i: (evaluations[i].total, -i))
     return evaluations, best

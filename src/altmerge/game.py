@@ -121,6 +121,11 @@ def altruistic_reward(
     return (1 - alpha) * own + alpha * other
 
 
+def _check_row(game: AltruismGame, leader_action: int) -> None:
+    if not 0 <= leader_action < game.n_leader:
+        raise ValueError(f"leader action {leader_action} out of bounds")
+
+
 def _leader_value(game: AltruismGame, i: int, j: int) -> Number:
     return altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader)
 
@@ -153,15 +158,14 @@ def leader_reward_given_alpha(game: AltruismGame, leader_action: int, alpha: Num
 def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equilibrium:
     """Backward-induction equilibrium; leader ties break to the lowest row."""
     _check_alpha(alpha_follower)
-    best_i = 0
-    best_value = None
+    best = None
     for i in range(game.n_leader):
-        value = leader_reward_given_alpha(game, i, alpha_follower)
-        if best_value is None or value > best_value:
-            best_i, best_value = i, value
-    j = follower_best_response(game, best_i, alpha_follower)
-    raw_leader, raw_follower = game.cell(best_i, j)
-    return Equilibrium(best_i, j, raw_leader, raw_follower)
+        j = follower_best_response(game, i, alpha_follower)
+        value = _leader_value(game, i, j)
+        if best is None or value > best[0]:
+            best = (value, i, j)
+    _, i, j = best
+    return Equilibrium(i, j, *game.rewards[i][j])
 
 
 def line_crossing(
@@ -187,6 +191,7 @@ def intersection_points(game: AltruismGame, leader_action: int) -> list[Number]:
     Every crossing of two follower reward lines in the row is returned,
     deduplicated and sorted. Parallel lines contribute nothing.
     """
+    _check_row(game, leader_action)
     points: list[Number] = []
     row = game.rewards[leader_action]
     for j in range(len(row)):

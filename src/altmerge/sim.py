@@ -12,8 +12,9 @@ and Bayes-updates its belief.
 Scenario files are JSON documents; scenarios/*.json are the shipped
 defaults. The parser here is the source of truth for their layout:
 scenarios/schema.json documents it, and a test keeps the two in agreement.
-Every value is checked where it is read, so a malformed document fails
-with one ScenarioError naming the key.
+Every value is checked where it is read, and every fixed-key object
+rejects a key the parser does not read, so a malformed or misspelled
+document fails with one ScenarioError naming the key.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .belief import BeliefContradictionError, IntervalBelief, bayes_update
+from .belief import BeliefContradictionError, IntervalBelief, _sum_in_order, bayes_update
 from .dynamics import (
     BicycleParams,
     Control,
@@ -199,10 +200,10 @@ def observation_likelihoods(
     logits = []
     for j in range(game.n_follower):
         column_weights = weights[(leader_action, j)][1]
-        logits.append(sum(w * f for w, f in zip(column_weights, phi)) / temperature)
+        logits.append(_sum_in_order(w * f for w, f in zip(column_weights, phi)) / temperature)
     peak = max(logits)
     unnormalized = [math.exp(l - peak) for l in logits]
-    total = sum(unnormalized)
+    total = _sum_in_order(unnormalized)
     return tuple(u / total for u in unnormalized)
 
 
@@ -333,6 +334,29 @@ def run_conflict_experiment(scenario: Scenario) -> dict[str, EpisodeResult]:
 # Scenario documents
 
 
+#: The keys each fixed-key object of a scenario document may hold.
+_KEYS = {kind: frozenset(keys.split()) for kind, keys in {
+    "scenario": "name description game true_alpha strategy episode_steps dt horizon_steps "
+                "observation_temperature follower_mode feature_params vehicle initial_states "
+                "weights",
+    "game": "leader_actions follower_actions rewards outcome_labels alpha_leader",
+    "strategy": "kind lambda conflict_aware",
+    "initial_states": "leader follower",
+    "state": "x y v theta",
+    "weight cell": "leader follower",
+}.items()}
+
+
+def _fields(data, kind: str, context: str) -> dict:
+    """``data`` as a ``kind`` object: rejects a non-object and any key the parser does not read."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{context}: expected an object, got {data!r}")
+    for key in data:
+        if key not in _KEYS[kind]:
+            raise ScenarioError(f"{context}: unknown key {key!r}")
+    return data
+
+
 def _require(data, key: str, context: str):
     if not isinstance(data, dict):
         raise ScenarioError(f"{context}: expected an object, got {data!r}")
@@ -398,6 +422,7 @@ def _pair_grid(data: dict, key: str, context: str, read) -> tuple[tuple[tuple, .
 
 
 def _parse_game(data: dict, context: str) -> AltruismGame:
+    _fields(data, "game", context)
     leader_actions = _action_names(data, "leader_actions", context)
     follower_actions = _action_names(data, "follower_actions", context)
     if "rewards" in data and "outcome_labels" in data:
@@ -416,6 +441,7 @@ def _parse_game(data: dict, context: str) -> AltruismGame:
 
 
 def _parse_state(data: dict, context: str) -> VehicleState:
+    _fields(data, "state", context)
     values = [
         float(_number(_require(data, key, context), f"{context}.{key}"))
         for key in ("x", "y", "v", "theta")
@@ -427,7 +453,7 @@ def _parse_state(data: dict, context: str) -> VehicleState:
 
 
 def _parse_strategy(data: dict, context: str) -> ExplorationStrategy:
-    kind_raw = _require(data, "kind", context)
+    kind_raw = _require(_fields(data, "strategy", context), "kind", context)
     try:
         kind = StrategyKind(kind_raw)
     except ValueError:
@@ -435,12 +461,14 @@ def _parse_strategy(data: dict, context: str) -> ExplorationStrategy:
             f"{context}: unknown strategy kind {kind_raw!r}; "
             f"expected one of {[k.value for k in StrategyKind]}"
         ) from None
+    aware = data.get("conflict_aware", False)
+    if not isinstance(aware, bool):
+        raise ScenarioError(f"{context}.conflict_aware: expected true or false, got {aware!r}")
     try:
         return ExplorationStrategy(
             kind=kind,
             lam=float(_number(data.get("lambda", 1.0), f"{context}.lambda")),
-            conflict_aware=bool(data.get("conflict_aware", False)),
-            positive_gain_only=bool(data.get("positive_gain_only", False)),
+            conflict_aware=aware,
         )
     except ValueError as error:
         raise ScenarioError(f"{context}: {error}") from None
@@ -448,6 +476,7 @@ def _parse_strategy(data: dict, context: str) -> ExplorationStrategy:
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     """Build a Scenario from a parsed JSON document, with pointed errors."""
+    _fields(data, "scenario", source)
     game = _parse_game(_require(data, "game", source), f"{source}: game")
     ctx = f"{source}: weights"
     weights_raw = _require(data, "weights", source)
@@ -455,8 +484,9 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     for i, leader_label in enumerate(game.leader_actions):
         row = _require(weights_raw, leader_label, ctx)
         for j, follower_label in enumerate(game.follower_actions):
-            cell = _require(row, follower_label, f"{ctx}['{leader_label}']")
             cell_ctx = f"{ctx}['{leader_label}']['{follower_label}']"
+            cell = _fields(_require(row, follower_label, f"{ctx}['{leader_label}']"),
+                           "weight cell", cell_ctx)
             weights[(i, j)] = (
                 _weight_vector(_require(cell, "leader", cell_ctx), f"{cell_ctx}.leader"),
                 _weight_vector(_require(cell, "follower", cell_ctx), f"{cell_ctx}.follower"),
@@ -469,7 +499,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         bicycle_params = BicycleParams(**data.get("vehicle", {}))
     except (TypeError, ValueError) as error:
         raise ScenarioError(f"{source}: vehicle: {error}") from None
-    states = _require(data, "initial_states", source)
+    states = _fields(_require(data, "initial_states", source), "initial_states",
+                     f"{source}: initial_states")
     fields = dict(
         name=str(data.get("name", Path(source).stem)),
         game=game,

@@ -221,13 +221,21 @@ def oracle_bilevel_plan(request):
 # ``bayes_update``; the conflict mass is re-derived for every row and cell.
 
 
+def _in_order(values):
+    """Float sum from 0.0, left to right, as the decision layer adds on every CPython."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _oracle_row_reward(game, belief, leader_action):
     from altmerge.belief import partition_domain
     from altmerge.game import leader_reward_given_alpha
 
     if not belief.partition.refines(partition_domain(game)):
         raise ValueError("belief partition must refine the game's domain partition")
-    return sum(
+    return _in_order(
         mass * float(leader_reward_given_alpha(game, leader_action, mid))
         for mass, mid in zip(belief.masses, belief.partition.midpoints)
     )
@@ -264,10 +272,10 @@ def _oracle_info_gain(game, belief, leader_action):
 
 
 def _oracle_attainable(game, belief):
-    return sum(_oracle_row_reward(game, belief, i) for i in range(game.n_leader))
+    return _in_order(_oracle_row_reward(game, belief, i) for i in range(game.n_leader))
 
 
-def _oracle_reward_gain(game, belief, leader_action, positive_only):
+def _oracle_reward_gain(game, belief, leader_action):
     probs = _oracle_outcome_distribution(game, belief, leader_action)
     base = _oracle_attainable(game, belief)
     bonus = 0.0
@@ -275,8 +283,7 @@ def _oracle_reward_gain(game, belief, leader_action, positive_only):
         if p <= 0:
             continue
         posterior = _oracle_posterior(game, belief, leader_action, j)
-        change = _oracle_attainable(game, posterior) - base
-        bonus += p * (max(change, 0.0) if positive_only else abs(change))
+        bonus += p * abs(_oracle_attainable(game, posterior) - base)
     return bonus
 
 
@@ -312,7 +319,7 @@ def oracle_conflict_mass(game, belief):
     """Belief probability of the conflict region."""
     from altmerge.belief import mass_below
 
-    return sum(
+    return _in_order(
         mass_below(belief, hi) - mass_below(belief, lo)
         for lo, hi in oracle_conflict_region(game)
     )
@@ -362,7 +369,7 @@ def oracle_evaluations(game, belief, strategy):
         if strategy.kind is StrategyKind.INFO_GAIN:
             bonus = _oracle_info_gain(game, belief, i)
         elif strategy.kind is StrategyKind.REWARD_GAIN:
-            bonus = _oracle_reward_gain(game, belief, i, strategy.positive_gain_only)
+            bonus = _oracle_reward_gain(game, belief, i)
         else:
             bonus = 0.0
         evaluations.append(

@@ -115,7 +115,7 @@ class TestRun:
         (("dt",), 1e308, "non-finite state"),
         (("vehicle", "accel_max"), 1e308, "out of range"),
         (("initial_states", "follower", "y"), 1e308, "out of range"),
-        (("feature_params", "lambda_x"), -1e308, "math range error"),
+        (("feature_params", "lambda_x"), -1e308, "lambda_x"),
         (("horizon_steps",), 1e12, "horizon"),
         (("horizon_steps",), 1e308, "horizon"),
         (("horizon_steps",), 101, "horizon"),
@@ -133,13 +133,30 @@ class TestRun:
         (("vehicle", "accel_max"), 1e308,
          "full acceleration (1e+308) over the 6-step horizon cannot be scored: "
          "safety-ellipse feature out of range at (x, y) = (2.5, 4.000000000000001e+306)"),
-        # caught mid-episode, once the leader steers off its lane centre
+        # caught when the scenario is read: a negative penalty rate
         (("feature_params", "lambda_x"), -1e308,
-         "lane, speed or heading feature out of range at (x, v, theta) = "),
+         "feature_params: lambda_x must be nonnegative, got -1e+308"),
     ], ids=["accel_max", "lambda_x"])
     def test_overflow_names_the_quantity(self, tmp_path, capsys, path, value, quantity):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, quantity)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("horizon_step",), 10, "mutated.json: unknown key 'horizon_step'"),
+        (("strategy", "conflict_awre"), True, "strategy: unknown key 'conflict_awre'"),
+        (("strategy", "positive_gain_only"), True, "strategy: unknown key 'positive_gain_only'"),
+        (("strategy", "conflict_aware"), "false", "strategy.conflict_aware: expected true or false"),
+        (("game", "reward"), [], "game: unknown key 'reward'"),
+        (("initial_states", "leeder"), {}, "initial_states: unknown key 'leeder'"),
+        (("initial_states", "leader", "vx"), 1.0, "initial_states.leader: unknown key 'vx'"),
+        (("weights", "probe", "give_way", "leeder"), [0] * 6,
+         "weights['probe']['give_way']: unknown key 'leeder'"),
+        (("feature_params", "lambda_v"), -0.5, "feature_params: lambda_v must be nonnegative"),
+    ], ids=["horizon_step", "conflict_awre", "positive_gain_only", "conflict_aware_string",
+            "game", "initial_states", "state", "weight_cell", "lambda_v"])
+    def test_misspelled_or_mistyped_key_exits_one(self, tmp_path, capsys, path, value, message):
+        status = self._run_with_value(tmp_path, path, value)
+        self._assert_one_error_line(status, capsys, message)
 
     def _run_with_value(self, tmp_path, path, value):
         """Run one step of the shipped scenario with the value at ``path`` replaced."""
@@ -242,6 +259,26 @@ class TestPlot:
     def test_empty_trace_exits_one(self, tmp_path, capsys):
         (tmp_path / "trace.csv").write_text("step,vehicle\n")
         assert cli.plot(tmp_path) == EXIT_ERROR
+
+    @pytest.mark.parametrize("name, content", [
+        ("belief.jsonl", "{}\n"),
+        ("belief.jsonl", "not json\n"),
+        ("trace.csv", "a,b\n1,2\n"),
+        ("summary.json", None),
+        ("summary.json", "{}"),
+    ], ids=["belief_record", "belief_json", "trace_header", "summary_missing", "summary_keys"])
+    def test_malformed_run_file_exits_one(self, tmp_path, capsys, name, content):
+        run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path))
+        capsys.readouterr()
+        target = tmp_path / name
+        if content is None:
+            target.unlink()
+        else:
+            target.write_text(content)
+        assert cli.plot(tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {target}")
+        assert not list(tmp_path.glob("*.svg"))
 
     def test_svgs_byte_identical_for_identical_traces(self, tmp_path):
         for name in ("a", "b"):

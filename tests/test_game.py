@@ -201,6 +201,11 @@ class TestIntersectionPoints:
         assert isinstance(point, float)
         assert point == pytest.approx(7 / 15)
 
+    def test_row_out_of_range_is_an_error(self, lane_merge_game):
+        for row in (-1, 3):
+            with pytest.raises(ValueError, match=f"leader action {row} out of bounds"):
+                intersection_points(lane_merge_game, row)
+
 
 class TestResponsibilityMatrix:
     def test_lane_merge_labels_reproduce_trinary_matrix(self):

@@ -289,6 +289,26 @@ class TestScenarioParsing:
         for name, params in (("feature_params", FeatureParams), ("vehicle", BicycleParams)):
             assert set(props[name]["properties"]) == {f.name for f in dataclasses.fields(params)}
 
+        # each fixed-key object allows exactly the keys the schema lists
+        cell = props["weights"]["additionalProperties"]["additionalProperties"]
+        for kind, node in [
+            ("scenario", schema),
+            ("game", props["game"]),
+            ("strategy", props["strategy"]),
+            ("initial_states", props["initial_states"]),
+            ("state", definitions["state"]),
+            ("weight cell", cell),
+        ]:
+            assert set(node["properties"]) == sim._KEYS[kind]
+            assert node["additionalProperties"] is False
+
+        # the penalty rates' lower bound is the parser's
+        for name in ("lambda_x", "lambda_theta", "lambda_v"):
+            assert props["feature_params"]["properties"][name]["minimum"] == 0
+            FeatureParams(**{name: 0})
+            with pytest.raises(ValueError, match=name):
+                FeatureParams(**{name: -1e-300})
+
         # a document holding only the required keys parses to the schema's defaults
         full = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
         minimal = {key: full[key] for key in schema["required"]}
@@ -304,7 +324,6 @@ class TestScenarioParsing:
         assert scenario.game.alpha_leader == game["alpha_leader"]["default"]
         assert scenario.strategy.lam == strategy["lambda"]["default"]
         assert scenario.strategy.conflict_aware == strategy["conflict_aware"]["default"]
-        assert scenario.strategy.positive_gain_only == strategy["positive_gain_only"]["default"]
 
         # the schema's horizon range is the parser's
         horizon = props["horizon_steps"]
@@ -316,7 +335,6 @@ class TestScenarioParsing:
                 parse_scenario({**minimal, "horizon_steps": steps}, "doc")
 
         # every key the schema requires is one the parser requires
-        cell = props["weights"]["additionalProperties"]["additionalProperties"]
         for path, node in [
             ((), schema),
             (("game",), props["game"]),
