@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .explore import StrategyKind
-from .sim import EpisodeResult, Scenario, ScenarioError, load_scenario, run_episode
+from .sim import EpisodeResult, Scenario, load_scenario, run_episode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,51 +112,48 @@ def _write_summary(path: Path, scenario: Scenario, result: EpisodeResult) -> Non
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute the runs the ``run`` flags ask for; 0 on success, 1 on bad input, 2 on warnings."""
+    """Execute the runs the ``run`` flags ask for; 0 on success, 1 on bad input, 2 on warnings.
+
+    A bad scenario or override, an episode that leaves the float range, and
+    an output directory that cannot be created or written each end the runs
+    with one ``error:`` line.
+    """
+    combos = [(a, s) for a in args.alpha or (None,) for s in args.strategy or (None,)]
+    warned = False
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioError as error:
+        for alpha, strategy_name in combos:
+            run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
+            if len(combos) == 1:
+                run_dir = args.out
+            else:
+                label_alpha = run_scenario.true_alpha
+                label_strategy = run_scenario.strategy.kind.value
+                run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                result = run_episode(run_scenario)
+            except (ValueError, ArithmeticError) as error:
+                # finite but extreme values can overflow the dynamics or the features
+                raise ValueError(f"{args.scenario}: {error}") from None
+            _write_trace(run_dir / "trace.csv", result)
+            _write_belief_log(run_dir / "belief.jsonl", result)
+            _write_summary(run_dir / "summary.json", run_scenario, result)
+            if result.summary.warnings:
+                warned = True
+                print(
+                    f"warning: {result.summary.warnings} inference contradiction(s) in {run_dir}",
+                    file=sys.stderr,
+                )
+            if args.plots:
+                status = plot(run_dir)
+                if status != EXIT_OK:
+                    return status
+            print(f"{run_dir}: outcome={result.summary.outcome} "
+                  f"steps={result.summary.steps} warnings={result.summary.warnings}")
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
-
-    alphas = args.alpha or (None,)
-    strategies = args.strategy or (None,)
-    combos = [(a, s) for a in alphas for s in strategies]
-    warned = False
-    for alpha, strategy_name in combos:
-        try:
-            run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_ERROR
-        if len(combos) == 1:
-            run_dir = args.out
-        else:
-            label_alpha = run_scenario.true_alpha
-            label_strategy = run_scenario.strategy.kind.value
-            run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            result = run_episode(run_scenario)
-        except (ValueError, ArithmeticError) as error:
-            # finite but extreme values can overflow the dynamics or the features
-            print(f"error: {args.scenario}: {error}", file=sys.stderr)
-            return EXIT_ERROR
-        _write_trace(run_dir / "trace.csv", result)
-        _write_belief_log(run_dir / "belief.jsonl", result)
-        _write_summary(run_dir / "summary.json", run_scenario, result)
-        if result.summary.warnings:
-            warned = True
-            print(
-                f"warning: {result.summary.warnings} inference contradiction(s) in {run_dir}",
-                file=sys.stderr,
-            )
-        if args.plots:
-            status = plot(run_dir)
-            if status != EXIT_OK:
-                return status
-        print(f"{run_dir}: outcome={result.summary.outcome} "
-              f"steps={result.summary.steps} warnings={result.summary.warnings}")
     return EXIT_WARNINGS if warned else EXIT_OK
 
 
@@ -351,13 +348,18 @@ def plot(run_dir: str | Path) -> int:
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}")
+    return values
 
 
 def _parse_strategy_list(raw: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in raw.split(",") if part.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected comma-separated strategies, got {raw!r}")
     valid = {kind.value for kind in StrategyKind}
     for name in names:
         if name not in valid:

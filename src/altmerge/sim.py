@@ -12,9 +12,9 @@ and Bayes-updates its belief.
 Scenario files are JSON documents; scenarios/*.json are the shipped
 defaults. The parser here is the source of truth for their layout:
 scenarios/schema.json documents it, and a test keeps the two in agreement.
-Every value is checked where it is read, and every fixed-key object
-rejects a key the parser does not read, so a malformed or misspelled
-document fails with one ScenarioError naming the key.
+Every value is checked where it is read, and every object, the weights
+rows and cells included, rejects a key the parser does not read, so a
+malformed or misspelled document fails with one ScenarioError naming the key.
 """
 
 from __future__ import annotations
@@ -334,7 +334,10 @@ def run_conflict_experiment(scenario: Scenario) -> dict[str, EpisodeResult]:
 # Scenario documents
 
 
-#: The keys each fixed-key object of a scenario document may hold.
+#: The dataclass each parameter object of a scenario document builds.
+_PARAMS = {"feature_params": FeatureParams, "vehicle": BicycleParams}
+#: The keys each object of a scenario document may hold, except the weights
+#: rows and cells, which hold exactly the game's action names.
 _KEYS = {kind: frozenset(keys.split()) for kind, keys in {
     "scenario": "name description game true_alpha strategy episode_steps dt horizon_steps "
                 "observation_temperature follower_mode feature_params vehicle initial_states "
@@ -344,25 +347,33 @@ _KEYS = {kind: frozenset(keys.split()) for kind, keys in {
     "initial_states": "leader follower",
     "state": "x y v theta",
     "weight cell": "leader follower",
-}.items()}
+}.items()} | {
+    key: frozenset(f.name for f in dataclasses.fields(cls)) for key, cls in _PARAMS.items()
+}
 
 
-def _fields(data, kind: str, context: str) -> dict:
-    """``data`` as a ``kind`` object: rejects a non-object and any key the parser does not read."""
+def _object(data, keys, context: str) -> dict:
+    """``data`` as an object holding only ``keys``: rejects a non-object and any other key."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{context}: expected an object, got {data!r}")
     for key in data:
-        if key not in _KEYS[kind]:
+        if key not in keys:
             raise ScenarioError(f"{context}: unknown key {key!r}")
     return data
 
 
-def _require(data, key: str, context: str):
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{context}: expected an object, got {data!r}")
+def _require(data: dict, key: str, context: str):
     if key not in data:
         raise ScenarioError(f"{context}: missing required key '{key}'")
     return data[key]
+
+
+def _build(make, context: str, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError it raises re-raised naming ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as error:
+        raise ScenarioError(f"{context}: {error}") from None
 
 
 def _number(raw, context: str) -> int | float:
@@ -390,18 +401,24 @@ def _action_names(data: dict, key: str, context: str) -> tuple[str, ...]:
     raw = _require(data, key, context)
     if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
         raise ScenarioError(f"{context}.{key}: expected a list of action names, got {raw!r}")
+    for k, name in enumerate(raw):
+        if name in raw[:k]:
+            raise ScenarioError(f"{context}.{key}: duplicate action name {name!r}")
     return tuple(raw)
 
 
-_LABELS = {label.value: label for label in OutcomeLabel}
+def _choice(kind, raw, context: str, what: str):
+    """The member of the enum ``kind`` whose value is ``raw``."""
+    for member in kind:
+        if member.value == raw:
+            return member
+    raise ScenarioError(
+        f"{context}: unknown {what} {raw!r}; expected one of {[m.value for m in kind]}"
+    )
 
 
 def _label(raw, context: str) -> OutcomeLabel:
-    if not isinstance(raw, str) or raw not in _LABELS:
-        raise ScenarioError(
-            f"{context}: unknown outcome label {raw!r}; expected one of {sorted(_LABELS)}"
-        )
-    return _LABELS[raw]
+    return _choice(OutcomeLabel, raw, context, "outcome label")
 
 
 def _pair_grid(data: dict, key: str, context: str, read) -> tuple[tuple[tuple, ...], ...]:
@@ -421,8 +438,8 @@ def _pair_grid(data: dict, key: str, context: str, read) -> tuple[tuple[tuple, .
     return tuple(rows)
 
 
-def _parse_game(data: dict, context: str) -> AltruismGame:
-    _fields(data, "game", context)
+def _parse_game(data, context: str) -> AltruismGame:
+    _object(data, _KEYS["game"], context)
     leader_actions = _action_names(data, "leader_actions", context)
     follower_actions = _action_names(data, "follower_actions", context)
     if "rewards" in data and "outcome_labels" in data:
@@ -434,81 +451,66 @@ def _parse_game(data: dict, context: str) -> AltruismGame:
     else:
         raise ScenarioError(f"{context}: needs 'rewards' or 'outcome_labels'")
     alpha_leader = _number(data.get("alpha_leader", 0), f"{context}.alpha_leader")
-    try:
-        return AltruismGame(leader_actions, follower_actions, rewards, alpha_leader)
-    except ValueError as error:
-        raise ScenarioError(f"{context}: {error}") from None
+    return _build(AltruismGame, context, leader_actions, follower_actions, rewards, alpha_leader)
 
 
-def _parse_state(data: dict, context: str) -> VehicleState:
-    _fields(data, "state", context)
+def _parse_state(data, context: str) -> VehicleState:
+    _object(data, _KEYS["state"], context)
     values = [
         float(_number(_require(data, key, context), f"{context}.{key}"))
         for key in ("x", "y", "v", "theta")
     ]
-    try:
-        return VehicleState(*values)
-    except ValueError as error:
-        raise ScenarioError(f"{context}: {error}") from None
+    return _build(VehicleState, context, *values)
 
 
-def _parse_strategy(data: dict, context: str) -> ExplorationStrategy:
-    kind_raw = _require(_fields(data, "strategy", context), "kind", context)
-    try:
-        kind = StrategyKind(kind_raw)
-    except ValueError:
-        raise ScenarioError(
-            f"{context}: unknown strategy kind {kind_raw!r}; "
-            f"expected one of {[k.value for k in StrategyKind]}"
-        ) from None
+def _parse_strategy(data, context: str) -> ExplorationStrategy:
+    _object(data, _KEYS["strategy"], context)
+    kind = _choice(StrategyKind, _require(data, "kind", context), context, "strategy kind")
     aware = data.get("conflict_aware", False)
     if not isinstance(aware, bool):
         raise ScenarioError(f"{context}.conflict_aware: expected true or false, got {aware!r}")
-    try:
-        return ExplorationStrategy(
-            kind=kind,
-            lam=float(_number(data.get("lambda", 1.0), f"{context}.lambda")),
-            conflict_aware=aware,
-        )
-    except ValueError as error:
-        raise ScenarioError(f"{context}: {error}") from None
+    lam = float(_number(data.get("lambda", 1.0), f"{context}.lambda"))
+    return _build(ExplorationStrategy, context, kind=kind, lam=lam, conflict_aware=aware)
+
+
+def _parse_params(data: dict, key: str, source: str):
+    """The ``feature_params`` or ``vehicle`` object; the dataclass defaults fill the rest."""
+    context = f"{source}: {key}"
+    raw = _object(data.get(key, {}), _KEYS[key], context)
+    return _build(_PARAMS[key], context,
+                  **{name: _number(value, f"{context}.{name}") for name, value in raw.items()})
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     """Build a Scenario from a parsed JSON document, with pointed errors."""
-    _fields(data, "scenario", source)
+    _object(data, _KEYS["scenario"], source)
     game = _parse_game(_require(data, "game", source), f"{source}: game")
     ctx = f"{source}: weights"
-    weights_raw = _require(data, "weights", source)
+    weights_raw = _object(_require(data, "weights", source), game.leader_actions, ctx)
     weights: WeightTable = {}
     for i, leader_label in enumerate(game.leader_actions):
-        row = _require(weights_raw, leader_label, ctx)
+        row_ctx = f"{ctx}['{leader_label}']"
+        row = _object(_require(weights_raw, leader_label, ctx), game.follower_actions, row_ctx)
         for j, follower_label in enumerate(game.follower_actions):
-            cell_ctx = f"{ctx}['{leader_label}']['{follower_label}']"
-            cell = _fields(_require(row, follower_label, f"{ctx}['{leader_label}']"),
-                           "weight cell", cell_ctx)
+            cell_ctx = f"{row_ctx}['{follower_label}']"
+            cell = _object(_require(row, follower_label, row_ctx), _KEYS["weight cell"], cell_ctx)
             weights[(i, j)] = (
                 _weight_vector(_require(cell, "leader", cell_ctx), f"{cell_ctx}.leader"),
                 _weight_vector(_require(cell, "follower", cell_ctx), f"{cell_ctx}.follower"),
             )
-    try:
-        feature_params = FeatureParams(**data.get("feature_params", {}))
-    except (TypeError, ValueError) as error:
-        raise ScenarioError(f"{source}: feature_params: {error}") from None
-    try:
-        bicycle_params = BicycleParams(**data.get("vehicle", {}))
-    except (TypeError, ValueError) as error:
-        raise ScenarioError(f"{source}: vehicle: {error}") from None
-    states = _fields(_require(data, "initial_states", source), "initial_states",
-                     f"{source}: initial_states")
-    fields = dict(
+    feature_params = _parse_params(data, "feature_params", source)
+    bicycle_params = _parse_params(data, "vehicle", source)
+    states_ctx = f"{source}: initial_states"
+    states = _object(_require(data, "initial_states", source), _KEYS["initial_states"], states_ctx)
+    return _build(
+        Scenario,
+        source,
         name=str(data.get("name", Path(source).stem)),
         game=game,
         weights=weights,
-        leader_start=_parse_state(_require(states, "leader", f"{source}: initial_states"),
-                                  f"{source}: initial_states.leader"),
-        follower_start=_parse_state(_require(states, "follower", f"{source}: initial_states"),
-                                    f"{source}: initial_states.follower"),
+        leader_start=_parse_state(_require(states, "leader", states_ctx), f"{states_ctx}.leader"),
+        follower_start=_parse_state(_require(states, "follower", states_ctx),
+                                    f"{states_ctx}.follower"),
         true_alpha=float(_number(_require(data, "true_alpha", source), f"{source}: true_alpha")),
         strategy=_parse_strategy(_require(data, "strategy", source), f"{source}: strategy"),
         episode_steps=_count(data.get("episode_steps", 30), f"{source}: episode_steps"),
@@ -521,10 +523,6 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         feature_params=feature_params,
         bicycle_params=bicycle_params,
     )
-    try:
-        return Scenario(**fields)
-    except ScenarioError as error:
-        raise ScenarioError(f"{source}: {error}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -540,6 +538,4 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}:{error.lineno}:{error.colno}: invalid JSON: {error.msg}"
         ) from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
     return parse_scenario(data, str(path))

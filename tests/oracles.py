@@ -73,10 +73,11 @@ def oracle_outcome_distribution(rewards, i, lo, hi, n=10_000):
     return [c / n for c in counts]
 
 
-def _attainable(rewards, samples):
+def _attainable(values, ks):
+    """Sum over rows of the row's mean value at the samples indexed by ``ks``."""
     total = 0.0
-    for i in range(len(rewards)):
-        total += sum(oracle_leader_row_value(rewards, i, a) for a in samples) / len(samples)
+    for row in values:
+        total += sum(row[k] for k in ks) / len(ks)
     return total
 
 
@@ -102,14 +103,16 @@ def oracle_info_gain(rewards, i, lo, hi, n=10_000):
 def oracle_reward_gain(rewards, i, lo, hi, n=10_000):
     """Expected absolute change of total attainable value, grid approximation."""
     samples = _grid(lo, hi, n)
-    base = _attainable(rewards, samples)
-    groups: dict[int, list[float]] = {}
-    for a in samples:
-        groups.setdefault(oracle_best_response(rewards, i, a), []).append(a)
+    values = [[oracle_leader_row_value(rewards, r, a) for a in samples]
+              for r in range(len(rewards))]
+    base = _attainable(values, range(n))
+    groups: dict[int, list[int]] = {}
+    for k, a in enumerate(samples):
+        groups.setdefault(oracle_best_response(rewards, i, a), []).append(k)
     bonus = 0.0
     for subset in groups.values():
         p = len(subset) / n
-        bonus += p * abs(_attainable(rewards, subset) - base)
+        bonus += p * abs(_attainable(values, subset) - base)
     return bonus
 
 

@@ -106,6 +106,9 @@ class TestRun:
         (("true_alpha",), "abc", "true_alpha"),
         (("vehicle", "wheelbase"), float("nan"), "wheelbase"),
         (("feature_params", "lambda_x"), float("nan"), "lambda_x"),
+        (("feature_params", "lambda_x"), True, "feature_params.lambda_x"),
+        (("feature_params", "lambda_x"), "abc", "feature_params.lambda_x"),
+        (("vehicle", "wheelbase"), True, "vehicle.wheelbase"),
     ])
     def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
         status = self._run_with_value(tmp_path, path, value)
@@ -152,8 +155,18 @@ class TestRun:
         (("weights", "probe", "give_way", "leeder"), [0] * 6,
          "weights['probe']['give_way']: unknown key 'leeder'"),
         (("feature_params", "lambda_v"), -0.5, "feature_params: lambda_v must be nonnegative"),
+        (("feature_params", "curvature"), 2.0, "feature_params: unknown key 'curvature'"),
+        (("vehicle", "mass"), 1500, "vehicle: unknown key 'mass'"),
+        (("weights", "prob"), {}, "weights: unknown key 'prob'"),
+        (("weights", "merge_ahead", "give_wayy"), {},
+         "weights['merge_ahead']: unknown key 'give_wayy'"),
+        (("game", "leader_actions"), ["merge_ahead", "probe", "probe"],
+         "game.leader_actions: duplicate action name 'probe'"),
+        (("game", "follower_actions"), ["give_way", "give_way"],
+         "game.follower_actions: duplicate action name 'give_way'"),
     ], ids=["horizon_step", "conflict_awre", "positive_gain_only", "conflict_aware_string",
-            "game", "initial_states", "state", "weight_cell", "lambda_v"])
+            "game", "initial_states", "state", "weight_cell", "lambda_v", "feature_param",
+            "vehicle", "weights_row", "weights_cell", "leader_actions", "follower_actions"])
     def test_misspelled_or_mistyped_key_exits_one(self, tmp_path, capsys, path, value, message):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, message)
@@ -169,6 +182,12 @@ class TestRun:
         bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(data))
         return run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        status = run_cli("run", "--scenario", SCENARIO, "--steps", "1", "--out", str(taken))
+        self._assert_one_error_line(status, capsys, str(taken))
 
     def test_missing_state_key_is_reported_once(self, tmp_path, capsys):
         data = json.loads(Path(SCENARIO).read_text())
@@ -226,7 +245,9 @@ class TestRun:
             run_cli("run", "--scenario", SCENARIO, "--strategy", "greedy", "--out", str(tmp_path))
         self._assert_one_error_line(exit_info.value.code, capsys, "greedy")
 
-    @pytest.mark.parametrize("flag, value", [("--steps", "abc"), ("--seed", "3")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "abc"), ("--seed", "3"), ("--alpha", ","), ("--strategy", ","),
+    ])
     def test_bad_flag_exits_one(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("run", "--scenario", SCENARIO, flag, value, "--out", str(tmp_path))

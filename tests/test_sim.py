@@ -270,6 +270,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="feature_params"):
             parse_scenario(data, "doc")
 
+    def test_top_level_must_be_an_object(self, tmp_path):
+        listed = tmp_path / "listed.json"
+        listed.write_text("[1, 2]")
+        with pytest.raises(ScenarioError, match=r"listed\.json: expected an object, got \[1, 2\]"):
+            load_scenario(listed)
+
     def test_invalid_json_reports_line(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{\n  "name": "x",\n  oops\n}\n')
@@ -298,6 +304,8 @@ class TestScenarioParsing:
             ("initial_states", props["initial_states"]),
             ("state", definitions["state"]),
             ("weight cell", cell),
+            ("feature_params", props["feature_params"]),
+            ("vehicle", props["vehicle"]),
         ]:
             assert set(node["properties"]) == sim._KEYS[kind]
             assert node["additionalProperties"] is False
