@@ -24,10 +24,8 @@ from .explore import (
     ExplorationStrategy,
     StrategyKind,
     conflict_region,
-    expected_leader_reward,
     expected_reward_gain_bonus,
     info_gain_bonus,
-    predicted_outcome_distribution,
     select_action,
 )
 from .dynamics import BicycleParams, Control, FeatureParams, VehicleState
@@ -83,7 +81,6 @@ __all__ = [
     "condition_on_interval",
     "conflict_region",
     "entropy",
-    "expected_leader_reward",
     "expected_reward_gain_bonus",
     "follower_best_response",
     "follower_plan",
@@ -95,7 +92,6 @@ __all__ = [
     "mass_below",
     "observation_likelihoods",
     "partition_domain",
-    "predicted_outcome_distribution",
     "run_conflict_experiment",
     "run_episode",
     "select_action",

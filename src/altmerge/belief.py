@@ -229,8 +229,10 @@ def bayes_update(
     """
     if len(observation_likelihoods) != game.n_follower:
         raise ValueError("one likelihood per follower action required")
-    if any(l < 0 for l in observation_likelihoods):
-        raise ValueError("likelihoods must be nonnegative")
+    if not all(0 <= l < math.inf for l in observation_likelihoods):
+        raise ValueError(
+            f"likelihoods must be nonnegative and finite, got {tuple(observation_likelihoods)}"
+        )
     if not any(l > 0 for l in observation_likelihoods):
         raise ValueError("at least one likelihood must be positive")
     responses = response_per_cell(belief, game, leader_action)

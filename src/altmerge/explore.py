@@ -7,15 +7,18 @@ attainable leader value. A conflict-aware variant hedges the expected value
 against the chance that the opponent also believes itself the leader.
 
 Every one of these quantities is constant on each cell of the belief's
-partition. So each call builds one cell table from the game and the
-partition, and checks the partition once while doing so. The table holds
-the follower's best response and the leader's value per row and cell and,
-when conflict-aware, the follower's role-swap preference per cell and the
-conflict region. Exact rationals end at the table: crossings, breakpoints,
-midpoints and best responses are exact, and every score is a float sum
-over the cell masses, in cell order. The posterior after a hypothetical
-response keeps the masses of the cells predicting it, renormalized; no
-best response is solved again.
+partition. So ``select_action`` builds one cell table from the game and
+the partition, checks the partition once while doing so, and scores every
+row from it; ``ActionEvaluation`` carries each row's expected reward,
+bonus and predicted response distribution. The two bonus helpers read
+their row from ``select_action``. The table holds the follower's best
+response and the leader's value per row and cell and, when conflict-aware,
+the follower's role-swap preference per cell and the conflict region.
+Exact rationals end at the table: crossings, breakpoints, midpoints and
+best responses are exact, and every score is a float sum over the cell
+masses, in cell order. The posterior after a hypothetical response keeps
+the masses of the cells predicting it, renormalized; no best response is
+solved again.
 """
 
 from __future__ import annotations
@@ -167,43 +170,24 @@ class _CellTable:
         return total
 
 
-def _row_table(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> _CellTable:
-    _check_row(game, leader_action)
-    return _CellTable(game, belief.partition, conflict_aware=False)
-
-
 def _conflict_mass(belief: IntervalBelief, region: list[tuple[Number, Number]]) -> float:
     return _sum_in_order(mass_below(belief, hi) - mass_below(belief, lo) for lo, hi in region)
 
 
-def expected_leader_reward(
-    game: AltruismGame, belief: IntervalBelief, leader_action: int
-) -> float:
-    """Belief-weighted leader value of the row, follower responding rationally."""
-    return _row_table(game, belief, leader_action).expectation(belief.masses, leader_action)
-
-
-def predicted_outcome_distribution(
-    game: AltruismGame, belief: IntervalBelief, leader_action: int
-) -> tuple[float, ...]:
-    """Probability of each follower response, summing cell masses by response."""
-    return _row_table(game, belief, leader_action).probabilities(belief.masses, leader_action)
-
-
 def info_gain_bonus(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> float:
     """Expected entropy drop of the belief after observing the response."""
-    table, masses = _row_table(game, belief, leader_action), belief.masses
-    probs = table.probabilities(masses, leader_action)
-    return table.info_gain(masses, leader_action, probs, _entropy(masses, table.widths))
+    _check_row(game, leader_action)
+    strategy = ExplorationStrategy(StrategyKind.INFO_GAIN)
+    return select_action(game, belief, strategy)[0][leader_action].bonus
 
 
 def expected_reward_gain_bonus(
     game: AltruismGame, belief: IntervalBelief, leader_action: int
 ) -> float:
     """Expected absolute change in total attainable leader value after the response."""
-    table, masses = _row_table(game, belief, leader_action), belief.masses
-    probs = table.probabilities(masses, leader_action)
-    return table.reward_gain(masses, leader_action, probs, table.attainable(masses))
+    _check_row(game, leader_action)
+    strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN)
+    return select_action(game, belief, strategy)[0][leader_action].bonus
 
 
 def is_conflicted(game: AltruismGame, alpha: Number) -> bool:

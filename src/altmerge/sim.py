@@ -193,8 +193,8 @@ def observation_likelihoods(
     follower weight vector. Equal weight vectors give uniform likelihoods;
     adding a constant to all scores changes nothing.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     successor = step(follower_state, observed_control, bicycle_params, dt)
     phi = features(successor, leader_state_next, feature_params)
     logits = []
@@ -383,6 +383,12 @@ def _number(raw, context: str) -> int | float:
     return raw
 
 
+def _string(raw, context: str) -> str:
+    if not isinstance(raw, str):
+        raise ScenarioError(f"{context}: expected a string, got {raw!r}")
+    return raw
+
+
 def _count(raw, context: str) -> int:
     """A whole JSON number; 3.0 is accepted, 2.5 is not."""
     value = _number(raw, context)
@@ -505,7 +511,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     return _build(
         Scenario,
         source,
-        name=str(data.get("name", Path(source).stem)),
+        name=_string(data.get("name", Path(source).stem), f"{source}: name"),
         game=game,
         weights=weights,
         leader_start=_parse_state(_require(states, "leader", states_ctx), f"{states_ctx}.leader"),
@@ -519,7 +525,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         observation_temperature=float(
             _number(data.get("observation_temperature", 1.0), f"{source}: observation_temperature")
         ),
-        follower_mode=str(data.get("follower_mode", FOLLOWER_MODE_FOLLOWER)),
+        follower_mode=_string(data.get("follower_mode", FOLLOWER_MODE_FOLLOWER),
+                              f"{source}: follower_mode"),
         feature_params=feature_params,
         bicycle_params=bicycle_params,
     )

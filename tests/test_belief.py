@@ -149,6 +149,12 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             bayes_update(b, lane_merge_game, 0, (-0.1, 1.0))
 
+    @pytest.mark.parametrize("likelihoods", [(math.inf, 0.5), (math.nan, 0.5)], ids=["inf", "nan"])
+    def test_rejects_non_finite_likelihoods(self, lane_merge_game, likelihoods):
+        b = IntervalBelief.uniform(partition_domain(lane_merge_game))
+        with pytest.raises(ValueError, match="likelihoods must be nonnegative and finite"):
+            bayes_update(b, lane_merge_game, 0, likelihoods)
+
     def test_requires_refined_partition(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
         with pytest.raises(ValueError):

@@ -164,9 +164,13 @@ class TestRun:
          "game.leader_actions: duplicate action name 'probe'"),
         (("game", "follower_actions"), ["give_way", "give_way"],
          "game.follower_actions: duplicate action name 'give_way'"),
+        (("name",), None, "mutated.json: name: expected a string, got None"),
+        (("name",), 5, "mutated.json: name: expected a string, got 5"),
+        (("name",), ["a"], "mutated.json: name: expected a string, got ['a']"),
     ], ids=["horizon_step", "conflict_awre", "positive_gain_only", "conflict_aware_string",
             "game", "initial_states", "state", "weight_cell", "lambda_v", "feature_param",
-            "vehicle", "weights_row", "weights_cell", "leader_actions", "follower_actions"])
+            "vehicle", "weights_row", "weights_cell", "leader_actions", "follower_actions",
+            "name_null", "name_number", "name_list"])
     def test_misspelled_or_mistyped_key_exits_one(self, tmp_path, capsys, path, value, message):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, message)

@@ -14,11 +14,9 @@ from altmerge.explore import (
     conflict_mass,
     conflict_region,
     decision_partition,
-    expected_leader_reward,
     expected_reward_gain_bonus,
     info_gain_bonus,
     is_conflicted,
-    predicted_outcome_distribution,
     select_action,
 )
 from altmerge.game import AltruismGame
@@ -37,52 +35,54 @@ from oracles import (
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+PASSIVE = ExplorationStrategy(StrategyKind.PASSIVE)
+
+
 def uniform_for(game, lo=0, hi=1):
     return IntervalBelief.uniform_on(lo, hi, partition_domain(game))
 
 
+def passive_rows(game, belief):
+    """Every row's ActionEvaluation under the passive strategy."""
+    return select_action(game, belief, PASSIVE)[0]
+
+
 class TestExpectedLeaderReward:
     def test_probe_game_expectations(self, probe_game):
-        b = uniform_for(probe_game)
-        assert expected_leader_reward(probe_game, b, 1) == pytest.approx(1 / 3)
-        assert expected_leader_reward(probe_game, b, 2) == pytest.approx(2.0)
-        assert expected_leader_reward(probe_game, b, 0) == pytest.approx(-11 / 15)
+        rows = passive_rows(probe_game, uniform_for(probe_game))
+        assert rows[1].expected_reward == pytest.approx(1 / 3)
+        assert rows[2].expected_reward == pytest.approx(2.0)
+        assert rows[0].expected_reward == pytest.approx(-11 / 15)
 
     def test_lane_merge_expectation(self, lane_merge_game):
-        b = uniform_for(lane_merge_game)
-        assert expected_leader_reward(lane_merge_game, b, 0) == pytest.approx(-11 / 18)
+        rows = passive_rows(lane_merge_game, uniform_for(lane_merge_game))
+        assert rows[0].expected_reward == pytest.approx(-11 / 18)
 
     def test_agrees_with_grid_oracle(self, sufficiency_game):
-        b = uniform_for(sufficiency_game, 0.2, 0.7)
+        rows = passive_rows(sufficiency_game, uniform_for(sufficiency_game, 0.2, 0.7))
         for i in range(2):
             expected = oracle_row_expectation(sufficiency_game.rewards, i, 0.2, 0.7)
-            assert expected_leader_reward(sufficiency_game, b, i) == pytest.approx(
-                expected, abs=1e-2
-            )
+            assert rows[i].expected_reward == pytest.approx(expected, abs=1e-2)
 
     def test_partition_mismatch_is_an_error(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
         with pytest.raises(ValueError):
-            expected_leader_reward(lane_merge_game, coarse, 0)
+            passive_rows(lane_merge_game, coarse)
 
 
 class TestPredictedOutcomeDistribution:
     def test_sufficiency_game_split(self, sufficiency_game):
-        b = uniform_for(sufficiency_game)
-        assert predicted_outcome_distribution(sufficiency_game, b, 0) == pytest.approx(
-            (7 / 12, 5 / 12)
-        )
+        rows = passive_rows(sufficiency_game, uniform_for(sufficiency_game))
+        assert rows[0].outcome_probabilities == pytest.approx((7 / 12, 5 / 12))
 
     def test_dominated_row_is_certain(self, lane_merge_game):
-        b = uniform_for(lane_merge_game)
-        assert predicted_outcome_distribution(lane_merge_game, b, 1) == pytest.approx(
-            (0.0, 1.0)
-        )
+        rows = passive_rows(lane_merge_game, uniform_for(lane_merge_game))
+        assert rows[1].outcome_probabilities == pytest.approx((0.0, 1.0))
 
     def test_point_mass_is_one_hot(self, lane_merge_game):
         sliver = IntervalBelief.uniform_on(0.9 - POINT_WIDTH / 2, 0.9 + POINT_WIDTH / 2)
         b = sliver.refined(partition_domain(lane_merge_game).breakpoints)
-        dist = predicted_outcome_distribution(lane_merge_game, b, 0)
+        dist = passive_rows(lane_merge_game, b)[0].outcome_probabilities
         assert dist == pytest.approx((1.0, 0.0))
 
 
@@ -188,6 +188,7 @@ class TestBonusProperties:
     def test_bonuses_match_grid_oracle(self):
         for game, belief in random_game_belief_pairs(40, seed=7):
             lo, hi = (float(x) for x in belief.support)
+            rows = passive_rows(game, belief)
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) == pytest.approx(
                     oracle_info_gain(game.rewards, i, lo, hi), abs=1e-2
@@ -195,7 +196,7 @@ class TestBonusProperties:
                 assert expected_reward_gain_bonus(game, belief, i) == pytest.approx(
                     oracle_reward_gain(game.rewards, i, lo, hi), abs=1e-2
                 )
-                assert predicted_outcome_distribution(game, belief, i) == pytest.approx(
+                assert rows[i].outcome_probabilities == pytest.approx(
                     oracle_outcome_distribution(game.rewards, i, lo, hi), abs=1e-2
                 )
 
@@ -286,24 +287,21 @@ class TestOracleParity:
                         assert select_action(game, belief, strategy) == (want, best)
 
     def test_every_helper_agrees_on_the_8b_random_set(self):
-        kinds = {
-            "passive": ExplorationStrategy(StrategyKind.PASSIVE),
-            "info": ExplorationStrategy(StrategyKind.INFO_GAIN),
-            "gain": ExplorationStrategy(StrategyKind.REWARD_GAIN),
-        }
+        kinds = [ExplorationStrategy(kind) for kind in StrategyKind]
         hedge = ExplorationStrategy(StrategyKind.PASSIVE, conflict_aware=True)
         for number, (game, belief) in enumerate(random_game_belief_pairs(1000, seed=271828)):
-            want = {name: oracle_evaluations(game, belief, s) for name, s in kinds.items()}
-            for i in range(game.n_leader):
-                pairs = [
-                    (expected_leader_reward(game, belief, i), want["passive"][i].expected_reward),
-                    (info_gain_bonus(game, belief, i), want["info"][i].bonus),
-                    (expected_reward_gain_bonus(game, belief, i), want["gain"][i].bonus),
-                ]
-                pairs += zip(predicted_outcome_distribution(game, belief, i),
-                             want["passive"][i].outcome_probabilities)
-                for got, expected in pairs:
-                    assert abs(got - expected) <= 1e-12
+            for strategy in kinds:
+                got_rows = select_action(game, belief, strategy)[0]
+                want_rows = oracle_evaluations(game, belief, strategy)
+                assert len(got_rows) == len(want_rows) == game.n_leader
+                for got, want in zip(got_rows, want_rows):
+                    assert got.action_index == want.action_index
+                    pairs = [(got.expected_reward, want.expected_reward),
+                             (got.bonus, want.bonus), (got.total, want.total)]
+                    assert len(got.outcome_probabilities) == len(want.outcome_probabilities)
+                    pairs += zip(got.outcome_probabilities, want.outcome_probabilities)
+                    for value, expected in pairs:
+                        assert abs(value - expected) <= 1e-12
             assert conflict_region(game) == oracle_conflict_region(game)
             aware = belief.refined(decision_partition(game, True).breakpoints)
             assert abs(conflict_mass(game, aware) - oracle_conflict_mass(game, aware)) <= 1e-12
@@ -318,8 +316,6 @@ class TestChecksOnce:
     def test_partition_off_the_domain_is_rejected_everywhere(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
         calls = [
-            lambda: expected_leader_reward(lane_merge_game, coarse, 0),
-            lambda: predicted_outcome_distribution(lane_merge_game, coarse, 0),
             lambda: info_gain_bonus(lane_merge_game, coarse, 0),
             lambda: expected_reward_gain_bonus(lane_merge_game, coarse, 0),
             lambda: conflict_mass(lane_merge_game, coarse),
@@ -359,6 +355,7 @@ class TestChecksOnce:
 
     def test_out_of_range_row_is_an_error(self, lane_merge_game):
         b = uniform_for(lane_merge_game)
-        for row in (-1, 3):
-            with pytest.raises(ValueError, match="out of bounds"):
-                expected_leader_reward(lane_merge_game, b, row)
+        for bonus in (info_gain_bonus, expected_reward_gain_bonus):
+            for row in (-1, 3):
+                with pytest.raises(ValueError, match="out of bounds"):
+                    bonus(lane_merge_game, b, row)

@@ -89,16 +89,25 @@ class TestObservationLikelihoods:
         assert again == pytest.approx(base)
         assert sum(base) == pytest.approx(1.0)
 
-    def test_temperature_softens(self, lane_scenario):
-        args = (
-            lane_scenario.game, 0, Control(-2.0, 0.0),
-            lane_scenario.follower_start, lane_scenario.leader_start,
-            lane_scenario.weights, lane_scenario.feature_params,
-            lane_scenario.bicycle_params, lane_scenario.dt,
+    @staticmethod
+    def _braking_args(scenario):
+        """Likelihood arguments for a -2 m/s^2 follower brake from the start states, row 0."""
+        return (
+            scenario.game, 0, Control(-2.0, 0.0), scenario.follower_start, scenario.leader_start,
+            scenario.weights, scenario.feature_params, scenario.bicycle_params, scenario.dt,
         )
+
+    def test_temperature_softens(self, lane_scenario):
+        args = self._braking_args(lane_scenario)
         sharp = observation_likelihoods(*args, temperature=0.5)
         soft = observation_likelihoods(*args, temperature=4.0)
         assert max(soft) < max(sharp)
+
+    @pytest.mark.parametrize("temperature", [0, -1, math.inf, math.nan])
+    def test_rejects_temperature_not_positive_and_finite(self, lane_scenario, temperature):
+        args = self._braking_args(lane_scenario)
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            observation_likelihoods(*args, temperature=temperature)
 
 
 class TestRunEpisode:
