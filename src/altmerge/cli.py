@@ -123,18 +123,18 @@ def run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         for alpha, strategy_name in combos:
-            run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
-            if len(combos) == 1:
-                run_dir = args.out
-            else:
-                label_alpha = run_scenario.true_alpha
-                label_strategy = run_scenario.strategy.kind.value
-                run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
-            run_dir.mkdir(parents=True, exist_ok=True)
             try:
+                run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
+                if len(combos) == 1:
+                    run_dir = args.out
+                else:
+                    label_alpha = run_scenario.true_alpha
+                    label_strategy = run_scenario.strategy.kind.value
+                    run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
+                run_dir.mkdir(parents=True, exist_ok=True)
                 result = run_episode(run_scenario)
             except (ValueError, ArithmeticError) as error:
-                # finite but extreme values can overflow the dynamics or the features
+                # a bad override, or finite but extreme values that overflow an episode
                 raise ValueError(f"{args.scenario}: {error}") from None
             _write_trace(run_dir / "trace.csv", result)
             _write_belief_log(run_dir / "belief.jsonl", result)

@@ -10,8 +10,10 @@ penalties 1 - exp(-k * err^2) in [0, 1), zero exactly on target. The
 separation term is the squared offset in the other vehicle's frame,
 normalized by the safety ellipse axes, minus 1, clamped at 0: -1 on top of
 the other vehicle, relaxing to 0 on the ellipse boundary and beyond, so it
-penalizes proximity without rewarding unbounded flight. The lead term is
-tanh of the longitudinal gap.
+penalizes proximity without rewarding unbounded flight. It is squared only
+inside the box that bounds the ellipse and is exactly 0.0 outside it, so
+the term is defined for every pair of finite states, however far apart.
+The lead term is tanh of the longitudinal gap.
 
 The arithmetic lives once, in private float kernels on plain (x, y, v,
 theta) tuples that skip validation: ``_advance`` for the dynamics, and for
@@ -188,9 +190,10 @@ def _pair_features(
     dy = y - other_y
     lateral = dx * cos_o - dy * sin_o
     longitudinal = dx * sin_o + dy * cos_o
-    lat_axis = params.vehicle_width + params.width_margin
-    lon_axis = params.vehicle_length + params.length_margin
-    phi4 = min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
+    u = lateral / (params.vehicle_width + params.width_margin)
+    w = longitudinal / (params.vehicle_length + params.length_margin)
+    # Outside the box around the ellipse the clamped value is 0.0; squaring there could overflow.
+    phi4 = min(0.0, u ** 2 + w ** 2 - 1.0) if -1.0 < u < 1.0 and -1.0 < w < 1.0 else 0.0
     phi5 = math.tanh(y - other_y)
     return (phi4, phi5)
 
@@ -248,20 +251,11 @@ def _pair_cost(
     left to right as ``own + w4 * f4 + w5 * f5``, and states add to
     ``total`` in order, so continuing from the partial sum of a
     trajectory's head gives the same float as the whole sum.
-
-    Float ``+`` and ``*`` overflow to infinity, but ``**`` in feature 4 raises
-    ``OverflowError``; it is raised again naming the feature and the states.
     """
     w4, w5 = weights[4], weights[5]
-    try:
-        for (x, y, _, _), own, other in zip(states, owns, others):
-            f4, f5 = _pair_features(x, y, other, params)
-            total += own + w4 * f4 + w5 * f5
-    except OverflowError as error:
-        raise OverflowError(
-            f"safety-ellipse feature out of range at (x, y) = ({x!r}, {y!r}) against the "
-            f"other vehicle at ({other[0]!r}, {other[1]!r}): {error}"
-        ) from None
+    for (x, y, _, _), own, other in zip(states, owns, others):
+        f4, f5 = _pair_features(x, y, other, params)
+        total += own + w4 * f4 + w5 * f5
     return total
 
 

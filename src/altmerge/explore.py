@@ -239,7 +239,11 @@ def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
 def select_action(
     game: AltruismGame, belief: IntervalBelief, strategy: ExplorationStrategy
 ) -> tuple[list[ActionEvaluation], int]:
-    """Score every row from one cell table; return them and the argmax (ties to lowest row)."""
+    """Score every row from one cell table; return them and the argmax (ties to lowest row).
+
+    A finite ``lam`` can still push a row's total out of the float range;
+    that raises ``ValueError`` naming lambda rather than comparing infinities.
+    """
     table = _CellTable(game, belief.partition, strategy.conflict_aware)
     masses, kind = belief.masses, strategy.kind
     if kind is StrategyKind.INFO_GAIN:
@@ -259,6 +263,9 @@ def select_action(
             bonus = table.reward_gain(masses, i, probs, base)
         else:
             bonus = 0.0
-        evaluations.append(ActionEvaluation(i, reward, bonus, reward + strategy.lam * bonus, probs))
+        total = reward + strategy.lam * bonus
+        if not math.isfinite(total):
+            raise ValueError(f"lambda {strategy.lam!r} times row {i}'s bonus {bonus!r} overflows")
+        evaluations.append(ActionEvaluation(i, reward, bonus, total, probs))
     best = max(range(len(evaluations)), key=lambda i: (evaluations[i].total, -i))
     return evaluations, best

@@ -47,9 +47,10 @@ each argument, so every partial sum of the bound is at least the computed
 one, and so is the total. A NaN anywhere makes both the skip test and the
 move test false, so skipping still changes nothing. Pruning never changes
 which point a search returns, only how many it evaluates; ``PlanStats``
-counts both. A skipped candidate is never scored, so it cannot raise the
-``OverflowError`` its features might; ``sim.Scenario`` scores the actuator
-limits once, up front, instead.
+counts both. Nor does it change whether a plan raises: a candidate's
+rollouts are built for its bound before it can be skipped, so a rollout
+that leaves the float range raises either way, and scoring a finite rollout
+never raises.
 """
 
 from __future__ import annotations

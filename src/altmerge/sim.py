@@ -32,10 +32,6 @@ from .dynamics import (
     FeatureParams,
     N_FEATURES,
     VehicleState,
-    _advance,
-    _frame,
-    _own_costs,
-    _pair_cost,
     features,
     step,
 )
@@ -108,31 +104,6 @@ class Scenario:
                 pair = self.weights[(i, j)]
                 if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
                     raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
-        self._check_full_acceleration()
-
-    def _check_full_acceleration(self) -> None:
-        """Score each vehicle at full acceleration for a horizon against the other coasting.
-
-        The planner tries the actuator limits from the start states, and it
-        may prune such a candidate unscored, so values under which they
-        overflow the dynamics or the features fail here, with the quantity
-        at fault, rather than in whichever step first scores one.
-        """
-        params, ones = self.bicycle_params, (1.0,) * N_FEATURES
-        try:
-            for own, other in ((self.leader_start, self.follower_start),
-                               (self.follower_start, self.leader_start)):
-                fast = _advance((own.x, own.y, own.v, own.theta), params.accel_max, 0.0,
-                                self.horizon, params.wheelbase, self.dt)
-                slow = _advance((other.x, other.y, other.v, other.theta), 0.0, 0.0,
-                                self.horizon, params.wheelbase, self.dt)
-                _pair_cost(fast, _own_costs(fast, ones, self.feature_params), _frame(slow),
-                           ones, self.feature_params)
-        except (ValueError, OverflowError) as error:
-            raise ScenarioError(
-                f"full acceleration ({params.accel_max!r}) over the {self.horizon}-step "
-                f"horizon cannot be scored: {error}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -191,7 +162,9 @@ def observation_likelihoods(
     The observed control is applied to the follower's state; the successor,
     paired with the leader's realized state, is scored under each column's
     follower weight vector. Equal weight vectors give uniform likelihoods;
-    adding a constant to all scores changes nothing.
+    adding a constant to all scores changes nothing. A score that is not
+    finite once divided by the temperature raises ``ValueError``; a tiny
+    temperature can push a score out of the float range.
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
@@ -201,6 +174,8 @@ def observation_likelihoods(
     for j in range(game.n_follower):
         column_weights = weights[(leader_action, j)][1]
         logits.append(_sum_in_order(w * f for w, f in zip(column_weights, phi)) / temperature)
+    if not all(map(math.isfinite, logits)):
+        raise ValueError(f"non-finite logits {tuple(logits)} at temperature {temperature!r}")
     peak = max(logits)
     unnormalized = [math.exp(l - peak) for l in logits]
     total = _sum_in_order(unnormalized)
@@ -490,6 +465,7 @@ def _parse_params(data: dict, key: str, source: str):
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     """Build a Scenario from a parsed JSON document, with pointed errors."""
     _object(data, _KEYS["scenario"], source)
+    _string(data.get("description", ""), f"{source}: description")
     game = _parse_game(_require(data, "game", source), f"{source}: game")
     ctx = f"{source}: weights"
     weights_raw = _object(_require(data, "weights", source), game.leader_actions, ctx)

@@ -53,13 +53,6 @@ class TestRun:
         ]
         assert summary["chosen_cells"] == logged
 
-    def test_alpha_out_of_range_exits_one(self, tmp_path, capsys):
-        status = run_cli(
-            "run", "--scenario", SCENARIO, "--alpha", "1.5", "--out", str(tmp_path),
-        )
-        assert status == EXIT_ERROR
-        assert "alpha" in capsys.readouterr().err
-
     def test_missing_scenario_exits_one(self, tmp_path, capsys):
         status = run_cli(
             "run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path),
@@ -81,12 +74,16 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
 
-    def test_nan_lambda_flag_exits_one(self, tmp_path, capsys):
-        status = run_cli(
-            "run", "--scenario", SCENARIO, "--lambda", "nan", "--steps", "1",
-            "--out", str(tmp_path / "o"),
-        )
-        self._assert_one_error_line(status, capsys, "lambda")
+    @pytest.mark.parametrize("flag, value, word", [
+        ("--steps", "0", "episode_steps must be at least 1"),
+        ("--alpha", "1.5", "alpha"),
+        ("--lambda", "nan", "lambda"),
+    ], ids=["steps", "alpha", "lambda"])
+    def test_override_error_names_the_scenario(self, tmp_path, capsys, flag, value, word):
+        status = run_cli("run", "--scenario", SCENARIO, flag, value, "--out", str(tmp_path / "o"))
+        assert status == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {SCENARIO}: ") and word in err[0]
         assert not (tmp_path / "o" / "belief.jsonl").exists()
 
     @pytest.mark.parametrize("path, value, word", [
@@ -116,8 +113,9 @@ class TestRun:
 
     @pytest.mark.parametrize("path, value, word", [
         (("dt",), 1e308, "non-finite state"),
-        (("vehicle", "accel_max"), 1e308, "out of range"),
-        (("initial_states", "follower", "y"), 1e308, "out of range"),
+        # an action's total, or a likelihood logit, would leave the float range
+        (("strategy", "lambda"), 1e308, "lambda"),
+        (("observation_temperature",), 1e-320, "temperature"),
         (("feature_params", "lambda_x"), -1e308, "lambda_x"),
         (("horizon_steps",), 1e12, "horizon"),
         (("horizon_steps",), 1e308, "horizon"),
@@ -132,17 +130,32 @@ class TestRun:
         self._assert_one_error_line(status, capsys, f"{tmp_path / 'mutated.json'}: episode_steps")
 
     @pytest.mark.parametrize("path, value, quantity", [
-        # caught when the scenario is read: full acceleration leaves the float range
-        (("vehicle", "accel_max"), 1e308,
-         "full acceleration (1e+308) over the 6-step horizon cannot be scored: "
-         "safety-ellipse feature out of range at (x, y) = (2.5, 4.000000000000001e+306)"),
         # caught when the scenario is read: a negative penalty rate
         (("feature_params", "lambda_x"), -1e308,
          "feature_params: lambda_x must be nonnegative, got -1e+308"),
-    ], ids=["accel_max", "lambda_x"])
+    ], ids=["lambda_x"])
     def test_overflow_names_the_quantity(self, tmp_path, capsys, path, value, quantity):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, quantity)
+
+    @pytest.mark.parametrize("path, value", [
+        (("vehicle", "accel_max"), 1e308),
+        (("initial_states", "follower", "y"), 1e308),
+        (("dt",), 1e150),
+    ], ids=["accel_max", "follower_y", "dt"])
+    def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, path, value):
+        # the safety ellipse scores 0.0 at any distance, so nothing overflows
+        status = self._run_with_value(tmp_path, path, value, steps=3)
+        assert status == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "o"
+        lines = (out / "belief.jsonl").read_text().splitlines()
+        assert len(lines) == 3
+        for text in [*lines, (out / "summary.json").read_text()]:
+            json.loads(text, parse_constant=reject)
 
     @pytest.mark.parametrize("path, value, message", [
         (("horizon_step",), 10, "mutated.json: unknown key 'horizon_step'"),
@@ -167,16 +180,17 @@ class TestRun:
         (("name",), None, "mutated.json: name: expected a string, got None"),
         (("name",), 5, "mutated.json: name: expected a string, got 5"),
         (("name",), ["a"], "mutated.json: name: expected a string, got ['a']"),
+        (("description",), 5, "mutated.json: description: expected a string, got 5"),
     ], ids=["horizon_step", "conflict_awre", "positive_gain_only", "conflict_aware_string",
             "game", "initial_states", "state", "weight_cell", "lambda_v", "feature_param",
             "vehicle", "weights_row", "weights_cell", "leader_actions", "follower_actions",
-            "name_null", "name_number", "name_list"])
+            "name_null", "name_number", "name_list", "description"])
     def test_misspelled_or_mistyped_key_exits_one(self, tmp_path, capsys, path, value, message):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, message)
 
-    def _run_with_value(self, tmp_path, path, value):
-        """Run one step of the shipped scenario with the value at ``path`` replaced."""
+    def _run_with_value(self, tmp_path, path, value, steps=1):
+        """Run ``steps`` steps of the shipped scenario with the value at ``path`` replaced."""
         data = json.loads(Path(SCENARIO).read_text())
         *parents, key = path
         target = data
@@ -185,7 +199,8 @@ class TestRun:
         target[key] = value
         bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(data))
-        return run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
+        return run_cli("run", "--scenario", str(bad), "--steps", str(steps),
+                       "--out", str(tmp_path / "o"))
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         taken = tmp_path / "taken"

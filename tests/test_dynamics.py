@@ -134,6 +134,49 @@ class TestFeatures:
         assert values[0] == pytest.approx(-1.0)
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("offset", [1e155, 1e200, 1e308])
+    def test_separation_is_zero_however_far_apart(self, offset):
+        other = VehicleState(0.0, 0.0, 10.0, 0.0)
+        for own in (VehicleState(offset, 0.0, 10.0, 0.0), VehicleState(0.0, offset, 10.0, 0.0),
+                    VehicleState(-offset, -offset, 10.0, 0.0)):
+            phi4 = features(own, other, FP)[4]
+            assert phi4 == 0.0 and math.copysign(1.0, phi4) == 1.0
+
+    def test_separation_matches_the_squared_form(self):
+        """Feature 4 equals the plain squared form bit for bit, and 0.0 where that overflows."""
+        lat_axis = FP.vehicle_width + FP.width_margin
+        lon_axis = FP.vehicle_length + FP.length_margin
+
+        def squared_form(own, other):
+            sin_o, cos_o = math.sin(other.theta), math.cos(other.theta)
+            dx, dy = own.x - other.x, own.y - other.y
+            lateral = dx * cos_o - dy * sin_o
+            longitudinal = dx * sin_o + dy * cos_o
+            return min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
+
+        rng = random.Random(10)
+        # the centre, the ellipse's ends and the box corners; then near it and up to 1e200 away
+        pairs = [(VehicleState(5.0 + sx * lat_axis * a, sy * lon_axis * b, 10.0, 0.0),
+                  VehicleState(5.0, 0.0, 10.0, 0.0))
+                 for sx in (-1, 1) for sy in (-1, 1) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+        for k in range(3000):
+            scale = 10.0 ** (rng.uniform(-3.0, 1.5) if k % 2 else rng.uniform(1.5, 200.0))
+            pairs.append((VehicleState(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale,
+                                       10.0, rng.uniform(-4.0, 4.0)),
+                          VehicleState(rng.uniform(-10, 10), rng.uniform(-10, 10), 10.0,
+                                       rng.uniform(-4.0, 4.0))))
+        overflowed = inside = 0
+        for own, other in pairs:
+            phi4 = features(own, other, FP)[4]
+            inside += phi4 < 0.0
+            try:
+                expected = squared_form(own, other)
+            except OverflowError:
+                overflowed += 1
+                expected = 0.0
+            assert phi4.hex() == expected.hex(), (own, other)
+        assert overflowed > 100 and inside > 100
+
 
 class TestCost:
     def _trajectories(self, n=6, gap=10.0):

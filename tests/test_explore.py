@@ -154,6 +154,12 @@ class TestSelectAction:
                 _, chosen = select_action(game, b, ExplorationStrategy(kind, lam=0.0))
                 assert chosen == passive
 
+    def test_overflowing_total_names_lambda(self, lane_merge_game):
+        # the reward-gain bonus of row 0 is about 6, so lambda * bonus leaves the float range
+        strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, lam=1e308)
+        with pytest.raises(ValueError, match="lambda 1e\\+308 times row 0"):
+            select_action(lane_merge_game, uniform_for(lane_merge_game), strategy)
+
     def test_outcome_probabilities_sum_to_one(self, lane_merge_game):
         b = uniform_for(lane_merge_game)
         evals, _ = select_action(lane_merge_game, b, ExplorationStrategy(StrategyKind.REWARD_GAIN))

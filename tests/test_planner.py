@@ -360,6 +360,11 @@ class TestOracleParity:
         # horizon 1 has an empty second half; 2 and 7 split evenly and unevenly
         self._assert_parity(_request(*OFF_CENTRE, UNEVEN, horizon))
 
+    def test_vehicles_too_far_apart_to_square_the_gap(self):
+        # 1e200 m apart: the safety ellipse scores 0.0 instead of squaring the gap
+        far = dataclasses.replace(FOLLOWER, y=1e200)
+        self._assert_parity(_request(LEADER, far, MIXED_WEIGHTS, 2))
+
     def test_proximity_seeking_weights_with_pruning(self):
         self._assert_pruned_parity([_request(*OFF_CENTRE, PROXIMITY, h) for h in (1, 2, 7)])
 

@@ -103,6 +103,11 @@ class TestObservationLikelihoods:
         soft = observation_likelihoods(*args, temperature=4.0)
         assert max(soft) < max(sharp)
 
+    def test_overflowing_logits_name_the_temperature(self, lane_scenario):
+        args = self._braking_args(lane_scenario)
+        with pytest.raises(ValueError, match=r"non-finite logits \(.*\) at temperature 1e-320"):
+            observation_likelihoods(*args, temperature=1e-320)
+
     @pytest.mark.parametrize("temperature", [0, -1, math.inf, math.nan])
     def test_rejects_temperature_not_positive_and_finite(self, lane_scenario, temperature):
         args = self._braking_args(lane_scenario)
