@@ -14,7 +14,6 @@ from .belief import (
     IntervalBelief,
     Partition,
     bayes_update,
-    condition_on_interval,
     entropy,
     mass_below,
     partition_domain,
@@ -39,7 +38,6 @@ from .game import (
     follower_best_response,
     intersection_points,
     leader_preference_of_follower,
-    leader_reward_given_alpha,
     stackelberg_equilibrium,
 )
 from .planner import Plan, PlanRequest, PlanStats, bilevel_plan, follower_plan
@@ -78,7 +76,6 @@ __all__ = [
     "bayes_update",
     "bilevel_plan",
     "build_responsibility_matrix",
-    "condition_on_interval",
     "conflict_region",
     "entropy",
     "expected_reward_gain_bonus",
@@ -87,7 +84,6 @@ __all__ = [
     "info_gain_bonus",
     "intersection_points",
     "leader_preference_of_follower",
-    "leader_reward_given_alpha",
     "load_scenario",
     "mass_below",
     "observation_likelihoods",

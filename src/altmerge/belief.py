@@ -4,8 +4,8 @@ The coefficient lives in [0, 1]. A belief assigns a probability mass to
 each cell of an interval partition and is uniform inside every cell, so
 all updates stay exact and grid-free. The partition is normally the one
 induced by the game's reward-line crossings: the follower's best response
-is then constant on each cell interior, which is what makes interval
-conditioning and Bayes updates well defined.
+is then constant on each cell interior, which is what makes Bayes
+updates well defined.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import AltruismGame, Number, follower_best_response, intersection_points
+from .game import AltruismGame, Number, _best_response, _check_row, intersection_points
 
 #: Mass bookkeeping tolerance.
 MASS_TOL = 1e-9
@@ -179,39 +179,14 @@ def _entropy(masses: tuple[float, ...], widths: tuple[float, ...]) -> float:
     return max(total, ENTROPY_FLOOR)
 
 
-def condition_on_interval(
-    belief: IntervalBelief, interval: tuple[Number, Number]
-) -> IntervalBelief:
-    """Renormalized restriction of the belief to ``interval``.
-
-    Raises BeliefContradictionError when the interval carries no mass.
-    """
-    lo, hi = interval
-    if not 0 <= lo < hi <= 1:
-        raise ValueError(f"invalid conditioning interval [{lo}, {hi}]")
-    refined = belief.refined(tuple(p for p in (lo, hi) if 0 < p < 1))
-    masses = []
-    for (clo, chi), mass in zip(refined.partition.cells, refined.masses):
-        inside = float(lo) - MASS_TOL <= float(clo) and float(chi) <= float(hi) + MASS_TOL
-        masses.append(mass if inside else 0.0)
-    total = _sum_in_order(masses)
-    if total <= MASS_TOL:
-        raise BeliefContradictionError(
-            f"conditioning interval [{lo}, {hi}] has zero probability"
-        )
-    return IntervalBelief(refined.partition, tuple(m / total for m in masses))
-
-
 def response_per_cell(
     belief: IntervalBelief, game: AltruismGame, leader_action: int
 ) -> tuple[int, ...]:
     """Follower best response for each belief cell (constant on interiors)."""
+    _check_row(game, leader_action)
     if not belief.partition.refines(partition_domain(game)):
         raise ValueError("belief partition must refine the game's domain partition")
-    return tuple(
-        follower_best_response(game, leader_action, mid)
-        for mid in belief.partition.midpoints
-    )
+    return tuple(_best_response(game, leader_action, mid) for mid in belief.partition.midpoints)
 
 
 def bayes_update(
@@ -224,8 +199,8 @@ def bayes_update(
 
     ``observation_likelihoods[j]`` scores how well the observation matches
     follower action j. Each cell's mass is reweighted by the likelihood of
-    the response that cell predicts; a one-hot vector reduces to interval
-    conditioning on the compatible cells.
+    the response that cell predicts; a one-hot vector conditions exactly
+    on the cells predicting that response.
     """
     if len(observation_likelihoods) != game.n_follower:
         raise ValueError("one likelihood per follower action required")

@@ -162,22 +162,28 @@ def _advance(
         v = v_next
         states.append((x, y, v, theta))
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(v) and math.isfinite(theta)):
-        raise ValueError(f"non-finite state (x, y, v, theta) = {(x, y, v, theta)}")
+        raise ValueError(f"non-finite state (x, y, v, theta) = {(x, y, v, theta)} "
+                         f"from dt {dt} and control (accel, steer) = {(accel, steer)}")
     return states
 
 
 def _own_features(
     x: float, v: float, theta: float, params: FeatureParams
 ) -> tuple[float, float, float, float]:
-    """Features 0-3 of one state: bounded penalties 1 - exp(-k * err^2)."""
+    """Features 0-3 of one state: bounded penalties 1 - exp(-k * err^2).
+
+    A feature whose rate k is 0 is exactly 0.0: the product would be 0 * inf,
+    NaN, once the offset overflows.
+    """
+    lx, lv, lt = params.lambda_x, params.lambda_v, params.lambda_theta
     left = x - params.x_left
     right = x - params.x_right
     speed = v - params.v_limit
     heading = theta - params.lane_theta
-    phi0 = 1.0 - math.exp(-params.lambda_x * left * left)
-    phi1 = 1.0 - math.exp(-params.lambda_x * right * right)
-    phi2 = 1.0 - math.exp(-params.lambda_v * speed * speed)
-    phi3 = 1.0 - math.exp(-params.lambda_theta * heading * heading)
+    phi0 = 1.0 - math.exp(-lx * left * left) if lx else 0.0
+    phi1 = 1.0 - math.exp(-lx * right * right) if lx else 0.0
+    phi2 = 1.0 - math.exp(-lv * speed * speed) if lv else 0.0
+    phi3 = 1.0 - math.exp(-lt * heading * heading) if lt else 0.0
     return (phi0, phi1, phi2, phi3)
 
 

@@ -14,6 +14,9 @@ bonus and predicted response distribution. The two bonus helpers read
 their row from ``select_action``. The table holds the follower's best
 response and the leader's value per row and cell and, when conflict-aware,
 the follower's role-swap preference per cell and the conflict region.
+The table is where the partition is checked. A checked partition's
+midpoints all lie in [0, 1], so the table calls ``game``'s unchecked
+kernels ``_best_response`` and ``_role_swap_preference`` directly.
 Exact rationals end at the table: crossings, breakpoints, midpoints and
 best responses are exact, and every score is a float sum over the cell
 masses, in cell order. The posterior after a hypothetical response keeps
@@ -29,16 +32,8 @@ from dataclasses import dataclass
 
 from .belief import (POINT_WIDTH, IntervalBelief, Partition, _entropy, _sum_in_order, mass_below,
                      partition_domain)
-from .game import (
-    AltruismGame,
-    Number,
-    _check_row,
-    _leader_value,
-    follower_best_response,
-    leader_preference_of_follower,
-    line_crossing,
-    stackelberg_equilibrium,
-)
+from .game import (AltruismGame, Number, _best_response, _check_row, _leader_value,
+                   _role_swap_preference, line_crossing)
 
 
 class StrategyKind(enum.Enum):
@@ -99,7 +94,7 @@ class _CellTable:
         rows = range(game.n_leader)
         midpoints = partition.midpoints
         self.n_follower = game.n_follower
-        self.responses = [[follower_best_response(game, i, mid) for mid in midpoints] for i in rows]
+        self.responses = [[_best_response(game, i, mid) for mid in midpoints] for i in rows]
         exact = [[_leader_value(game, i, j) for j in self.responses[i]] for i in rows]
         self.values = [[float(value) for value in row] for row in exact]
         self.widths = tuple(max(width, POINT_WIDTH) for width in partition.widths)
@@ -108,7 +103,7 @@ class _CellTable:
         if not conflict_aware:
             return
         for k, ((lo, hi), mid) in enumerate(zip(partition.cells, midpoints)):
-            as_leader = leader_preference_of_follower(game, mid)
+            as_leader = _role_swap_preference(game, mid)
             for i in rows:
                 self.swapped[i].append(float(_leader_value(game, i, as_leader)))
             equilibrium_row = max(rows, key=lambda i: (exact[i][k], -i))
@@ -188,16 +183,6 @@ def expected_reward_gain_bonus(
     _check_row(game, leader_action)
     strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN)
     return select_action(game, belief, strategy)[0][leader_action].bonus
-
-
-def is_conflicted(game: AltruismGame, alpha: Number) -> bool:
-    """True when role confusion at ``alpha`` breaks coordination.
-
-    Compares the follower's rational response to the leader's equilibrium
-    action with the action the follower would commit to as leader.
-    """
-    as_follower = stackelberg_equilibrium(game, alpha).follower_index
-    return as_follower != leader_preference_of_follower(game, alpha)
 
 
 def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:

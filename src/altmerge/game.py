@@ -9,6 +9,14 @@ leader's favour and then by lowest column index so runs are reproducible.
 Reward crossings are solved in exact rational arithmetic whenever the
 rewards are ints or Fractions, falling back to floats (deduplicated at
 1e-9) otherwise.
+
+Checks live at the public entry: ``AltruismGame`` checks its grid and the
+leader's coefficient once, and each public function checks its own
+coefficient and row or cell once, then calls an unchecked kernel:
+``_best_response`` for the follower's answer to a row and
+``_role_swap_preference`` for the column the follower would commit to as
+leader, read straight from the grid. ``explore``'s cell table and
+``belief.response_per_cell`` call the kernels after their own checks.
 """
 
 from __future__ import annotations
@@ -90,11 +98,6 @@ class AltruismGame:
     def n_follower(self) -> int:
         return len(self.follower_actions)
 
-    def cell(self, i: int, j: int) -> tuple[Number, Number]:
-        if not (0 <= i < self.n_leader and 0 <= j < self.n_follower):
-            raise ValueError(f"cell ({i}, {j}) out of bounds")
-        return self.rewards[i][j]
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -116,7 +119,10 @@ def altruistic_reward(
 ) -> Number:
     """Blend of own and opponent reward at ``cell``: (1-alpha)*own + alpha*other."""
     _check_alpha(alpha)
-    r_leader, r_follower = game.cell(*cell)
+    i, j = cell
+    if not (0 <= i < game.n_leader and 0 <= j < game.n_follower):
+        raise ValueError(f"cell ({i}, {j}) out of bounds")
+    r_leader, r_follower = game.rewards[i][j]
     own, other = (r_leader, r_follower) if player is Player.LEADER else (r_follower, r_leader)
     return (1 - alpha) * own + alpha * other
 
@@ -127,7 +133,45 @@ def _check_row(game: AltruismGame, leader_action: int) -> None:
 
 
 def _leader_value(game: AltruismGame, i: int, j: int) -> Number:
-    return altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader)
+    r_leader, r_follower = game.rewards[i][j]
+    return (1 - game.alpha_leader) * r_leader + game.alpha_leader * r_follower
+
+
+def _follower_value(game: AltruismGame, i: int, j: int, alpha: Number) -> Number:
+    r_leader, r_follower = game.rewards[i][j]
+    return (1 - alpha) * r_follower + alpha * r_leader
+
+
+def _argmax(values: list[Number], tiebreak) -> int:
+    """Index of the largest value; ties go to the largest ``tiebreak(k)``, then the lowest k."""
+    best = max(values)
+    tied = [k for k, value in enumerate(values) if value == best]
+    if len(tied) == 1:
+        return tied[0]
+    return max(tied, key=lambda k: (tiebreak(k), -k))
+
+
+def _best_response(game: AltruismGame, i: int, alpha: Number) -> int:
+    """Unchecked kernel of ``follower_best_response``."""
+    beta = 1 - alpha
+    values = [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
+    return _argmax(values, lambda j: _leader_value(game, i, j))
+
+
+def _role_swap_preference(game: AltruismGame, alpha: Number) -> int:
+    """Unchecked kernel of ``leader_preference_of_follower``.
+
+    The leader answers column j with the row it values most, ties to the
+    follower's value at ``alpha``, then to the lowest row. The follower
+    commits to the column whose answer it values most, ties to the lowest.
+    """
+    rows = range(game.n_leader)
+    values = []
+    for j in range(game.n_follower):
+        i = _argmax([_leader_value(game, i, j) for i in rows],
+                    lambda i: _follower_value(game, i, j, alpha))
+        values.append(_follower_value(game, i, j, alpha))
+    return values.index(max(values))
 
 
 def follower_best_response(game: AltruismGame, leader_action: int, alpha: Number) -> int:
@@ -137,22 +181,8 @@ def follower_best_response(game: AltruismGame, leader_action: int, alpha: Number
     lowest column index.
     """
     _check_alpha(alpha)
-    values = [
-        altruistic_reward(game, (leader_action, j), Player.FOLLOWER, alpha)
-        for j in range(game.n_follower)
-    ]
-    best = max(values)
-    candidates = [j for j, v in enumerate(values) if v == best]
-    if len(candidates) > 1:
-        leader_best = max(_leader_value(game, leader_action, j) for j in candidates)
-        candidates = [j for j in candidates if _leader_value(game, leader_action, j) == leader_best]
-    return candidates[0]
-
-
-def leader_reward_given_alpha(game: AltruismGame, leader_action: int, alpha: Number) -> Number:
-    """Leader's value of the row once the follower responds at ``alpha``."""
-    j = follower_best_response(game, leader_action, alpha)
-    return _leader_value(game, leader_action, j)
+    _check_row(game, leader_action)
+    return _best_response(game, leader_action, alpha)
 
 
 def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equilibrium:
@@ -160,7 +190,7 @@ def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equil
     _check_alpha(alpha_follower)
     best = None
     for i in range(game.n_leader):
-        j = follower_best_response(game, i, alpha_follower)
+        j = _best_response(game, i, alpha_follower)
         value = _leader_value(game, i, j)
         if best is None or value > best[0]:
             best = (value, i, j)
@@ -228,6 +258,5 @@ def leader_preference_of_follower(game: AltruismGame, alpha_follower: Number) ->
 
     The original leader then best-responds with its own fixed coefficient.
     """
-    rewards = tuple(zip(*[[cell[::-1] for cell in row] for row in game.rewards]))
-    swapped = AltruismGame(game.follower_actions, game.leader_actions, rewards, alpha_follower)
-    return stackelberg_equilibrium(swapped, alpha_follower=game.alpha_leader).leader_index
+    _check_alpha(alpha_follower)
+    return _role_swap_preference(game, alpha_follower)

@@ -27,7 +27,8 @@ Input is validated once where it enters: ``PlanRequest`` and
 ``follower_plan``'s arguments. The horizon is at most MAX_HORIZON steps, so
 a plan's caches stay small. Candidate controls are clamped into the
 actuator limits where they are generated, and a rollout that produces a
-non-finite state still raises ``ValueError``.
+non-finite state still raises ``ValueError``, as does a plan whose winning
+leader cost is not finite.
 
 Both searches prune by branch and bound. A search moves only on
 ``score > best + SOLVER_TOL``, and ``best`` only grows, so a point whose
@@ -380,5 +381,7 @@ def bilevel_plan(request: PlanRequest) -> Plan:
     params4, value, evaluated, pruned = _coordinate_search(
         objective, leader.bound, bicycle_params, grids
     )
+    if not math.isfinite(value):
+        raise ValueError(f"the winning leader cost is not finite: {value}")
     stats = PlanStats(evaluated, pruned, solver.solves, solver.evaluated, solver.pruned)
     return Plan(_expand(params4, horizon), _expand(responses[params4], horizon), value, stats)

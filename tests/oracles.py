@@ -7,7 +7,8 @@ search, built only from the validated ``dynamics.step`` and
 ``dynamics.cost``: it re-solves the follower for every leader candidate and
 caches nothing. The decision oracle is the per-call evaluation built from
 ``game`` and ``belief`` primitives: every helper re-solves its own best
-responses and posteriors, nothing shared. Both import the package inside
+responses and posteriors, nothing shared. Its conflict test and role swap
+come from the grid oracles, not from the package's kernels. Both import the package inside
 their functions, so this file loads without the package on the path, as
 ``perfbench`` loads it.
 """
@@ -47,6 +48,16 @@ def oracle_equilibrium(rewards, alpha, alpha_leader=0):
         if best is None or key > best[0]:
             best = (key, (i, j))
     return best[1]
+
+
+def oracle_role_swap_preference(rewards, alpha, alpha_leader=0):
+    """Column the follower commits to as leader: the equilibrium of the transposed grid.
+
+    On the transposed grid the pairs swap, the follower leads at ``alpha``
+    and the leader answers at ``alpha_leader``.
+    """
+    swapped = [[(row[i][1], row[i][0]) for row in rewards] for i in range(len(rewards[0]))]
+    return oracle_equilibrium(swapped, alpha_leader, alpha)[0]
 
 
 def _grid(lo, hi, n):
@@ -232,9 +243,16 @@ def _in_order(values):
     return total
 
 
+def leader_reward_given_alpha(game, leader_action, alpha):
+    """Leader's value of the row once the follower responds at ``alpha``."""
+    from altmerge.game import Player, altruistic_reward, follower_best_response
+
+    j = follower_best_response(game, leader_action, alpha)
+    return altruistic_reward(game, (leader_action, j), Player.LEADER, game.alpha_leader)
+
+
 def _oracle_row_reward(game, belief, leader_action):
     from altmerge.belief import partition_domain
-    from altmerge.game import leader_reward_given_alpha
 
     if not belief.partition.refines(partition_domain(game)):
         raise ValueError("belief partition must refine the game's domain partition")
@@ -291,15 +309,8 @@ def _oracle_reward_gain(game, belief, leader_action):
 
 
 def _oracle_is_conflicted(game, alpha):
-    from altmerge.game import (
-        follower_best_response,
-        leader_preference_of_follower,
-        stackelberg_equilibrium,
-    )
-
-    equilibrium = stackelberg_equilibrium(game, alpha)
-    as_follower = follower_best_response(game, equilibrium.leader_index, alpha)
-    return as_follower != leader_preference_of_follower(game, alpha)
+    _, as_follower = oracle_equilibrium(game.rewards, alpha, game.alpha_leader)
+    return as_follower != oracle_role_swap_preference(game.rewards, alpha, game.alpha_leader)
 
 
 def oracle_conflict_region(game):
@@ -330,11 +341,11 @@ def oracle_conflict_mass(game, belief):
 
 def oracle_conflict_adjusted_reward(game, belief, cell, alpha):
     """Cell value mixed with the role-swap cell by the conflict mass."""
-    from altmerge.game import Player, altruistic_reward, leader_preference_of_follower
+    from altmerge.game import Player, altruistic_reward
 
     i, j = cell
     p = oracle_conflict_mass(game, belief)
-    j_leader = leader_preference_of_follower(game, alpha)
+    j_leader = oracle_role_swap_preference(game.rewards, alpha, game.alpha_leader)
     nominal = float(altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader))
     conflicted = float(altruistic_reward(game, (i, j_leader), Player.LEADER, game.alpha_leader))
     return (1 - p) * nominal + p * conflicted

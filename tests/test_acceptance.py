@@ -24,10 +24,10 @@ from altmerge.explore import (
     conflict_region,
     expected_reward_gain_bonus,
     info_gain_bonus,
-    is_conflicted,
     select_action,
 )
-from altmerge.game import AltruismGame, intersection_points, stackelberg_equilibrium
+from altmerge.game import (AltruismGame, intersection_points, leader_preference_of_follower,
+                           stackelberg_equilibrium)
 from altmerge.sim import load_scenario, run_conflict_experiment, run_episode
 from conftest import (
     make_high_stakes_probe_game,
@@ -161,9 +161,10 @@ def test_criterion_5_conflict_region():
         region = conflict_region(game)
         assert region == ((0, Fraction(1, 2)),)
         assert region[0][1] == Fraction(1, 2)  # exact breakpoint from role swap
-        assert is_conflicted(game, Fraction(49, 100)) is True
-        assert is_conflicted(game, Fraction(1, 2)) is False
-        assert is_conflicted(game, Fraction(51, 100)) is False
+        assert region[0][0] < Fraction(49, 100) < region[0][1] < Fraction(51, 100)
+        half = Fraction(1, 2)
+        as_follower = stackelberg_equilibrium(game, half).follower_index
+        assert as_follower == leader_preference_of_follower(game, half)
         assert time.perf_counter() - started < 1.0
 
 

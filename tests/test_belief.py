@@ -14,7 +14,6 @@ from altmerge.belief import (
     IntervalBelief,
     Partition,
     bayes_update,
-    condition_on_interval,
     entropy,
     mass_below,
     partition_domain,
@@ -83,25 +82,6 @@ class TestEntropy:
             assert entropy(IntervalBelief.uniform_on(lo, hi)) < 0
 
 
-class TestConditionOnInterval:
-    def test_restricts_full_uniform(self):
-        b = IntervalBelief.uniform(Partition((0, 1)))
-        conditioned = condition_on_interval(b, (Fraction(5, 18), 1))
-        assert conditioned.support == (Fraction(5, 18), 1)
-        assert entropy(conditioned) == pytest.approx(math.log(13 / 18))
-
-    def test_restriction_of_restriction(self):
-        b = IntervalBelief.uniform_on(Fraction(5, 12), 1)
-        conditioned = condition_on_interval(b, (Fraction(5, 6), 1))
-        assert conditioned.support == (Fraction(5, 6), 1)
-        assert entropy(conditioned) == pytest.approx(math.log(1 / 6))
-
-    def test_disjoint_support_raises(self):
-        b = IntervalBelief.uniform_on(0, 0.5)
-        with pytest.raises(BeliefContradictionError):
-            condition_on_interval(b, (0.6, 1))
-
-
 class TestBayesUpdate:
     def test_flat_likelihood_leaves_belief_unchanged(self, lane_merge_game):
         b = IntervalBelief.uniform(partition_domain(lane_merge_game))
@@ -109,10 +89,11 @@ class TestBayesUpdate:
         assert updated.masses == pytest.approx(b.masses)
 
     def test_one_hot_equals_interval_conditioning(self, lane_merge_game):
+        # give-way in the merge-ahead row is the response on (5/18, 1) only
         b = IntervalBelief.uniform(partition_domain(lane_merge_game))
         updated = bayes_update(b, lane_merge_game, 0, (1.0, 0.0))
-        conditioned = condition_on_interval(b, (Fraction(5, 18), 1))
-        assert updated.masses == pytest.approx(conditioned.masses)
+        assert b.partition.breakpoints == (0, Fraction(5, 18), Fraction(1, 2), 1)
+        assert updated.masses == pytest.approx((0.0, 4 / 13, 9 / 13))
 
     def test_soft_update_arithmetic(self, lane_merge_game):
         # probe row splits at 1/2; likelihood 0.8 on give-way favours the top cell

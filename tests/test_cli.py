@@ -138,15 +138,17 @@ class TestRun:
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, quantity)
 
-    @pytest.mark.parametrize("path, value", [
-        (("vehicle", "accel_max"), 1e308),
-        (("initial_states", "follower", "y"), 1e308),
-        (("dt",), 1e150),
-    ], ids=["accel_max", "follower_y", "dt"])
-    def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, path, value):
+    @pytest.mark.parametrize("changes", [
+        {("vehicle", "accel_max"): 1e308},
+        {("initial_states", "follower", "y"): 1e308},
+        {("dt",): 1e150},
+        # x - x_left overflows to inf; a zero rate must still score 0.0, not 0 * inf = NaN
+        {("feature_params", "lambda_x"): 0, ("feature_params", "x_left"): -1e308,
+         ("initial_states", "follower", "x"): 1e308},
+    ], ids=["accel_max", "follower_y", "dt", "zero_rate"])
+    def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, changes):
         # the safety ellipse scores 0.0 at any distance, so nothing overflows
-        status = self._run_with_value(tmp_path, path, value, steps=3)
-        assert status == EXIT_OK
+        assert self._run_with_values(tmp_path, changes, steps=3) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -189,14 +191,19 @@ class TestRun:
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, message)
 
-    def _run_with_value(self, tmp_path, path, value, steps=1):
-        """Run ``steps`` steps of the shipped scenario with the value at ``path`` replaced."""
+    def _run_with_value(self, tmp_path, path, value):
+        """Run one step of the shipped scenario with the value at ``path`` replaced."""
+        return self._run_with_values(tmp_path, {path: value})
+
+    def _run_with_values(self, tmp_path, changes, steps=1):
+        """Run ``steps`` steps of the shipped scenario with each path's value replaced."""
         data = json.loads(Path(SCENARIO).read_text())
-        *parents, key = path
-        target = data
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
+        for path, value in changes.items():
+            *parents, key = path
+            target = data
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
         bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(data))
         return run_cli("run", "--scenario", str(bad), "--steps", str(steps),

@@ -67,6 +67,12 @@ class TestStep:
             assert nxt.v == state.v
             assert nxt.theta == state.theta
 
+    def test_overflow_names_dt_and_control(self):
+        start = VehicleState(0.0, 0.0, 10.0, 0.0)
+        with pytest.raises(ValueError, match=r"= \(0\.0, inf, 3e\+200, 0\.0\) from dt 1e\+200 "
+                           r"and control \(accel, steer\) = \(3\.0, 0\.0\)$"):
+            step(start, Control(3.0, 0.0), BP, 1e200)
+
     def test_rejects_out_of_limit_controls(self):
         state = VehicleState(0.0, 0.0, 5.0, 0.0)
         with pytest.raises(ValueError):
@@ -97,6 +103,13 @@ class TestFeatures:
             for k in range(4):
                 assert 0.0 <= phi[k] <= 1.0  # saturates to 1.0 in float64
             assert -1.0 < phi[5] < 1.0
+
+    def test_zero_rate_penalty_is_zero_however_far_off_target(self):
+        # each offset overflows to inf, and 0 * inf would be NaN
+        params = FeatureParams(lambda_x=0.0, lambda_theta=0.0, lambda_v=0.0, x_left=-1e308,
+                               x_right=-1e308, v_limit=-1e308, lane_theta=-1e308)
+        own = VehicleState(x=1e308, y=0.0, v=1e308, theta=1e308)
+        assert features(own, own, params)[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_lead_feature_antisymmetric(self):
         a = VehicleState(2.5, 4.0, 10.0, 0.0)

@@ -16,10 +16,10 @@ from altmerge.explore import (
     decision_partition,
     expected_reward_gain_bonus,
     info_gain_bonus,
-    is_conflicted,
     select_action,
 )
-from altmerge.game import AltruismGame
+import altmerge.game as game_module
+from altmerge.game import AltruismGame, leader_preference_of_follower, stackelberg_equilibrium
 from altmerge.sim import load_scenario
 from conftest import random_game_belief_pairs
 from oracles import (
@@ -234,9 +234,11 @@ class TestConflict:
         assert region == ((0, Fraction(1, 2)),)
 
     def test_breakpoint_itself_is_conflict_free(self, responsibility_game):
-        assert is_conflicted(responsibility_game, Fraction(1, 2)) is False
-        assert is_conflicted(responsibility_game, 0.49) is True
-        assert is_conflicted(responsibility_game, 0.51) is False
+        ((lo, hi),) = conflict_region(responsibility_game)
+        assert lo < 0.49 < hi < 0.51
+        half = Fraction(1, 2)
+        as_follower = stackelberg_equilibrium(responsibility_game, half).follower_index
+        assert as_follower == leader_preference_of_follower(responsibility_game, half)
 
     def test_agreeing_roles_give_empty_region(self):
         # follower's dominant column matches its leader preference everywhere
@@ -348,16 +350,38 @@ class TestChecksOnce:
         partition = decision_partition(lane_merge_game, True)
         assert partition.n_cells == 10
         calls = []
-        original = explore.leader_preference_of_follower
+        original = explore._role_swap_preference
 
         def counted(game, alpha):
             calls.append(alpha)
             return original(game, alpha)
 
-        monkeypatch.setattr(explore, "leader_preference_of_follower", counted)
+        monkeypatch.setattr(explore, "_role_swap_preference", counted)
         strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
         select_action(lane_merge_game, IntervalBelief.uniform(partition), strategy)
         assert 0 < len(calls) <= partition.n_cells
+
+    def test_selection_rechecks_no_coefficient_and_builds_no_game(self, lane_merge_game,
+                                                                 monkeypatch):
+        # the partition is checked once; the cell table calls the unchecked kernels
+        belief = IntervalBelief.uniform(decision_partition(lane_merge_game, True))
+        checks, games = [], []
+        check_alpha, post_init = game_module._check_alpha, AltruismGame.__post_init__
+
+        def counted_check(alpha):
+            checks.append(alpha)
+            check_alpha(alpha)
+
+        def counted_post_init(game):
+            games.append(game)
+            post_init(game)
+
+        monkeypatch.setattr(game_module, "_check_alpha", counted_check)
+        monkeypatch.setattr(AltruismGame, "__post_init__", counted_post_init)
+        strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
+        evaluations, best = select_action(lane_merge_game, belief, strategy)
+        assert (checks, games) == ([], [])
+        assert len(evaluations) == lane_merge_game.n_leader and 0 <= best < len(evaluations)
 
     def test_out_of_range_row_is_an_error(self, lane_merge_game):
         b = uniform_for(lane_merge_game)

@@ -16,7 +16,6 @@ from altmerge.game import (
     follower_best_response,
     intersection_points,
     leader_preference_of_follower,
-    leader_reward_given_alpha,
     stackelberg_equilibrium,
 )
 from conftest import (
@@ -26,7 +25,7 @@ from conftest import (
     make_responsibility_lane_game,
     make_two_row_sufficiency_game,
 )
-from oracles import oracle_equilibrium
+from oracles import leader_reward_given_alpha, oracle_equilibrium, oracle_role_swap_preference
 
 
 class TestAltruismGame:
@@ -246,13 +245,17 @@ class TestLeaderPreferenceOfFollower:
         min_size=2, max_size=3,
     ).filter(lambda rows: len({len(r) for r in rows}) == 1).map(tuple),
     alpha_num=st.integers(0, 60),
+    alpha_leader_num=st.integers(0, 60),
 )
-def test_equilibrium_matches_oracle_property(rewards, alpha_num):
-    alpha = Fraction(alpha_num, 60)
+def test_equilibrium_matches_oracle_property(rewards, alpha_num, alpha_leader_num):
+    alpha, alpha_leader = Fraction(alpha_num, 60), Fraction(alpha_leader_num, 60)
     game = AltruismGame(
         tuple(f"r{i}" for i in range(len(rewards))),
         tuple(f"c{j}" for j in range(len(rewards[0]))),
         rewards,
+        alpha_leader,
     )
     eq = stackelberg_equilibrium(game, alpha)
-    assert (eq.leader_index, eq.follower_index) == oracle_equilibrium(rewards, alpha)
+    assert (eq.leader_index, eq.follower_index) == oracle_equilibrium(rewards, alpha, alpha_leader)
+    assert leader_preference_of_follower(game, alpha) == oracle_role_swap_preference(
+        rewards, alpha, alpha_leader)

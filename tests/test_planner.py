@@ -168,6 +168,12 @@ class TestBilevelPlan:
         request = self._request((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
         assert bilevel_plan(request) == bilevel_plan(request)
 
+    def test_overflowing_leader_cost_is_an_error(self):
+        # six speed penalties of about 0.63, each weighted 1e308, sum past the float range
+        weights = (0.0, 0.0, 1e308, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="leader cost is not finite: inf"):
+            bilevel_plan(self._request(weights, ZERO))
+
     def test_rejects_bad_requests(self):
         with pytest.raises(ValueError):
             self._request(ZERO, ZERO, horizon=0)
