@@ -5,13 +5,16 @@ each cell of an interval partition and is uniform inside every cell, so
 all updates stay exact and grid-free. The partition is normally the one
 induced by the game's reward-line crossings: the follower's best response
 is then constant on each cell interior, which is what makes Bayes
-updates well defined.
+updates well defined. A partition converts its breakpoints to floats once,
+when it is built, and computes its cells, widths and midpoints once, on
+first use; every tolerance test reads the floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .game import AltruismGame, Number, _best_response, _check_row, intersection_points
@@ -35,6 +38,8 @@ class Partition:
     """Ordered breakpoints 0 = t0 < t1 < ... < tK = 1 defining K cells."""
 
     breakpoints: tuple[Number, ...]
+    #: The breakpoints as floats, converted once at construction.
+    floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(self.breakpoints)
@@ -44,20 +49,21 @@ class Partition:
         for lo, hi in zip(pts, pts[1:]):
             if not lo < hi:
                 raise ValueError("partition breakpoints must be strictly increasing")
+        object.__setattr__(self, "floats", tuple(float(p) for p in pts))
 
     @property
     def n_cells(self) -> int:
         return len(self.breakpoints) - 1
 
-    @property
+    @functools.cached_property
     def cells(self) -> tuple[tuple[Number, Number], ...]:
         return tuple(zip(self.breakpoints, self.breakpoints[1:]))
 
-    @property
+    @functools.cached_property
     def widths(self) -> tuple[float, ...]:
         return tuple(float(hi - lo) for lo, hi in self.cells)
 
-    @property
+    @functools.cached_property
     def midpoints(self) -> tuple[Number, ...]:
         return tuple(
             Fraction(lo + hi, 2) if isinstance(lo + hi, (int, Fraction)) else (lo + hi) / 2
@@ -66,20 +72,18 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """True if every breakpoint of ``other`` appears here (within tolerance)."""
-        return all(
-            any(abs(float(p) - float(q)) <= MASS_TOL for q in self.breakpoints)
-            for p in other.breakpoints
-        )
+        return all(any(abs(p - q) <= MASS_TOL for q in self.floats) for p in other.floats)
 
     def refined(self, points: tuple[Number, ...]) -> "Partition":
         """Partition with the extra breakpoints inserted (duplicates dropped)."""
-        merged = list(self.breakpoints)
+        merged = list(zip(self.floats, self.breakpoints))
         for p in points:
             if not 0 <= p <= 1:
                 raise ValueError(f"breakpoint {p} outside [0, 1]")
-            if not any(abs(float(p) - float(q)) <= MASS_TOL for q in merged):
-                merged.append(p)
-        return Partition(tuple(sorted(merged, key=float)))
+            fp = float(p)
+            if not any(abs(fp - q) <= MASS_TOL for q, _ in merged):
+                merged.append((fp, p))
+        return Partition(tuple(point for _, point in sorted(merged)))
 
 
 def partition_domain(game: AltruismGame) -> Partition:
@@ -129,11 +133,9 @@ class IntervalBelief:
         base = Partition((0, 1)) if partition is None else partition
         part = base.refined(tuple(p for p in (lo, hi) if 0 < p < 1))
         total = float(hi - lo)
-        masses = []
-        for clo, chi in part.cells:
-            overlap = max(0.0, min(float(chi), float(hi)) - max(float(clo), float(lo)))
-            masses.append(overlap / total)
-        return cls(part, tuple(masses))
+        overlaps = (max(0.0, min(chi, float(hi)) - max(clo, float(lo)))
+                    for clo, chi in zip(part.floats, part.floats[1:]))
+        return cls(part, tuple(overlap / total for overlap in overlaps))
 
     @property
     def support(self) -> tuple[Number, Number]:
@@ -148,13 +150,12 @@ class IntervalBelief:
         """Same density on a finer partition; cell mass splits by width."""
         part = self.partition.refined(points)
         masses = []
-        old = iter(zip(self.partition.cells, self.masses))
-        (lo, hi), mass = next(old)
-        for clo, chi in part.cells:
-            while not (float(lo) - MASS_TOL <= float(clo) and float(chi) <= float(hi) + MASS_TOL):
-                (lo, hi), mass = next(old)
-            frac = (float(chi) - float(clo)) / (float(hi) - float(lo))
-            masses.append(mass * frac)
+        old = iter(zip(self.partition.floats, self.partition.floats[1:], self.masses))
+        lo, hi, mass = next(old)
+        for clo, chi in zip(part.floats, part.floats[1:]):
+            while not (lo - MASS_TOL <= clo and chi <= hi + MASS_TOL):
+                lo, hi, mass = next(old)
+            masses.append(mass * ((chi - clo) / (hi - lo)))
         return IntervalBelief(part, tuple(masses))
 
 
@@ -226,10 +227,10 @@ def mass_below(belief: IntervalBelief, x: Number) -> float:
     """P(coefficient < x), integrating partial cells linearly."""
     if not 0 <= x <= 1:
         raise ValueError(f"threshold {x} outside [0, 1]")
-    total = 0.0
-    for (lo, hi), mass in zip(belief.partition.cells, belief.masses):
-        if float(x) >= float(hi):
+    total, fx, floats = 0.0, float(x), belief.partition.floats
+    for lo, hi, mass in zip(floats, floats[1:], belief.masses):
+        if fx >= hi:
             total += mass
-        elif float(x) > float(lo):
-            total += mass * (float(x) - float(lo)) / (float(hi) - float(lo))
+        elif fx > lo:
+            total += mass * (fx - lo) / (hi - lo)
     return total

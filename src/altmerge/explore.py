@@ -8,15 +8,15 @@ against the chance that the opponent also believes itself the leader.
 
 Every one of these quantities is constant on each cell of the belief's
 partition. So ``select_action`` builds one cell table from the game and
-the partition, checks the partition once while doing so, and scores every
-row from it; ``ActionEvaluation`` carries each row's expected reward,
-bonus and predicted response distribution. The two bonus helpers read
-their row from ``select_action``. The table holds the follower's best
-response and the leader's value per row and cell and, when conflict-aware,
-the follower's role-swap preference per cell and the conflict region.
-The table is where the partition is checked. A checked partition's
-midpoints all lie in [0, 1], so the table calls ``game``'s unchecked
-kernels ``_best_response`` and ``_role_swap_preference`` directly.
+the partition and scores every row from it; ``ActionEvaluation`` carries
+each row's expected reward, bonus and predicted response distribution.
+The two bonus helpers read their row from ``select_action``. The table
+holds the follower's best response and the leader's value per row and
+cell and, when conflict-aware, the follower's role-swap preference per
+cell and the conflict region. Building it checks the partition once per
+call, against ``decision_partition``; a checked partition's midpoints all
+lie in [0, 1], so the table calls ``game``'s unchecked kernels
+``_best_response`` and ``_role_swap_preference`` directly.
 Exact rationals end at the table: crossings, breakpoints, midpoints and
 best responses are exact, and every score is a float sum over the cell
 masses, in cell order. The posterior after a hypothetical response keeps
@@ -74,8 +74,8 @@ class ActionEvaluation:
 class _CellTable:
     """Per-row, per-cell decision data of one game on one belief partition.
 
-    The constructor checks that the partition refines the game's domain
-    partition and, when conflict-aware, the role-swap breakpoints.
+    The constructor checks that the partition refines the game's decision
+    partition, which carries the role-swap breakpoints when conflict-aware.
     ``responses[i][k]`` is the follower's best response to row i on cell k
     and ``values[i][k]`` the leader's value of it, as a float. ``widths``
     are the cell widths floored at POINT_WIDTH. When conflict-aware, one
@@ -86,10 +86,9 @@ class _CellTable:
     """
 
     def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
-        domain = partition_domain(game)
-        if not partition.refines(domain):
-            raise ValueError("belief partition must refine the game's domain partition")
-        if conflict_aware and not partition.refines(domain.refined(_role_swap_points(game))):
+        if not partition.refines(decision_partition(game, conflict_aware)):
+            if not conflict_aware or not partition.refines(partition_domain(game)):
+                raise ValueError("belief partition must refine the game's domain partition")
             raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
         rows = range(game.n_leader)
         midpoints = partition.midpoints
@@ -169,20 +168,21 @@ def _conflict_mass(belief: IntervalBelief, region: list[tuple[Number, Number]]) 
     return _sum_in_order(mass_below(belief, hi) - mass_below(belief, lo) for lo, hi in region)
 
 
+def _bonus(kind: StrategyKind, game: AltruismGame, belief: IntervalBelief, i: int) -> float:
+    _check_row(game, i)
+    return select_action(game, belief, ExplorationStrategy(kind))[0][i].bonus
+
+
 def info_gain_bonus(game: AltruismGame, belief: IntervalBelief, leader_action: int) -> float:
     """Expected entropy drop of the belief after observing the response."""
-    _check_row(game, leader_action)
-    strategy = ExplorationStrategy(StrategyKind.INFO_GAIN)
-    return select_action(game, belief, strategy)[0][leader_action].bonus
+    return _bonus(StrategyKind.INFO_GAIN, game, belief, leader_action)
 
 
 def expected_reward_gain_bonus(
     game: AltruismGame, belief: IntervalBelief, leader_action: int
 ) -> float:
     """Expected absolute change in total attainable leader value after the response."""
-    _check_row(game, leader_action)
-    strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN)
-    return select_action(game, belief, strategy)[0][leader_action].bonus
+    return _bonus(StrategyKind.REWARD_GAIN, game, belief, leader_action)
 
 
 def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:

@@ -207,18 +207,17 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
         evaluations, leader_action = select_action(game, belief, scenario.strategy)
         predicted = _predicted_response(evaluations[leader_action])
         leader_w, follower_w_pred = scenario.weights[(leader_action, predicted)]
-        plan = bilevel_plan(
-            PlanRequest(
-                leader_state=leader_state,
-                follower_state=follower_state,
-                leader_weights=leader_w,
-                follower_weights=follower_w_pred,
-                horizon=scenario.horizon,
-                dt=scenario.dt,
-                feature_params=scenario.feature_params,
-                bicycle_params=scenario.bicycle_params,
-            )
-        )
+        cell = f"cell ({game.leader_actions[leader_action]}, {game.follower_actions[predicted]})"
+        plan = _build(bilevel_plan, cell, PlanRequest(
+            leader_state=leader_state,
+            follower_state=follower_state,
+            leader_weights=leader_w,
+            follower_weights=follower_w_pred,
+            horizon=scenario.horizon,
+            dt=scenario.dt,
+            feature_params=scenario.feature_params,
+            bicycle_params=scenario.bicycle_params,
+        ))
         leader_control = plan.leader_controls[0]
 
         true_action = _true_response(scenario, leader_action)
@@ -269,7 +268,7 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
                 follower_control=follower_control,
                 leader_state=next_leader,
                 follower_state=next_follower,
-                belief_breakpoints=tuple(float(p) for p in belief.partition.breakpoints),
+                belief_breakpoints=belief.partition.floats,
                 belief_masses=belief.masses,
                 evaluations=tuple(evaluations),
                 likelihoods=likelihoods,

@@ -5,12 +5,13 @@ enumeration or dense coefficient grids, deliberately avoiding the library's
 own game and belief machinery. The planner oracle is the plain nested
 search, built only from the validated ``dynamics.step`` and
 ``dynamics.cost``: it re-solves the follower for every leader candidate and
-caches nothing. The decision oracle is the per-call evaluation built from
-``game`` and ``belief`` primitives: every helper re-solves its own best
-responses and posteriors, nothing shared. Its conflict test and role swap
-come from the grid oracles, not from the package's kernels. Both import the package inside
-their functions, so this file loads without the package on the path, as
-``perfbench`` loads it.
+caches nothing. The decision oracle is the per-call evaluation on the
+belief's cells: every helper re-solves its own best responses, by
+``oracle_best_response`` at each cell midpoint, and writes out its own
+one-hot posteriors, nothing shared. Its conflict test and role swap come
+from the grid oracles too, so no follower response comes from the
+package's solver. Both import the package inside their functions, so this
+file loads without the package on the path, as ``perfbench`` loads it.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def oracle_bilevel_plan(request):
 #
 # The per-call code the decision layer ran before its cell table. Each
 # helper re-checks the partition, re-solves the best response at every
-# belief midpoint and builds every hypothetical posterior with
-# ``bayes_update``; the conflict mass is re-derived for every row and cell.
+# belief midpoint by enumeration and conditions every hypothetical
+# posterior on its own; the conflict mass is re-derived for every row and cell.
 
 
 def _in_order(values):
@@ -251,32 +252,38 @@ def leader_reward_given_alpha(game, leader_action, alpha):
     return altruistic_reward(game, (leader_action, j), Player.LEADER, game.alpha_leader)
 
 
+def _oracle_responses(game, belief, leader_action):
+    """The enumerated best response at each belief cell's midpoint."""
+    return [oracle_best_response(game.rewards, leader_action, mid, game.alpha_leader)
+            for mid in belief.partition.midpoints]
+
+
 def _oracle_row_reward(game, belief, leader_action):
     from altmerge.belief import partition_domain
 
     if not belief.partition.refines(partition_domain(game)):
         raise ValueError("belief partition must refine the game's domain partition")
     return _in_order(
-        mass * float(leader_reward_given_alpha(game, leader_action, mid))
+        mass * float(oracle_leader_row_value(game.rewards, leader_action, mid, game.alpha_leader))
         for mass, mid in zip(belief.masses, belief.partition.midpoints)
     )
 
 
 def _oracle_outcome_distribution(game, belief, leader_action):
-    from altmerge.belief import response_per_cell
-
-    responses = response_per_cell(belief, game, leader_action)
     probs = [0.0] * game.n_follower
-    for mass, j in zip(belief.masses, responses):
+    for mass, j in zip(belief.masses, _oracle_responses(game, belief, leader_action)):
         probs[j] += mass
     return tuple(probs)
 
 
 def _oracle_posterior(game, belief, leader_action, outcome):
-    from altmerge.belief import bayes_update
+    """The belief conditioned on ``outcome``: a one-hot Bayes update, written out."""
+    from altmerge.belief import IntervalBelief
 
-    one_hot = tuple(1.0 if j == outcome else 0.0 for j in range(game.n_follower))
-    return bayes_update(belief, game, leader_action, one_hot)
+    responses = _oracle_responses(game, belief, leader_action)
+    weighted = [mass * (1.0 if j == outcome else 0.0) for mass, j in zip(belief.masses, responses)]
+    total = _in_order(weighted)
+    return IntervalBelief(belief.partition, tuple(w / total for w in weighted))
 
 
 def _oracle_info_gain(game, belief, leader_action):
@@ -352,9 +359,7 @@ def oracle_conflict_adjusted_reward(game, belief, cell, alpha):
 
 
 def _oracle_conflict_aware_reward(game, belief, leader_action):
-    from altmerge.belief import response_per_cell
-
-    responses = response_per_cell(belief, game, leader_action)
+    responses = _oracle_responses(game, belief, leader_action)
     total = 0.0
     for mass, mid, j in zip(belief.masses, belief.partition.midpoints, responses):
         if mass <= 0:

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from altmerge.belief import (
     ENTROPY_FLOOR,
+    MASS_TOL,
     POINT_WIDTH,
     BeliefContradictionError,
     IntervalBelief,
@@ -36,6 +37,12 @@ class TestPartition:
         assert finer.breakpoints == (0, Fraction(1, 4), Fraction(1, 2), 1)
         assert finer.refines(part)
         assert not part.refines(finer)
+
+    def test_cell_geometry_is_computed_once(self):
+        part = Partition((0, Fraction(1, 3), 0.5, 1))
+        for name in ("cells", "floats", "widths", "midpoints"):
+            assert getattr(part, name) is getattr(part, name)
+        assert part.floats == (0.0, 1 / 3, 0.5, 1.0)
 
 
 class TestIntervalBelief:
@@ -175,3 +182,110 @@ def test_updates_preserve_mass_property(masses, likelihoods, row):
     assert all(m >= 0 for m in updated.masses)
     assert updated.partition.breakpoints[0] == 0
     assert updated.partition.breakpoints[-1] == 1
+
+
+# ---------------------------------------------------------------------------
+# References: each site's expression with float() at every use, to compare with
+# the results that read the partition's floats
+
+def _float_site_refines(part, other):
+    return all(
+        any(abs(float(p) - float(q)) <= MASS_TOL for q in part.breakpoints)
+        for p in other.breakpoints
+    )
+
+
+def _float_site_refined(part, points):
+    merged = list(part.breakpoints)
+    for p in points:
+        if not any(abs(float(p) - float(q)) <= MASS_TOL for q in merged):
+            merged.append(p)
+    return Partition(tuple(sorted(merged, key=float)))
+
+
+def _float_site_uniform_on(lo, hi, base):
+    part = _float_site_refined(base, tuple(p for p in (lo, hi) if 0 < p < 1))
+    total = float(hi - lo)
+    masses = []
+    for clo, chi in part.cells:
+        overlap = max(0.0, min(float(chi), float(hi)) - max(float(clo), float(lo)))
+        masses.append(overlap / total)
+    return IntervalBelief(part, tuple(masses))
+
+
+def _float_site_belief_refined(belief, points):
+    part = _float_site_refined(belief.partition, points)
+    masses = []
+    old = iter(zip(belief.partition.cells, belief.masses))
+    (lo, hi), mass = next(old)
+    for clo, chi in part.cells:
+        while not (float(lo) - MASS_TOL <= float(clo) and float(chi) <= float(hi) + MASS_TOL):
+            (lo, hi), mass = next(old)
+        frac = (float(chi) - float(clo)) / (float(hi) - float(lo))
+        masses.append(mass * frac)
+    return IntervalBelief(part, tuple(masses))
+
+
+def _float_site_mass_below(belief, x):
+    total = 0.0
+    for (lo, hi), mass in zip(belief.partition.cells, belief.masses):
+        if float(x) >= float(hi):
+            total += mass
+        elif float(x) > float(lo):
+            total += mass * (float(x) - float(lo)) / (float(hi) - float(lo))
+    return total
+
+
+def _exact(make):
+    """``make()``'s partition or belief with each breakpoint's type and each mass's
+    bits, or the type of the exception it raises."""
+    try:
+        value = make()
+    except Exception as error:  # the exception type is the outcome compared
+        return type(error)
+    if isinstance(value, Partition):
+        return tuple((type(p), p) for p in value.breakpoints)
+    return _exact(lambda: value.partition), tuple(m.hex() for m in value.masses)
+
+
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+@st.composite
+def _mixed_geometry(draw):
+    """A partition mixing Fraction and float breakpoints, some within MASS_TOL of
+    each other, plus a belief on it and points at or near its breakpoints."""
+    inner = set()
+    for p in draw(st.lists(_UNIT.filter(lambda p: 0 < p < 1), max_size=5)):
+        kind = draw(st.sampled_from(("fraction", "float", "twins")))
+        inner.add(float(p) if kind == "float" else p)
+        if kind == "twins":
+            inner.add(float(p) + draw(st.floats(-MASS_TOL, MASS_TOL)))
+    part = Partition((0, *sorted(inner), 1))
+    weights = draw(st.lists(st.integers(0, 4), min_size=part.n_cells, max_size=part.n_cells))
+    weights[draw(st.integers(0, part.n_cells - 1))] += 1
+    belief = IntervalBelief(part, tuple(w / sum(weights) for w in weights))
+    near = st.builds(lambda anchor, offset: min(1.0, max(0.0, float(anchor) + offset)),
+                     st.sampled_from(part.breakpoints), st.floats(-3 * MASS_TOL, 3 * MASS_TOL))
+    points = draw(st.lists(st.one_of(_UNIT, st.floats(0, 1), near), max_size=6))
+    return belief, tuple(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_geometry())
+def test_float_breakpoints_match_the_per_site_float_calls(geometry):
+    belief, points = geometry
+    part = belief.partition
+    finer = _float_site_refined(part, points)
+    assert _exact(lambda: part.refined(points)) == _exact(lambda: finer)
+    alone = _float_site_refined(Partition((0, 1)), points)
+    for a, b in ((part, finer), (finer, part), (part, alone), (alone, part)):
+        assert a.refines(b) is _float_site_refines(a, b)
+    assert _exact(lambda: belief.refined(points)) == _exact(
+        lambda: _float_site_belief_refined(belief, points))
+    for x in (*points, *part.breakpoints):
+        assert mass_below(belief, x).hex() == _float_site_mass_below(belief, x).hex()
+    ends = sorted({*points, *part.breakpoints})
+    for lo, hi in (*zip(ends, ends[1:]), (ends[0], ends[-1])):
+        assert _exact(lambda: IntervalBelief.uniform_on(lo, hi, part)) == _exact(
+            lambda: _float_site_uniform_on(lo, hi, part))

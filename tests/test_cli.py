@@ -138,6 +138,17 @@ class TestRun:
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, quantity)
 
+    def test_non_finite_leader_cost_names_the_cell(self, tmp_path, capsys):
+        # a leader speed weight of 1e308 sums to inf over the horizon, in every cell
+        weights = json.loads(Path(SCENARIO).read_text())["weights"]
+        status = self._run_with_values(tmp_path, {
+            ("weights", row, column, "leader", 2): 1e308
+            for row, cells in weights.items() for column in cells
+        }, steps=2)
+        self._assert_one_error_line(
+            status, capsys, f"{tmp_path / 'mutated.json'}: cell (probe, give_way): "
+                            "the winning leader cost is not finite: inf")
+
     @pytest.mark.parametrize("changes", [
         {("vehicle", "accel_max"): 1e308},
         {("initial_states", "follower", "y"): 1e308},
