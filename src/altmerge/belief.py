@@ -5,22 +5,17 @@ each cell of an interval partition and is uniform inside every cell, so
 all updates stay exact and grid-free. The partition is normally the one
 induced by the game's reward-line crossings: the follower's best response
 is then constant on each cell interior, which is what makes Bayes
-updates well defined. A partition converts its breakpoints to floats once,
-when it is built, and computes its cells, widths and midpoints once, on
-first use; every tolerance test reads the floats.
+updates well defined. The game builds that partition once; one check,
+``_check_partition``, tests a belief's partition against it for every
+public entry, here and in ``explore``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .game import AltruismGame, Number, _best_response, _check_row, intersection_points
-
-#: Mass bookkeeping tolerance.
-MASS_TOL = 1e-9
+from .game import MASS_TOL, AltruismGame, Number, Partition, _best_response, _check_row
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -33,64 +28,18 @@ class BeliefContradictionError(ValueError):
     """An observation assigned zero probability to every surviving cell."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered breakpoints 0 = t0 < t1 < ... < tK = 1 defining K cells."""
-
-    breakpoints: tuple[Number, ...]
-    #: The breakpoints as floats, converted once at construction.
-    floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        pts = tuple(self.breakpoints)
-        object.__setattr__(self, "breakpoints", pts)
-        if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
-            raise ValueError("partition must start at 0 and end at 1")
-        for lo, hi in zip(pts, pts[1:]):
-            if not lo < hi:
-                raise ValueError("partition breakpoints must be strictly increasing")
-        object.__setattr__(self, "floats", tuple(float(p) for p in pts))
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.breakpoints) - 1
-
-    @functools.cached_property
-    def cells(self) -> tuple[tuple[Number, Number], ...]:
-        return tuple(zip(self.breakpoints, self.breakpoints[1:]))
-
-    @functools.cached_property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(float(hi - lo) for lo, hi in self.cells)
-
-    @functools.cached_property
-    def midpoints(self) -> tuple[Number, ...]:
-        return tuple(
-            Fraction(lo + hi, 2) if isinstance(lo + hi, (int, Fraction)) else (lo + hi) / 2
-            for lo, hi in self.cells
-        )
-
-    def refines(self, other: "Partition") -> bool:
-        """True if every breakpoint of ``other`` appears here (within tolerance)."""
-        return all(any(abs(p - q) <= MASS_TOL for q in self.floats) for p in other.floats)
-
-    def refined(self, points: tuple[Number, ...]) -> "Partition":
-        """Partition with the extra breakpoints inserted (duplicates dropped)."""
-        merged = list(zip(self.floats, self.breakpoints))
-        for p in points:
-            if not 0 <= p <= 1:
-                raise ValueError(f"breakpoint {p} outside [0, 1]")
-            fp = float(p)
-            if not any(abs(fp - q) <= MASS_TOL for q, _ in merged):
-                merged.append((fp, p))
-        return Partition(tuple(point for _, point in sorted(merged)))
-
-
 def partition_domain(game: AltruismGame) -> Partition:
-    """Partition of [0, 1] at every reward-line crossing of every leader row."""
-    return Partition((0, 1)).refined(
-        tuple(alpha for i in range(game.n_leader) for alpha in intersection_points(game, i))
-    )
+    """Partition of [0, 1] at every reward-line crossing of every row; the game builds it once."""
+    return game._domain_partition
+
+
+def _check_partition(game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
+    """Check that ``partition`` refines the game's (conflict-aware) decision partition."""
+    if partition.refines(game._role_swap_partition if conflict_aware else game._domain_partition):
+        return
+    if not conflict_aware or not partition.refines(game._domain_partition):
+        raise ValueError("belief partition must refine the game's domain partition")
+    raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
 
 
 def _sum_in_order(values) -> float:
@@ -185,8 +134,7 @@ def response_per_cell(
 ) -> tuple[int, ...]:
     """Follower best response for each belief cell (constant on interiors)."""
     _check_row(game, leader_action)
-    if not belief.partition.refines(partition_domain(game)):
-        raise ValueError("belief partition must refine the game's domain partition")
+    _check_partition(game, belief.partition, False)
     return tuple(_best_response(game, leader_action, mid) for mid in belief.partition.midpoints)
 
 

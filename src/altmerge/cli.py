@@ -75,13 +75,9 @@ def _write_belief_log(path: Path, result: EpisodeResult) -> None:
                 "masses": list(record.belief_masses),
                 "chosen_cell": list(record.chosen_cell),
                 "evaluations": [
-                    {
-                        "action": e.action_index,
-                        "expected_reward": e.expected_reward,
-                        "bonus": e.bonus,
-                        "total": e.total,
-                        "outcome_probabilities": list(e.outcome_probabilities),
-                    }
+                    {"action": e.action_index, "expected_reward": e.expected_reward,
+                     "bonus": e.bonus, "total": e.total,
+                     "outcome_probabilities": list(e.outcome_probabilities)}
                     for e in record.evaluations
                 ],
                 "likelihoods": list(record.likelihoods),
@@ -114,27 +110,32 @@ def _write_summary(path: Path, scenario: Scenario, result: EpisodeResult) -> Non
 def run(args: argparse.Namespace) -> int:
     """Execute the runs the ``run`` flags ask for; 0 on success, 1 on bad input, 2 on warnings.
 
-    A bad scenario or override, an episode that leaves the float range, and
-    an output directory that cannot be created or written each end the runs
-    with one ``error:`` line.
+    A bad scenario or override, two sweep runs that share a directory, an
+    episode that leaves the float range, and an output directory that cannot
+    be created or written each end the runs with one ``error:`` line; the
+    first two are found before any episode runs.
     """
     combos = [(a, s) for a in args.alpha or (None,) for s in args.strategy or (None,)]
     warned = False
     try:
         scenario = load_scenario(args.scenario)
+        runs: dict[Path, Scenario] = {}
         for alpha, strategy_name in combos:
             try:
                 run_scenario = _apply_overrides(scenario, args, alpha, strategy_name)
-                if len(combos) == 1:
-                    run_dir = args.out
-                else:
-                    label_alpha = run_scenario.true_alpha
-                    label_strategy = run_scenario.strategy.kind.value
-                    run_dir = args.out / f"alpha{label_alpha:g}_{label_strategy}"
+            except (ValueError, ArithmeticError) as error:
+                raise ValueError(f"{args.scenario}: {error}") from None
+            label = f"alpha{run_scenario.true_alpha:g}_{run_scenario.strategy.kind.value}"
+            run_dir = args.out / label if len(combos) > 1 else args.out
+            if run_dir in runs:
+                raise ValueError(f"two sweep runs would write to the same directory {run_dir}")
+            runs[run_dir] = run_scenario
+        for run_dir, run_scenario in runs.items():
+            try:
                 run_dir.mkdir(parents=True, exist_ok=True)
                 result = run_episode(run_scenario)
             except (ValueError, ArithmeticError) as error:
-                # a bad override, or finite but extreme values that overflow an episode
+                # finite but extreme values that overflow an episode
                 raise ValueError(f"{args.scenario}: {error}") from None
             _write_trace(run_dir / "trace.csv", result)
             _write_belief_log(run_dir / "belief.jsonl", result)

@@ -13,10 +13,10 @@ each row's expected reward, bonus and predicted response distribution.
 The two bonus helpers read their row from ``select_action``. The table
 holds the follower's best response and the leader's value per row and
 cell and, when conflict-aware, the follower's role-swap preference per
-cell and the conflict region. Building it checks the partition once per
-call, against ``decision_partition``; a checked partition's midpoints all
-lie in [0, 1], so the table calls ``game``'s unchecked kernels
-``_best_response`` and ``_role_swap_preference`` directly.
+cell and the conflict region. Building it runs the one partition check
+that serves every public entry; a checked partition's midpoints all lie in
+[0, 1], so the table calls ``game``'s unchecked kernels ``_best_response``
+and ``_role_swap_preference`` directly.
 Exact rationals end at the table: crossings, breakpoints, midpoints and
 best responses are exact, and every score is a float sum over the cell
 masses, in cell order. The posterior after a hypothetical response keeps
@@ -30,10 +30,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .belief import (POINT_WIDTH, IntervalBelief, Partition, _entropy, _sum_in_order, mass_below,
-                     partition_domain)
+from .belief import (POINT_WIDTH, IntervalBelief, Partition, _check_partition, _entropy,
+                     _sum_in_order, mass_below)
 from .game import (AltruismGame, Number, _best_response, _check_row, _leader_value,
-                   _role_swap_preference, line_crossing)
+                   _role_swap_preference)
 
 
 class StrategyKind(enum.Enum):
@@ -86,10 +86,7 @@ class _CellTable:
     """
 
     def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
-        if not partition.refines(decision_partition(game, conflict_aware)):
-            if not conflict_aware or not partition.refines(partition_domain(game)):
-                raise ValueError("belief partition must refine the game's domain partition")
-            raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
+        _check_partition(game, partition, conflict_aware)
         rows = range(game.n_leader)
         midpoints = partition.midpoints
         self.n_follower = game.n_follower
@@ -185,22 +182,9 @@ def expected_reward_gain_bonus(
     return _bonus(StrategyKind.REWARD_GAIN, game, belief, leader_action)
 
 
-def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:
-    """Coefficients in (0, 1) where any two cells' follower-altruistic values cross.
-
-    Superset of every point where the follower-as-leader preference or its
-    tie-breaking can change; used to bound conflict-region cells. Raw, with
-    repeats: ``Partition.refined`` deduplicates and sorts them.
-    """
-    cells = [(cell[1], cell[0]) for row in game.rewards for cell in row]
-    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
-    return tuple(alpha for alpha in crossings if alpha is not None and 0 < alpha < 1)
-
-
 def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Partition:
-    """Partition on which every decision-time quantity is cellwise constant."""
-    base = partition_domain(game)
-    return base.refined(_role_swap_points(game)) if conflict_aware else base
+    """Partition on which every decision-time quantity is cellwise constant; built once per game."""
+    return game._role_swap_partition if conflict_aware else game._domain_partition
 
 
 def conflict_region(game: AltruismGame) -> tuple[tuple[Number, Number], ...]:

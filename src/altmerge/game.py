@@ -8,7 +8,10 @@ leader's favour and then by lowest column index so runs are reproducible.
 
 Reward crossings are solved in exact rational arithmetic whenever the
 rewards are ints or Fractions, falling back to floats (deduplicated at
-1e-9) otherwise.
+1e-9) otherwise. A ``Partition`` of [0, 1] computes its floats, cells,
+widths and midpoints once. Each game owns its two decision partitions,
+the domain partition at every row's crossings and its refinement at the
+role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, and each public function checks its own
@@ -22,14 +25,17 @@ leader, read straight from the grid. ``explore``'s cell table and
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 Number = int | float | Fraction
 
 #: Dedup tolerance for reward-line crossings computed in floating point.
 CROSSING_TOL = 1e-9
+#: Mass bookkeeping tolerance, also the breakpoint merge tolerance.
+MASS_TOL = 1e-9
 
 
 class Player(enum.Enum):
@@ -97,6 +103,18 @@ class AltruismGame:
     @property
     def n_follower(self) -> int:
         return len(self.follower_actions)
+
+    @functools.cached_property
+    def _domain_partition(self) -> Partition:
+        """Partition of [0, 1] at every reward-line crossing of every leader row."""
+        return Partition((0, 1)).refined(
+            tuple(alpha for i in range(self.n_leader) for alpha in intersection_points(self, i))
+        )
+
+    @functools.cached_property
+    def _role_swap_partition(self) -> Partition:
+        """The domain partition with the role-swap crossings refined in."""
+        return self._domain_partition.refined(_role_swap_points(self))
 
 
 @dataclass(frozen=True)
@@ -234,6 +252,71 @@ def intersection_points(game: AltruismGame, leader_action: int) -> list[Number]:
     return sorted(points)
 
 
+def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:
+    """Coefficients in (0, 1) where any two cells' follower-altruistic values cross.
+
+    Superset of every point where the follower-as-leader preference or its
+    tie-breaking can change; used to bound conflict-region cells. Raw, with
+    repeats: ``Partition.refined`` deduplicates and sorts them.
+    """
+    cells = [(cell[1], cell[0]) for row in game.rewards for cell in row]
+    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
+    return tuple(alpha for alpha in crossings if alpha is not None and 0 < alpha < 1)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Ordered breakpoints 0 = t0 < t1 < ... < tK = 1 defining K cells."""
+
+    breakpoints: tuple[Number, ...]
+    #: The breakpoints as floats, converted once at construction.
+    floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pts = tuple(self.breakpoints)
+        object.__setattr__(self, "breakpoints", pts)
+        if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
+            raise ValueError("partition must start at 0 and end at 1")
+        for lo, hi in zip(pts, pts[1:]):
+            if not lo < hi:
+                raise ValueError("partition breakpoints must be strictly increasing")
+        object.__setattr__(self, "floats", tuple(float(p) for p in pts))
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.breakpoints) - 1
+
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[Number, Number], ...]:
+        return tuple(zip(self.breakpoints, self.breakpoints[1:]))
+
+    @functools.cached_property
+    def widths(self) -> tuple[float, ...]:
+        return tuple(float(hi - lo) for lo, hi in self.cells)
+
+    @functools.cached_property
+    def midpoints(self) -> tuple[Number, ...]:
+        return tuple(
+            Fraction(lo + hi, 2) if isinstance(lo + hi, (int, Fraction)) else (lo + hi) / 2
+            for lo, hi in self.cells
+        )
+
+    def refines(self, other: "Partition") -> bool:
+        """True if every breakpoint of ``other`` appears here (within tolerance)."""
+        return all(any(abs(p - q) <= MASS_TOL for q in self.floats) for p in other.floats)
+
+    def refined(self, points: tuple[Number, ...]) -> "Partition":
+        """Partition with the extra breakpoints inserted (duplicates dropped)."""
+        merged = list(zip(self.floats, self.breakpoints))
+        for p in points:
+            if not 0 <= p <= 1:
+                raise ValueError(f"breakpoint {p} outside [0, 1]")
+            fp = float(p)
+            if not any(abs(fp - q) <= MASS_TOL for q, _ in merged):
+                merged.append((fp, p))
+        return Partition(tuple(point for _, point in sorted(merged)))
+
+
 def build_responsibility_matrix(
     labels: list[list[tuple[OutcomeLabel, OutcomeLabel]]],
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -242,15 +325,8 @@ def build_responsibility_matrix(
     Responsibility for an accident scores -1, achieving the player's goal
     scores 1, anything else 0.
     """
-    grid = []
-    for row in labels:
-        cells = []
-        for leader_label, follower_label in row:
-            cells.append(
-                (RESPONSIBILITY_REWARDS[leader_label], RESPONSIBILITY_REWARDS[follower_label])
-            )
-        grid.append(tuple(cells))
-    return tuple(grid)
+    score = RESPONSIBILITY_REWARDS
+    return tuple(tuple((score[lead], score[follow]) for lead, follow in row) for row in labels)
 
 
 def leader_preference_of_follower(game: AltruismGame, alpha_follower: Number) -> int:

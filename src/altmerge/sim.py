@@ -240,15 +240,8 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
         next_follower = step(follower_state, follower_control, scenario.bicycle_params, scenario.dt)
 
         likelihoods = observation_likelihoods(
-            game,
-            leader_action,
-            follower_control,
-            follower_state,
-            next_leader,
-            scenario.weights,
-            scenario.feature_params,
-            scenario.bicycle_params,
-            scenario.dt,
+            game, leader_action, follower_control, follower_state, next_leader, scenario.weights,
+            scenario.feature_params, scenario.bicycle_params, scenario.dt,
             scenario.observation_temperature,
         )
         warning = None
@@ -295,13 +288,10 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
 
 def run_conflict_experiment(scenario: Scenario) -> dict[str, EpisodeResult]:
     """Run the scenario with conflict awareness off and on, same everything else."""
-    unaware = dataclasses.replace(
-        scenario, strategy=dataclasses.replace(scenario.strategy, conflict_aware=False)
-    )
-    aware = dataclasses.replace(
-        scenario, strategy=dataclasses.replace(scenario.strategy, conflict_aware=True)
-    )
-    return {"unaware": run_episode(unaware), "aware": run_episode(aware)}
+    def run(aware: bool) -> EpisodeResult:
+        strategy = dataclasses.replace(scenario.strategy, conflict_aware=aware)
+        return run_episode(dataclasses.replace(scenario, strategy=strategy))
+    return {"unaware": run(False), "aware": run(True)}
 
 
 # ---------------------------------------------------------------------------

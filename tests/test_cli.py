@@ -260,6 +260,22 @@ class TestRun:
         for directory in dirs:
             assert (tmp_path / directory / "summary.json").exists()
 
+    @pytest.mark.parametrize("flag,value,shared", [
+        ("--alpha", "0.2,0.2000001", "alpha0.2_passive"),
+        ("--strategy", "info-gain,passive,passive", "alpha0.9_passive"),
+    ])
+    def test_sweep_runs_sharing_a_directory_exit_one(self, tmp_path, capsys, flag, value,
+                                                      shared):
+        sweep = {"--alpha": "0.9", "--strategy": "passive", flag: value}
+        status = run_cli("run", "--scenario", SCENARIO, "--alpha", sweep["--alpha"],
+                         "--strategy", sweep["--strategy"], "--steps", "2",
+                         "--out", str(tmp_path / "out"))
+        assert status == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path / "out" / shared) in err
+        assert not (tmp_path / "out").exists()  # rejected before any episode runs
+
     def test_warning_runs_exit_two(self, tmp_path, monkeypatch):
         import altmerge.sim as sim
         from altmerge.belief import BeliefContradictionError

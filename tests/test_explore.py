@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import altmerge.belief as belief_module
 import altmerge.explore as explore
-from altmerge.belief import POINT_WIDTH, IntervalBelief, Partition, partition_domain
+from altmerge.belief import POINT_WIDTH, IntervalBelief, Partition, bayes_update, partition_domain
 from altmerge.explore import (
     ExplorationStrategy,
     StrategyKind,
@@ -327,6 +328,7 @@ class TestChecksOnce:
             lambda: info_gain_bonus(lane_merge_game, coarse, 0),
             lambda: expected_reward_gain_bonus(lane_merge_game, coarse, 0),
             lambda: conflict_mass(lane_merge_game, coarse),
+            lambda: bayes_update(coarse, lane_merge_game, 0, (1.0, 0.0)),
         ]
         for kind in StrategyKind:
             for aware in (False, True):
@@ -360,6 +362,55 @@ class TestChecksOnce:
         strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
         select_action(lane_merge_game, IntervalBelief.uniform(partition), strategy)
         assert 0 < len(calls) <= partition.n_cells
+
+    def test_each_game_builds_its_partitions_once(self, lane_merge_game, monkeypatch):
+        game = lane_merge_game
+        for aware in (False, True):
+            assert decision_partition(game, aware) is decision_partition(game, aware)
+        assert partition_domain(game) is partition_domain(game) is decision_partition(game)
+        solves = []
+
+        def counted(name, original):
+            def solve(*args):
+                solves.append(name)
+                return original(*args)
+            return solve
+
+        # every binding, so a module that imported a solver is counted too
+        for module in (game_module, belief_module, explore):
+            for name in ("line_crossing", "intersection_points"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        aware_belief = IntervalBelief.uniform(decision_partition(game, True))
+        for belief in (uniform_for(game, 0.1, 0.8), aware_belief):
+            for kind in StrategyKind:
+                select_action(game, belief, ExplorationStrategy(kind))
+            bayes_update(belief, game, 0, (1.0, 0.5))
+        for kind in StrategyKind:
+            select_action(game, aware_belief, ExplorationStrategy(kind, conflict_aware=True))
+        conflict_region(game)
+        conflict_mass(game, aware_belief)
+        assert solves == []
+
+    def test_partitions_follow_the_game_object_not_equality(self, lane_merge_game):
+        actions = lane_merge_game.leader_actions, lane_merge_game.follower_actions
+        float_rewards = tuple(tuple((float(a), float(b)) for a, b in row)
+                              for row in lane_merge_game.rewards)
+        float_game = AltruismGame(*actions, float_rewards)
+        int_again = AltruismGame(*actions, lane_merge_game.rewards)
+        assert float_game == lane_merge_game and hash(float_game) == hash(lane_merge_game)
+        games = ((lane_merge_game, Fraction), (float_game, float), (int_again, Fraction))
+        for aware in (False, True):
+            for game, kind in games:
+                partition = decision_partition(game, aware)
+                assert partition.n_cells > 1
+                assert all(type(p) is kind for p in partition.breakpoints[1:-1])
+                belief = IntervalBelief.uniform(partition)
+                for strategy_kind in StrategyKind:
+                    strategy = ExplorationStrategy(strategy_kind, conflict_aware=aware)
+                    want = oracle_evaluations(game, belief, strategy)
+                    best = max(range(len(want)), key=lambda i: (want[i].total, -i))
+                    assert select_action(game, belief, strategy) == (want, best)
 
     def test_selection_rechecks_no_coefficient_and_builds_no_game(self, lane_merge_game,
                                                                  monkeypatch):
