@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import MASS_TOL, AltruismGame, Number, Partition, _best_response, _check_row
+from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row,
+                   _follower_values)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -135,7 +136,9 @@ def response_per_cell(
     """Follower best response for each belief cell (constant on interiors)."""
     _check_row(game, leader_action)
     _check_partition(game, belief.partition, False)
-    return tuple(_best_response(game, leader_action, mid) for mid in belief.partition.midpoints)
+    leader = game._leader_values[leader_action]
+    return tuple(_argmax(_follower_values(game, leader_action, mid), leader)
+                 for mid in belief.partition.midpoints)
 
 
 def bayes_update(

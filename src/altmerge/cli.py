@@ -16,6 +16,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -220,8 +221,21 @@ def _reading(path: Path):
         yield
     except FileNotFoundError:
         raise ValueError(f"{path} not found; run the scenario first") from None
-    except (KeyError, IndexError, TypeError, ValueError, csv.Error) as error:
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError, csv.Error) as error:
         raise ValueError(f"{path} is empty or malformed: {error!r}") from None
+
+
+def _finite(text: str) -> float:
+    """A number read from a run file; NaN or an infinity makes the file malformed."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _json(text: str):
+    """A run file's JSON, with every non-integer number checked by ``_finite``."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
@@ -324,15 +338,19 @@ def plot(run_dir: str | Path) -> int:
     trace, log, summary = (run_dir / name for name in ("trace.csv", "belief.jsonl", "summary.json"))
     try:
         with _reading(summary):
-            facts = json.loads(summary.read_text())
+            facts = _json(summary.read_text())
             lanes = float(facts["lanes"]["x_left"]), float(facts["lanes"]["x_right"])
             actions = [str(name) for name in facts["leader_actions"]]
         with _reading(trace), trace.open() as handle:
             rows = list(csv.DictReader(handle))
+            for row in rows:
+                for column in TRACE_COLUMNS:
+                    if column != "vehicle":
+                        _finite(row[column])
             figures = {"trajectory.svg": _plot_trajectories(rows, *lanes),
                        "relative_position.svg": _plot_relative_position(rows)}
         with _reading(log):
-            records = [json.loads(line) for line in log.read_text().splitlines() if line.strip()]
+            records = [_json(line) for line in log.read_text().splitlines() if line.strip()]
             figures["belief.svg"] = _plot_belief(records)
             figures["bonuses.svg"] = _plot_bonuses(records, actions)
     except (OSError, ValueError) as error:

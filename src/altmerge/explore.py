@@ -15,8 +15,8 @@ holds the follower's best response and the leader's value per row and
 cell and, when conflict-aware, the follower's role-swap preference per
 cell and the conflict region. Building it runs the one partition check
 that serves every public entry; a checked partition's midpoints all lie in
-[0, 1], so the table calls ``game``'s unchecked kernels ``_best_response``
-and ``_role_swap_preference`` directly.
+[0, 1], so the table calls ``game``'s unchecked ``_follower_values`` once
+per row and cell and reads every response and the role swap from them.
 Exact rationals end at the table: crossings, breakpoints, midpoints and
 best responses are exact, and every score is a float sum over the cell
 masses, in cell order. The posterior after a hypothetical response keeps
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from .belief import (POINT_WIDTH, IntervalBelief, Partition, _check_partition, _entropy,
                      _sum_in_order, mass_below)
-from .game import (AltruismGame, Number, _best_response, _check_row, _leader_value,
-                   _role_swap_preference)
+from .game import AltruismGame, Number, _argmax, _check_row, _follower_values, _role_swap
 
 
 class StrategyKind(enum.Enum):
@@ -78,32 +77,36 @@ class _CellTable:
     partition, which carries the role-swap breakpoints when conflict-aware.
     ``responses[i][k]`` is the follower's best response to row i on cell k
     and ``values[i][k]`` the leader's value of it, as a float. ``widths``
-    are the cell widths floored at POINT_WIDTH. When conflict-aware, one
-    role-swap preference per cell gives both ``swapped[i][k]``, the
-    leader's value of row i if the follower plays that preference, and
-    whether the cell is conflicted; adjacent conflicted cells merge into
-    ``region``. The methods take the belief's masses.
+    are the cell widths floored at POINT_WIDTH. When conflict-aware, the
+    same follower values give one role-swap preference per cell, and it
+    gives both ``swapped[i][k]``, the leader's value of row i if the
+    follower plays that preference, and whether the cell is conflicted;
+    adjacent conflicted cells merge into ``region``. The methods take the
+    belief's masses.
     """
 
     def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
         _check_partition(game, partition, conflict_aware)
-        rows = range(game.n_leader)
-        midpoints = partition.midpoints
+        rows, leader = range(game.n_leader), game._leader_values
         self.n_follower = game.n_follower
-        self.responses = [[_best_response(game, i, mid) for mid in midpoints] for i in rows]
-        exact = [[_leader_value(game, i, j) for j in self.responses[i]] for i in rows]
-        self.values = [[float(value) for value in row] for row in exact]
+        self.responses: list[list[int]] = [[] for _ in rows]
+        self.values: list[list[float]] = [[] for _ in rows]
         self.widths = tuple(max(width, POINT_WIDTH) for width in partition.widths)
         self.swapped: list[list[float]] = [[] for _ in rows]
         self.region: list[tuple[Number, Number]] = []
-        if not conflict_aware:
-            return
-        for k, ((lo, hi), mid) in enumerate(zip(partition.cells, midpoints)):
-            as_leader = _role_swap_preference(game, mid)
+        for (lo, hi), mid in zip(partition.cells, partition.midpoints):
+            follower = [_follower_values(game, i, mid) for i in rows]
+            responses = [_argmax(follower[i], leader[i]) for i in rows]
+            for i, j in enumerate(responses):
+                self.responses[i].append(j)
+                self.values[i].append(float(leader[i][j]))
+            if not conflict_aware:
+                continue
+            as_leader = _role_swap(leader, follower)
             for i in rows:
-                self.swapped[i].append(float(_leader_value(game, i, as_leader)))
-            equilibrium_row = max(rows, key=lambda i: (exact[i][k], -i))
-            if self.responses[equilibrium_row][k] == as_leader:
+                self.swapped[i].append(float(leader[i][as_leader]))
+            equilibrium_row = max(rows, key=lambda i: (leader[i][responses[i]], -i))
+            if responses[equilibrium_row] == as_leader:
                 continue
             if self.region and self.region[-1][1] == lo:
                 lo = self.region.pop()[0]

@@ -15,11 +15,12 @@ role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, and each public function checks its own
-coefficient and row or cell once, then calls an unchecked kernel:
-``_best_response`` for the follower's answer to a row and
-``_role_swap_preference`` for the column the follower would commit to as
-leader, read straight from the grid. ``explore``'s cell table and
-``belief.response_per_cell`` call the kernels after their own checks.
+coefficient and row or cell once. The game also computes the leader's
+value of every cell once, on first use. One unchecked kernel,
+``_follower_values``, blends the follower's values of one row at a
+coefficient; every best response and the role swap are read from these two
+grids. ``explore``'s cell table and ``belief.response_per_cell`` call the
+kernel after their own checks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,6 +107,13 @@ class AltruismGame:
         return len(self.follower_actions)
 
     @functools.cached_property
+    def _leader_values(self) -> tuple[tuple[Number, ...], ...]:
+        """The leader's blend of every cell at its own coefficient: ``[i][j]``, exact."""
+        alpha = self.alpha_leader
+        return tuple(tuple((1 - alpha) * leader + alpha * follower for leader, follower in row)
+                     for row in self.rewards)
+
+    @functools.cached_property
     def _domain_partition(self) -> Partition:
         """Partition of [0, 1] at every reward-line crossing of every leader row."""
         return Partition((0, 1)).refined(
@@ -150,45 +159,29 @@ def _check_row(game: AltruismGame, leader_action: int) -> None:
         raise ValueError(f"leader action {leader_action} out of bounds")
 
 
-def _leader_value(game: AltruismGame, i: int, j: int) -> Number:
-    r_leader, r_follower = game.rewards[i][j]
-    return (1 - game.alpha_leader) * r_leader + game.alpha_leader * r_follower
+def _follower_values(game: AltruismGame, i: int, alpha: Number) -> list[Number]:
+    """The follower's blend of each cell of row i at ``alpha``; the one unchecked kernel."""
+    beta = 1 - alpha
+    return [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
 
 
-def _follower_value(game: AltruismGame, i: int, j: int, alpha: Number) -> Number:
-    r_leader, r_follower = game.rewards[i][j]
-    return (1 - alpha) * r_follower + alpha * r_leader
-
-
-def _argmax(values: list[Number], tiebreak) -> int:
-    """Index of the largest value; ties go to the largest ``tiebreak(k)``, then the lowest k."""
+def _argmax(values: Sequence[Number], ties: Sequence[Number]) -> int:
+    """Index of the largest value; ties go to the largest ``ties[k]``, then the lowest k."""
     best = max(values)
     tied = [k for k, value in enumerate(values) if value == best]
     if len(tied) == 1:
         return tied[0]
-    return max(tied, key=lambda k: (tiebreak(k), -k))
+    return max(tied, key=lambda k: (ties[k], -k))
 
 
-def _best_response(game: AltruismGame, i: int, alpha: Number) -> int:
-    """Unchecked kernel of ``follower_best_response``."""
-    beta = 1 - alpha
-    values = [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
-    return _argmax(values, lambda j: _leader_value(game, i, j))
-
-
-def _role_swap_preference(game: AltruismGame, alpha: Number) -> int:
-    """Unchecked kernel of ``leader_preference_of_follower``.
+def _role_swap(leader: Sequence[Sequence[Number]], follower: Sequence[Sequence[Number]]) -> int:
+    """Column the follower commits to as leader, from both players' value grids.
 
     The leader answers column j with the row it values most, ties to the
-    follower's value at ``alpha``, then to the lowest row. The follower
-    commits to the column whose answer it values most, ties to the lowest.
+    follower's value, then to the lowest row. The follower commits to the
+    column whose answer it values most, ties to the lowest.
     """
-    rows = range(game.n_leader)
-    values = []
-    for j in range(game.n_follower):
-        i = _argmax([_leader_value(game, i, j) for i in rows],
-                    lambda i: _follower_value(game, i, j, alpha))
-        values.append(_follower_value(game, i, j, alpha))
+    values = [follow[_argmax(lead, follow)] for lead, follow in zip(zip(*leader), zip(*follower))]
     return values.index(max(values))
 
 
@@ -200,20 +193,16 @@ def follower_best_response(game: AltruismGame, leader_action: int, alpha: Number
     """
     _check_alpha(alpha)
     _check_row(game, leader_action)
-    return _best_response(game, leader_action, alpha)
+    return _argmax(_follower_values(game, leader_action, alpha), game._leader_values[leader_action])
 
 
 def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equilibrium:
     """Backward-induction equilibrium; leader ties break to the lowest row."""
     _check_alpha(alpha_follower)
-    best = None
-    for i in range(game.n_leader):
-        j = _best_response(game, i, alpha_follower)
-        value = _leader_value(game, i, j)
-        if best is None or value > best[0]:
-            best = (value, i, j)
-    _, i, j = best
-    return Equilibrium(i, j, *game.rewards[i][j])
+    rows, leader = range(game.n_leader), game._leader_values
+    responses = [_argmax(_follower_values(game, i, alpha_follower), leader[i]) for i in rows]
+    i = max(rows, key=lambda i: (leader[i][responses[i]], -i))
+    return Equilibrium(i, responses[i], *game.rewards[i][responses[i]])
 
 
 def line_crossing(
@@ -335,4 +324,5 @@ def leader_preference_of_follower(game: AltruismGame, alpha_follower: Number) ->
     The original leader then best-responds with its own fixed coefficient.
     """
     _check_alpha(alpha_follower)
-    return _role_swap_preference(game, alpha_follower)
+    follower = [_follower_values(game, i, alpha_follower) for i in range(game.n_leader)]
+    return _role_swap(game._leader_values, follower)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,8 +342,10 @@ def _build(make, context: str, /, *args, **kwargs):
 
 
 def _number(raw, context: str) -> int | float:
-    """A finite JSON number, as parsed: integers stay exact."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not -math.inf < raw < math.inf:
+    """A JSON number in the float range, as parsed: integers stay exact."""
+    # abs(raw) <= max fails for NaN, an infinity and an integer past the float range
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not abs(raw) <= sys.float_info.max):
         raise ScenarioError(f"{context}: expected a finite number, got {raw!r}")
     return raw
 
@@ -502,7 +505,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ScenarioError(f"{path}: {error}") from None
     try:
         data = json.loads(text)
@@ -510,4 +513,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}:{error.lineno}:{error.colno}: invalid JSON: {error.msg}"
         ) from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as error:  # an integer with more digits than the interpreter converts
+        raise ScenarioError(f"{path}: invalid JSON: {error}") from None
     return parse_scenario(data, str(path))

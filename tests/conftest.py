@@ -1,6 +1,7 @@
 """Shared game fixtures used across the suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,20 +70,26 @@ def make_responsibility_lane_game() -> AltruismGame:
     )
 
 
-def random_game_belief_pairs(count, seed):
+def random_game_belief_pairs(count, seed, leader_altruism=False):
     """Random 2- or 3-row integer games, each with a uniform belief on a random range.
 
     The range is at least 0.05 wide; the belief lives on the game's domain
-    partition refined by the range ends.
+    partition refined by the range ends. With ``leader_altruism`` each game
+    also draws the leader's coefficient: a Fraction in twelfths for even
+    game numbers, a float for odd ones. Without it the leader is selfish and
+    the draws are those of the plain set.
     """
     rng = random.Random(seed)
-    for _ in range(count):
+    for number in range(count):
         m = rng.choice([2, 3])
         rewards = tuple(
             tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
             for _ in range(m)
         )
-        game = AltruismGame(tuple(f"r{i}" for i in range(m)), ("x", "y"), rewards)
+        alpha_leader = 0
+        if leader_altruism:
+            alpha_leader = rng.random() if number % 2 else Fraction(rng.randint(0, 12), 12)
+        game = AltruismGame(tuple(f"r{i}" for i in range(m)), ("x", "y"), rewards, alpha_leader)
         lo = rng.uniform(0, 0.8)
         hi = rng.uniform(lo + 0.05, 1.0)
         yield game, IntervalBelief.uniform_on(lo, hi, partition_domain(game))

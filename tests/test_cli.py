@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -106,6 +107,11 @@ class TestRun:
         (("feature_params", "lambda_x"), True, "feature_params.lambda_x"),
         (("feature_params", "lambda_x"), "abc", "feature_params.lambda_x"),
         (("vehicle", "wheelbase"), True, "vehicle.wheelbase"),
+        # integers past the float range, which JSON keeps exact
+        pytest.param(("dt",), 10**400, "dt", id="dt_huge_int"),
+        pytest.param(("true_alpha",), 10**400, "true_alpha", id="true_alpha_huge_int"),
+        pytest.param(("feature_params", "lambda_x"), -10**400, "feature_params.lambda_x",
+                     id="lambda_x_huge_int"),
     ])
     def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
         status = self._run_with_value(tmp_path, path, value)
@@ -244,6 +250,17 @@ class TestRun:
         assert status == EXIT_ERROR
         assert "bad.json:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+        b"1" * 5000,
+    ], ids=["nested_too_deeply", "not_utf8", "too_many_digits"])
+    def test_unreadable_scenario_names_the_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        status = run_cli("run", "--scenario", str(bad), "--steps", "1", "--out", str(tmp_path / "o"))
+        self._assert_one_error_line(status, capsys, f"error: {bad}: ")
+
     def test_sweep_creates_run_directories(self, tmp_path):
         status = run_cli(
             "run", "--scenario", SCENARIO,
@@ -340,13 +357,27 @@ class TestPlot:
         ("trace.csv", "a,b\n1,2\n"),
         ("summary.json", None),
         ("summary.json", "{}"),
-    ], ids=["belief_record", "belief_json", "trace_header", "summary_missing", "summary_keys"])
+        # a non-finite number, in place of the first one that a pattern matches
+        ("trace.csv", (r"(?m)^0,leader,[^,]+", "0,leader,inf")),
+        ("trace.csv", (r"(?m)^0,follower,([^,]+),[^,]+", r"0,follower,\1,-inf")),
+        ("belief.jsonl", (r'"masses": \[[^,]+', '"masses": [NaN')),
+        ("belief.jsonl", (r'"bonus": [^,]+', '"bonus": 1e400')),
+        ("summary.json", (r'"x_left": [^,]+', '"x_left": -Infinity')),
+        ("summary.json", (r'"x_right": [^,\n]+', '"x_right": 1' + "0" * 400)),
+    ], ids=["belief_record", "belief_json", "trace_header", "summary_missing", "summary_keys",
+            "trace_x_inf", "trace_y_inf", "belief_mass_nan", "belief_bonus_overflow",
+            "summary_lane_inf", "summary_lane_huge_int"])
     def test_malformed_run_file_exits_one(self, tmp_path, capsys, name, content):
         run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path))
         capsys.readouterr()
         target = tmp_path / name
         if content is None:
             target.unlink()
+        elif isinstance(content, tuple):
+            text = target.read_text()
+            edited = re.sub(*content, text, count=1)
+            assert edited != text
+            target.write_text(edited)
         else:
             target.write_text(content)
         assert cli.plot(tmp_path) == EXIT_ERROR
@@ -377,7 +408,7 @@ SHIPPED = {name: json.loads((SCENARIO_DIR / name).read_text())
            for name in ("lane_merge.json", "lane_merge_responsibility.json")}
 DELETE = object()
 MUTATIONS = (DELETE, "x", None, True, [], {}, [[]], float("nan"), float("inf"), float("-inf"),
-             -1, -2.5, 0, 1e308, -1e308)
+             -1, -2.5, 0, 1e308, -1e308, 10**400)
 
 
 @st.composite

@@ -295,10 +295,14 @@ class TestOracleParity:
                         best = max(range(len(want)), key=lambda i: (want[i].total, -i))
                         assert select_action(game, belief, strategy) == (want, best)
 
-    def test_every_helper_agrees_on_the_8b_random_set(self):
+    @pytest.mark.parametrize("count, seed, leader_altruism", [
+        (1000, 271828, False), (100, 161803, True),
+    ], ids=["selfish_leader", "altruistic_leader"])
+    def test_every_helper_agrees_on_the_8b_random_set(self, count, seed, leader_altruism):
         kinds = [ExplorationStrategy(kind) for kind in StrategyKind]
         hedge = ExplorationStrategy(StrategyKind.PASSIVE, conflict_aware=True)
-        for number, (game, belief) in enumerate(random_game_belief_pairs(1000, seed=271828)):
+        pairs = random_game_belief_pairs(count, seed, leader_altruism)
+        for number, (game, belief) in enumerate(pairs):
             for strategy in kinds:
                 got_rows = select_action(game, belief, strategy)[0]
                 want_rows = oracle_evaluations(game, belief, strategy)
@@ -348,20 +352,25 @@ class TestChecksOnce:
         with pytest.raises(ValueError, match="role-swap"):
             conflict_mass(lane_merge_game, belief)
 
-    def test_one_role_swap_preference_per_cell(self, lane_merge_game, monkeypatch):
-        partition = decision_partition(lane_merge_game, True)
+    def test_follower_values_once_per_row_and_cell(self, lane_merge_game, monkeypatch):
+        game = lane_merge_game
+        partition = decision_partition(game, True)
         assert partition.n_cells == 10
         calls = []
-        original = explore._role_swap_preference
+        original = game_module._follower_values
 
-        def counted(game, alpha):
-            calls.append(alpha)
-            return original(game, alpha)
+        def counted(game, i, alpha):
+            calls.append((i, alpha))
+            return original(game, i, alpha)
 
-        monkeypatch.setattr(explore, "_role_swap_preference", counted)
+        # every binding, so the role swap is counted wherever it would solve
+        for module in (game_module, belief_module, explore):
+            if hasattr(module, "_follower_values"):
+                monkeypatch.setattr(module, "_follower_values", counted)
         strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
-        select_action(lane_merge_game, IntervalBelief.uniform(partition), strategy)
-        assert 0 < len(calls) <= partition.n_cells
+        select_action(game, IntervalBelief.uniform(partition), strategy)
+        want = [(i, mid) for mid in partition.midpoints for i in range(game.n_leader)]
+        assert sorted(calls) == sorted(want)
 
     def test_each_game_builds_its_partitions_once(self, lane_merge_game, monkeypatch):
         game = lane_merge_game
