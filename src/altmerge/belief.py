@@ -5,9 +5,15 @@ each cell of an interval partition and is uniform inside every cell, so
 all updates stay exact and grid-free. The partition is normally the one
 induced by the game's reward-line crossings: the follower's best response
 is then constant on each cell interior, which is what makes Bayes
-updates well defined. The game builds that partition once; one check,
-``_check_partition``, tests a belief's partition against it for every
-public entry, here and in ``explore``.
+updates well defined. The game builds that partition once.
+
+The cell table lives here. It checks a belief's partition against the
+game's and holds each row's follower best response and leader value per
+cell and, when conflict-aware, the role swap and the conflict region; it
+calls ``game``'s unchecked ``_follower_values`` once per row and cell.
+``select_action``, ``conflict_mass`` and ``response_per_cell`` share one
+table while the belief and game objects stay the same, so ``bayes_update``
+reads the responses that the step's decision solved.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row,
-                   _follower_values)
+                   _follower_values, _role_swap)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -32,15 +38,6 @@ class BeliefContradictionError(ValueError):
 def partition_domain(game: AltruismGame) -> Partition:
     """Partition of [0, 1] at every reward-line crossing of every row; the game builds it once."""
     return game._domain_partition
-
-
-def _check_partition(game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
-    """Check that ``partition`` refines the game's (conflict-aware) decision partition."""
-    if partition.refines(game._role_swap_partition if conflict_aware else game._domain_partition):
-        return
-    if not conflict_aware or not partition.refines(game._domain_partition):
-        raise ValueError("belief partition must refine the game's domain partition")
-    raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
 
 
 def _sum_in_order(values) -> float:
@@ -130,15 +127,125 @@ def _entropy(masses: tuple[float, ...], widths: tuple[float, ...]) -> float:
     return max(total, ENTROPY_FLOOR)
 
 
+class _CellTable:
+    """Per-row, per-cell decision data of one game on one belief partition.
+
+    The constructor checks that the partition refines the game's decision
+    partition, which carries the role-swap breakpoints when conflict-aware.
+    ``responses[i][k]`` is the follower's best response to row i on cell k
+    and ``values[i][k]`` the leader's value of it, as a float. ``widths``
+    are the cell widths floored at POINT_WIDTH. When conflict-aware, the
+    same follower values give one role-swap preference per cell, and it
+    gives both ``swapped[i][k]``, the leader's value of row i if the
+    follower plays that preference, and whether the cell is conflicted;
+    adjacent conflicted cells merge into ``region``. The methods take the
+    belief's masses.
+    """
+
+    def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
+        decision = game._role_swap_partition if conflict_aware else game._domain_partition
+        if not partition.refines(decision):
+            if not conflict_aware or not partition.refines(game._domain_partition):
+                raise ValueError("belief partition must refine the game's domain partition")
+            raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
+        rows, leader = range(game.n_leader), game._leader_values
+        self.n_follower = game.n_follower
+        self.responses: list[list[int]] = [[] for _ in rows]
+        self.values: list[list[float]] = [[] for _ in rows]
+        self.widths = tuple(max(width, POINT_WIDTH) for width in partition.widths)
+        self.swapped: list[list[float]] = [[] for _ in rows]
+        self.region: list[tuple[Number, Number]] = []
+        for (lo, hi), mid in zip(partition.cells, partition.midpoints):
+            follower = [_follower_values(game, i, mid) for i in rows]
+            responses = [_argmax(follower[i], leader[i]) for i in rows]
+            for i, j in enumerate(responses):
+                self.responses[i].append(j)
+                self.values[i].append(float(leader[i][j]))
+            if not conflict_aware:
+                continue
+            as_leader = _role_swap(leader, follower)
+            for i in rows:
+                self.swapped[i].append(float(leader[i][as_leader]))
+            equilibrium_row = max(rows, key=lambda i: (leader[i][responses[i]], -i))
+            if responses[equilibrium_row] == as_leader:
+                continue
+            if self.region and self.region[-1][1] == lo:
+                lo = self.region.pop()[0]
+            self.region.append((lo, hi))
+
+    def expectation(self, masses: tuple[float, ...], i: int) -> float:
+        return _sum_in_order(mass * value for mass, value in zip(masses, self.values[i]))
+
+    def attainable(self, masses: tuple[float, ...]) -> float:
+        """Sum over rows of the belief-weighted leader value."""
+        return _sum_in_order(self.expectation(masses, i) for i in range(len(self.values)))
+
+    def probabilities(self, masses: tuple[float, ...], i: int) -> tuple[float, ...]:
+        probs = [0.0] * self.n_follower
+        for mass, j in zip(masses, self.responses[i]):
+            probs[j] += mass
+        return tuple(probs)
+
+    def posteriors(self, masses: tuple[float, ...], i: int, probs: tuple[float, ...]):
+        """(probability, posterior masses) of each response the belief predicts.
+
+        The posterior keeps the masses of the cells predicting the response
+        and divides them by their sum, as a one-hot ``bayes_update`` does.
+        """
+        for j, p in enumerate(probs):
+            if p <= 0:
+                continue
+            kept = [mass if r == j else 0.0 for mass, r in zip(masses, self.responses[i])]
+            total = _sum_in_order(kept)
+            yield p, tuple(mass / total for mass in kept)
+
+    def info_gain(
+        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], prior_entropy: float
+    ) -> float:
+        expected_posterior_entropy = 0.0
+        for p, posterior in self.posteriors(masses, i, probs):
+            expected_posterior_entropy += p * _entropy(posterior, self.widths)
+        return prior_entropy - expected_posterior_entropy
+
+    def reward_gain(
+        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], base: float
+    ) -> float:
+        bonus = 0.0
+        for p, posterior in self.posteriors(masses, i, probs):
+            bonus += p * abs(self.attainable(posterior) - base)
+        return bonus
+
+    def hedged(self, masses: tuple[float, ...], i: int, p: float) -> float:
+        """Belief-weighted conflict-hedged value of row i, conflict mass ``p``."""
+        total = 0.0
+        for mass, nominal, conflicted in zip(masses, self.values[i], self.swapped[i]):
+            if mass <= 0:
+                continue
+            total += mass * ((1 - p) * nominal + p * conflicted)
+        return total
+
+
+#: The last cell table built, as (belief, game, conflict_aware, table). The list is
+#: updated in place, so the module attribute stays bound to one object.
+_last_table: list = [(None, None, False, None)]
+
+
+def _cell_table(game: AltruismGame, belief: IntervalBelief, conflict_aware: bool) -> _CellTable:
+    """``belief``'s cell table; the last one is reused for the same belief and game objects."""
+    last = _last_table[0]
+    if last[0] is belief and last[1] is game and last[2] >= conflict_aware:
+        return last[3]
+    table = _CellTable(game, belief.partition, conflict_aware)
+    _last_table[0] = (belief, game, conflict_aware, table)
+    return table
+
+
 def response_per_cell(
     belief: IntervalBelief, game: AltruismGame, leader_action: int
 ) -> tuple[int, ...]:
     """Follower best response for each belief cell (constant on interiors)."""
     _check_row(game, leader_action)
-    _check_partition(game, belief.partition, False)
-    leader = game._leader_values[leader_action]
-    return tuple(_argmax(_follower_values(game, leader_action, mid), leader)
-                 for mid in belief.partition.midpoints)
+    return tuple(_cell_table(game, belief, False).responses[leader_action])
 
 
 def bayes_update(

@@ -171,10 +171,17 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _ratio(value: float, lo: float, hi: float) -> float:
+    """(value - lo) / (hi - lo) from halves: the same for normal floats, finite for any span."""
+    return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
+
+
 class _Frame:
-    """Affine map from data coordinates into the SVG viewport."""
+    """Affine map from data coordinates into the SVG viewport; every value must be finite."""
 
     def __init__(self, xs, ys):
+        if not all(map(math.isfinite, [*xs, *ys])):
+            raise ValueError("a plotted value is not finite")
         self.x_lo, self.x_hi = min(xs), max(xs)
         self.y_lo, self.y_hi = min(ys), max(ys)
         if self.x_hi - self.x_lo < 1e-9:
@@ -184,11 +191,11 @@ class _Frame:
 
     def x(self, value: float) -> float:
         span = _WIDTH - 2 * _MARGIN
-        return _MARGIN + (value - self.x_lo) / (self.x_hi - self.x_lo) * span
+        return _MARGIN + _ratio(value, self.x_lo, self.x_hi) * span
 
     def y(self, value: float) -> float:
         span = _HEIGHT - 2 * _MARGIN
-        return _HEIGHT - _MARGIN - (value - self.y_lo) / (self.y_hi - self.y_lo) * span
+        return _HEIGHT - _MARGIN - _ratio(value, self.y_lo, self.y_hi) * span
 
 
 def _svg_document(body: list[str], title: str) -> str:

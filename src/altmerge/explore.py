@@ -7,21 +7,13 @@ attainable leader value. A conflict-aware variant hedges the expected value
 against the chance that the opponent also believes itself the leader.
 
 Every one of these quantities is constant on each cell of the belief's
-partition. So ``select_action`` builds one cell table from the game and
-the partition and scores every row from it; ``ActionEvaluation`` carries
-each row's expected reward, bonus and predicted response distribution.
-The two bonus helpers read their row from ``select_action``. The table
-holds the follower's best response and the leader's value per row and
-cell and, when conflict-aware, the follower's role-swap preference per
-cell and the conflict region. Building it runs the one partition check
-that serves every public entry; a checked partition's midpoints all lie in
-[0, 1], so the table calls ``game``'s unchecked ``_follower_values`` once
-per row and cell and reads every response and the role swap from them.
-Exact rationals end at the table: crossings, breakpoints, midpoints and
-best responses are exact, and every score is a float sum over the cell
-masses, in cell order. The posterior after a hypothetical response keeps
-the masses of the cells predicting it, renormalized; no best response is
-solved again.
+partition. So ``select_action`` reads ``belief``'s cell table for the
+game and the belief and scores every row from it; ``ActionEvaluation``
+carries each row's expected reward, bonus and predicted response
+distribution. The two bonus helpers read their row from ``select_action``.
+Every score is a float sum over the cell masses, in cell order. The
+posterior after a hypothetical response keeps the masses of the cells
+predicting it, renormalized; no best response is solved again.
 """
 
 from __future__ import annotations
@@ -30,9 +22,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .belief import (POINT_WIDTH, IntervalBelief, Partition, _check_partition, _entropy,
-                     _sum_in_order, mass_below)
-from .game import AltruismGame, Number, _argmax, _check_row, _follower_values, _role_swap
+from .belief import (IntervalBelief, Partition, _CellTable, _cell_table, _entropy, _sum_in_order,
+                     mass_below)
+from .game import AltruismGame, Number, _check_row
 
 
 class StrategyKind(enum.Enum):
@@ -68,100 +60,6 @@ class ActionEvaluation:
     bonus: float
     total: float
     outcome_probabilities: tuple[float, ...]
-
-
-class _CellTable:
-    """Per-row, per-cell decision data of one game on one belief partition.
-
-    The constructor checks that the partition refines the game's decision
-    partition, which carries the role-swap breakpoints when conflict-aware.
-    ``responses[i][k]`` is the follower's best response to row i on cell k
-    and ``values[i][k]`` the leader's value of it, as a float. ``widths``
-    are the cell widths floored at POINT_WIDTH. When conflict-aware, the
-    same follower values give one role-swap preference per cell, and it
-    gives both ``swapped[i][k]``, the leader's value of row i if the
-    follower plays that preference, and whether the cell is conflicted;
-    adjacent conflicted cells merge into ``region``. The methods take the
-    belief's masses.
-    """
-
-    def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
-        _check_partition(game, partition, conflict_aware)
-        rows, leader = range(game.n_leader), game._leader_values
-        self.n_follower = game.n_follower
-        self.responses: list[list[int]] = [[] for _ in rows]
-        self.values: list[list[float]] = [[] for _ in rows]
-        self.widths = tuple(max(width, POINT_WIDTH) for width in partition.widths)
-        self.swapped: list[list[float]] = [[] for _ in rows]
-        self.region: list[tuple[Number, Number]] = []
-        for (lo, hi), mid in zip(partition.cells, partition.midpoints):
-            follower = [_follower_values(game, i, mid) for i in rows]
-            responses = [_argmax(follower[i], leader[i]) for i in rows]
-            for i, j in enumerate(responses):
-                self.responses[i].append(j)
-                self.values[i].append(float(leader[i][j]))
-            if not conflict_aware:
-                continue
-            as_leader = _role_swap(leader, follower)
-            for i in rows:
-                self.swapped[i].append(float(leader[i][as_leader]))
-            equilibrium_row = max(rows, key=lambda i: (leader[i][responses[i]], -i))
-            if responses[equilibrium_row] == as_leader:
-                continue
-            if self.region and self.region[-1][1] == lo:
-                lo = self.region.pop()[0]
-            self.region.append((lo, hi))
-
-    def expectation(self, masses: tuple[float, ...], i: int) -> float:
-        return _sum_in_order(mass * value for mass, value in zip(masses, self.values[i]))
-
-    def attainable(self, masses: tuple[float, ...]) -> float:
-        """Sum over rows of the belief-weighted leader value."""
-        return _sum_in_order(self.expectation(masses, i) for i in range(len(self.values)))
-
-    def probabilities(self, masses: tuple[float, ...], i: int) -> tuple[float, ...]:
-        probs = [0.0] * self.n_follower
-        for mass, j in zip(masses, self.responses[i]):
-            probs[j] += mass
-        return tuple(probs)
-
-    def posteriors(self, masses: tuple[float, ...], i: int, probs: tuple[float, ...]):
-        """(probability, posterior masses) of each response the belief predicts.
-
-        The posterior keeps the masses of the cells predicting the response
-        and divides them by their sum, as a one-hot ``bayes_update`` does.
-        """
-        for j, p in enumerate(probs):
-            if p <= 0:
-                continue
-            kept = [mass if r == j else 0.0 for mass, r in zip(masses, self.responses[i])]
-            total = _sum_in_order(kept)
-            yield p, tuple(mass / total for mass in kept)
-
-    def info_gain(
-        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], prior_entropy: float
-    ) -> float:
-        expected_posterior_entropy = 0.0
-        for p, posterior in self.posteriors(masses, i, probs):
-            expected_posterior_entropy += p * _entropy(posterior, self.widths)
-        return prior_entropy - expected_posterior_entropy
-
-    def reward_gain(
-        self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], base: float
-    ) -> float:
-        bonus = 0.0
-        for p, posterior in self.posteriors(masses, i, probs):
-            bonus += p * abs(self.attainable(posterior) - base)
-        return bonus
-
-    def hedged(self, masses: tuple[float, ...], i: int, p: float) -> float:
-        """Belief-weighted conflict-hedged value of row i, conflict mass ``p``."""
-        total = 0.0
-        for mass, nominal, conflicted in zip(masses, self.values[i], self.swapped[i]):
-            if mass <= 0:
-                continue
-            total += mass * ((1 - p) * nominal + p * conflicted)
-        return total
 
 
 def _conflict_mass(belief: IntervalBelief, region: list[tuple[Number, Number]]) -> float:
@@ -205,7 +103,7 @@ def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
 
     The belief's partition must carry the role-swap breakpoints.
     """
-    return _conflict_mass(belief, _CellTable(game, belief.partition, True).region)
+    return _conflict_mass(belief, _cell_table(game, belief, True).region)
 
 
 def select_action(
@@ -216,7 +114,7 @@ def select_action(
     A finite ``lam`` can still push a row's total out of the float range;
     that raises ``ValueError`` naming lambda rather than comparing infinities.
     """
-    table = _CellTable(game, belief.partition, strategy.conflict_aware)
+    table = _cell_table(game, belief, strategy.conflict_aware)
     masses, kind = belief.masses, strategy.kind
     if kind is StrategyKind.INFO_GAIN:
         prior_entropy = _entropy(masses, table.widths)

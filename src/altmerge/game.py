@@ -19,8 +19,8 @@ coefficient and row or cell once. The game also computes the leader's
 value of every cell once, on first use. One unchecked kernel,
 ``_follower_values``, blends the follower's values of one row at a
 coefficient; every best response and the role swap are read from these two
-grids. ``explore``'s cell table and ``belief.response_per_cell`` call the
-kernel after their own checks.
+grids. ``belief``'s cell table calls the kernel after its own partition
+check.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from fractions import Fraction
 
 Number = int | float | Fraction
 
-#: Dedup tolerance for reward-line crossings computed in floating point.
-CROSSING_TOL = 1e-9
-#: Mass bookkeeping tolerance, also the breakpoint merge tolerance.
+#: Mass bookkeeping tolerance, also the crossing and breakpoint merge tolerance.
 MASS_TOL = 1e-9
 
 
@@ -236,7 +234,7 @@ def intersection_points(game: AltruismGame, leader_action: int) -> list[Number]:
             alpha = line_crossing(row[j][1], row[j][0], row[k][1], row[k][0])
             if alpha is None or not 0 < alpha < 1:
                 continue
-            if not any(abs(alpha - p) <= CROSSING_TOL for p in points):
+            if not any(abs(alpha - p) <= MASS_TOL for p in points):
                 points.append(alpha)
     return sorted(points)
 

@@ -272,6 +272,9 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
         leader_state, follower_state = next_leader, next_follower
 
     relative = leader_state.y - follower_state.y
+    if not math.isfinite(relative):
+        raise ValueError(f"the final relative position is past the float range: leader y "
+                         f"{leader_state.y!r}, follower y {follower_state.y!r}")
     support = belief.support
     summary = EpisodeSummary(
         outcome="ahead" if relative > 0 else "behind",

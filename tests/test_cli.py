@@ -135,14 +135,18 @@ class TestRun:
         status = self._run_with_value(tmp_path, ("episode_steps",), 0)
         self._assert_one_error_line(status, capsys, f"{tmp_path / 'mutated.json'}: episode_steps")
 
-    @pytest.mark.parametrize("path, value, quantity", [
+    @pytest.mark.parametrize("changes, quantity", [
         # caught when the scenario is read: a negative penalty rate
-        (("feature_params", "lambda_x"), -1e308,
+        ({("feature_params", "lambda_x"): -1e308},
          "feature_params: lambda_x must be nonnegative, got -1e+308"),
-    ], ids=["lambda_x"])
-    def test_overflow_names_the_quantity(self, tmp_path, capsys, path, value, quantity):
-        status = self._run_with_value(tmp_path, path, value)
+        # caught when the episode ends: the lead is past the float range, so no summary
+        ({("initial_states", "leader", "y"): 1e308, ("initial_states", "follower", "y"): -1e308},
+         "the final relative position is past the float range"),
+    ], ids=["lambda_x", "relative_position"])
+    def test_overflow_names_the_quantity(self, tmp_path, capsys, changes, quantity):
+        status = self._run_with_values(tmp_path, changes, steps=3, plots=True)
         self._assert_one_error_line(status, capsys, quantity)
+        assert not [path for path in (tmp_path / "o").glob("*") if path.is_file()]
 
     def test_non_finite_leader_cost_names_the_cell(self, tmp_path, capsys):
         # a leader speed weight of 1e308 sums to inf over the horizon, in every cell
@@ -162,10 +166,12 @@ class TestRun:
         # x - x_left overflows to inf; a zero rate must still score 0.0, not 0 * inf = NaN
         {("feature_params", "lambda_x"): 0, ("feature_params", "x_left"): -1e308,
          ("initial_states", "follower", "x"): 1e308},
-    ], ids=["accel_max", "follower_y", "dt", "zero_rate"])
+        # finite lateral positions whose span passes the float range
+        {("initial_states", "leader", "x"): 1e308, ("initial_states", "follower", "x"): -1e308},
+    ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral"])
     def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, changes):
         # the safety ellipse scores 0.0 at any distance, so nothing overflows
-        assert self._run_with_values(tmp_path, changes, steps=3) == EXIT_OK
+        assert self._run_with_values(tmp_path, changes, steps=3, plots=True) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -175,6 +181,8 @@ class TestRun:
         assert len(lines) == 3
         for text in [*lines, (out / "summary.json").read_text()]:
             json.loads(text, parse_constant=reject)
+        svgs = list(out.glob("*.svg"))
+        assert len(svgs) == 4 and not [svg for svg in svgs if "nan" in svg.read_text()]
 
     @pytest.mark.parametrize("path, value, message", [
         (("horizon_step",), 10, "mutated.json: unknown key 'horizon_step'"),
@@ -212,7 +220,7 @@ class TestRun:
         """Run one step of the shipped scenario with the value at ``path`` replaced."""
         return self._run_with_values(tmp_path, {path: value})
 
-    def _run_with_values(self, tmp_path, changes, steps=1):
+    def _run_with_values(self, tmp_path, changes, steps=1, plots=False):
         """Run ``steps`` steps of the shipped scenario with each path's value replaced."""
         data = json.loads(Path(SCENARIO).read_text())
         for path, value in changes.items():
@@ -224,7 +232,7 @@ class TestRun:
         bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(data))
         return run_cli("run", "--scenario", str(bad), "--steps", str(steps),
-                       "--out", str(tmp_path / "o"))
+                       "--out", str(tmp_path / "o"), *["--plots"] * plots)
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -364,9 +372,12 @@ class TestPlot:
         ("belief.jsonl", (r'"bonus": [^,]+', '"bonus": 1e400')),
         ("summary.json", (r'"x_left": [^,]+', '"x_left": -Infinity')),
         ("summary.json", (r'"x_right": [^,\n]+', '"x_right": 1' + "0" * 400)),
+        # finite coordinates whose plotted gap, leader y - follower y, is past the float range
+        ("trace.csv", (r"(?m)^0,leader,([^,]+),[^,]+(,.*\n0,follower,[^,]+),[^,]+",
+                       r"0,leader,\1,1e308\2,-1e308")),
     ], ids=["belief_record", "belief_json", "trace_header", "summary_missing", "summary_keys",
             "trace_x_inf", "trace_y_inf", "belief_mass_nan", "belief_bonus_overflow",
-            "summary_lane_inf", "summary_lane_huge_int"])
+            "summary_lane_inf", "summary_lane_huge_int", "trace_gap_overflow"])
     def test_malformed_run_file_exits_one(self, tmp_path, capsys, name, content):
         run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path))
         capsys.readouterr()

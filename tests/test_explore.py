@@ -8,7 +8,8 @@ import pytest
 
 import altmerge.belief as belief_module
 import altmerge.explore as explore
-from altmerge.belief import POINT_WIDTH, IntervalBelief, Partition, bayes_update, partition_domain
+from altmerge.belief import (POINT_WIDTH, IntervalBelief, Partition, bayes_update, partition_domain,
+                             response_per_cell)
 from altmerge.explore import (
     ExplorationStrategy,
     StrategyKind,
@@ -24,6 +25,7 @@ from altmerge.game import AltruismGame, leader_preference_of_follower, stackelbe
 from altmerge.sim import load_scenario
 from conftest import random_game_belief_pairs
 from oracles import (
+    _oracle_responses,
     oracle_conflict_mass,
     oracle_conflict_region,
     oracle_evaluations,
@@ -368,9 +370,14 @@ class TestChecksOnce:
             if hasattr(module, "_follower_values"):
                 monkeypatch.setattr(module, "_follower_values", counted)
         strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
-        select_action(game, IntervalBelief.uniform(partition), strategy)
+        belief = IntervalBelief.uniform(partition)
+        select_action(game, belief, strategy)
         want = [(i, mid) for mid in partition.midpoints for i in range(game.n_leader)]
         assert sorted(calls) == sorted(want)
+        # the update reads the responses the decision solved, from the same table
+        calls.clear()
+        bayes_update(belief, game, 1, (1.0, 0.5))
+        assert calls == []
 
     def test_each_game_builds_its_partitions_once(self, lane_merge_game, monkeypatch):
         game = lane_merge_game
@@ -401,7 +408,7 @@ class TestChecksOnce:
         conflict_mass(game, aware_belief)
         assert solves == []
 
-    def test_partitions_follow_the_game_object_not_equality(self, lane_merge_game):
+    def test_partitions_follow_the_game_object_not_equality(self, lane_merge_game, monkeypatch):
         actions = lane_merge_game.leader_actions, lane_merge_game.follower_actions
         float_rewards = tuple(tuple((float(a), float(b)) for a, b in row)
                               for row in lane_merge_game.rewards)
@@ -420,6 +427,28 @@ class TestChecksOnce:
                     want = oracle_evaluations(game, belief, strategy)
                     best = max(range(len(want)), key=lambda i: (want[i].total, -i))
                     assert select_action(game, belief, strategy) == (want, best)
+        # right after a decision on one game, an equal but distinct game gets its own table
+        solved = []
+        original = game_module._follower_values
+
+        def counted(game, i, alpha):
+            solved.append(game)
+            return original(game, i, alpha)
+
+        monkeypatch.setattr(belief_module, "_follower_values", counted)
+        hedge = ExplorationStrategy(StrategyKind.PASSIVE, conflict_aware=True)
+        for decided, _ in games:
+            belief = IntervalBelief.uniform(decision_partition(decided, True))
+            for game, _ in games:
+                if game is decided:
+                    continue
+                select_action(decided, belief, hedge)
+                solved.clear()
+                for i in range(game.n_leader):
+                    assert list(response_per_cell(belief, game, i)) == _oracle_responses(
+                        game, belief, i)
+                assert len(solved) == game.n_leader * belief.partition.n_cells
+                assert all(solver is game for solver in solved)
 
     def test_selection_rechecks_no_coefficient_and_builds_no_game(self, lane_merge_game,
                                                                  monkeypatch):
