@@ -176,18 +176,29 @@ def _ratio(value: float, lo: float, hi: float) -> float:
     return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
+def _span(values) -> tuple[float, float]:
+    """(min, max) of finite ``values``, a flat one widened to a finite, nonempty span.
+
+    A span under 1e-9 grows to 1.0 above its low end. Where adding 1.0 changes
+    nothing (beyond 2**53), one end steps one float toward zero instead: the
+    low end of a positive value, the high end of a negative one.
+    """
+    lo, hi = min(values), max(values)
+    if hi - lo >= 1e-9:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    return (math.nextafter(lo, 0.0), hi) if lo > 0 else (lo, math.nextafter(hi, 0.0))
+
+
 class _Frame:
     """Affine map from data coordinates into the SVG viewport; every value must be finite."""
 
     def __init__(self, xs, ys):
         if not all(map(math.isfinite, [*xs, *ys])):
             raise ValueError("a plotted value is not finite")
-        self.x_lo, self.x_hi = min(xs), max(xs)
-        self.y_lo, self.y_hi = min(ys), max(ys)
-        if self.x_hi - self.x_lo < 1e-9:
-            self.x_hi = self.x_lo + 1.0
-        if self.y_hi - self.y_lo < 1e-9:
-            self.y_hi = self.y_lo + 1.0
+        self.x_lo, self.x_hi = _span(xs)
+        self.y_lo, self.y_hi = _span(ys)
 
     def x(self, value: float) -> float:
         span = _WIDTH - 2 * _MARGIN

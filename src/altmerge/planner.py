@@ -30,28 +30,30 @@ actuator limits where they are generated, and a rollout that produces a
 non-finite state still raises ``ValueError``, as does a plan whose winning
 leader cost is not finite.
 
-Both searches prune by branch and bound. A search moves only on
-``score > best + SOLVER_TOL``, and ``best`` only grows, so a point whose
-upper bound is ``<= best + SOLVER_TOL`` could never move it and is skipped
-unevaluated; a skipped leader candidate saves a whole follower solve. The
-bound of a candidate is the objective with each state's pair terms
-``w4 * f4`` and ``w5 * f5`` replaced by ``max(0.0, -w4)`` and ``abs(w5)``,
-summed in the objective's own order, ``total += own + b4 + b5``, from the
-same start: 0.0, or for a follower whose first half against this leader
-first half is already scored, that exact partial. The bound is exact, with
-no margin. Feature 4 lies in [-1, 0] and feature 5 in [-1, 1] (states are
-finite, so ``tanh`` never sees NaN), so the exact products satisfy
-``w4 * f4 <= max(0, -w4)`` and ``w5 * f5 <= |w5|``. Both right-hand sides
-are floats, and IEEE rounding is monotone, so ``fl(w4 * f4)`` and
-``fl(w5 * f5)`` obey the same inequalities; a rounded add is monotone in
-each argument, so every partial sum of the bound is at least the computed
-one, and so is the total. A NaN anywhere makes both the skip test and the
-move test false, so skipping still changes nothing. Pruning never changes
-which point a search returns, only how many it evaluates; ``PlanStats``
-counts both. Nor does it change whether a plan raises: a candidate's
-rollouts are built for its bound before it can be skipped, so a rollout
-that leaves the float range raises either way, and scoring a finite rollout
-never raises.
+Both searches prune by branch and bound, through one callable per search,
+``score(point, floor)``: it fetches the point's two rollouts once, sums
+their bound, and returns ``None`` unevaluated when that bound is
+``<= floor``. A search moves only on ``score > best + SOLVER_TOL``, and
+``best`` only grows, so it passes ``best + SOLVER_TOL`` as the floor: a
+point pruned there could never move it and is skipped for good; a pruned
+leader candidate saves a whole follower solve. The bound of a candidate is
+the objective with each state's pair terms ``w4 * f4`` and ``w5 * f5``
+replaced by ``max(0.0, -w4)`` and ``abs(w5)``, summed in the objective's
+own order, ``total += own + b4 + b5``, from the same start: 0.0, or for a
+follower whose first half against this leader first half is already scored,
+that exact partial. The bound is exact, with no margin. Feature 4 lies in
+[-1, 0] and feature 5 in [-1, 1] (states are finite, so ``tanh`` never sees
+NaN), so the exact products satisfy ``w4 * f4 <= max(0, -w4)`` and
+``w5 * f5 <= |w5|``. Both right-hand sides are floats, and IEEE rounding is
+monotone, so ``fl(w4 * f4)`` and ``fl(w5 * f5)`` obey the same
+inequalities; a rounded add is monotone in each argument, so every partial
+sum of the bound is at least the computed one, and so is the total. A NaN
+anywhere makes both the skip test and the move test false, so skipping
+still changes nothing. Pruning never changes which point a search returns,
+only how many it evaluates; ``PlanStats`` counts both. Nor does it change
+whether a plan raises: ``score`` fetches a candidate's rollouts before its
+bound test, so a rollout that leaves the float range raises either way, and
+scoring a finite rollout never raises.
 """
 
 from __future__ import annotations
@@ -167,23 +169,23 @@ def _candidate_values(center: float, span: float, limit: float) -> list[float]:
 
 
 def _coordinate_search(
-    objective, bound, params: BicycleParams, grids: dict
+    score, params: BicycleParams, grids: dict
 ) -> tuple[tuple[float, ...], float, int, int]:
     """Shrinking-grid cyclic coordinate descent from the zero-control start.
 
-    ``objective`` maps a 4-tuple (accel1, steer1, accel2, steer2) to the
-    value being maximized; it runs once per distinct point of this search.
-    Only strict improvements above SOLVER_TOL move the iterate, so flat
-    objectives keep the zero initialization. ``bound`` maps a point to an
-    upper bound of its objective; a point not yet evaluated whose bound is
-    ``<= best + SOLVER_TOL`` is skipped for good (see the module docstring).
-    The zero start is always evaluated. ``grids`` keeps each
-    ``_candidate_values`` grid by its arguments, for every search that
-    shares it. Returns the point, its value, and the counts of distinct
-    points evaluated and pruned.
+    ``score(point, floor)`` maps a 4-tuple (accel1, steer1, accel2, steer2)
+    to the value being maximized, or to ``None`` when the point's upper
+    bound is ``<= floor``; it runs once per distinct point of this search.
+    The zero start is always scored, with ``floor`` None; every other point
+    gets ``best + SOLVER_TOL``, and a point it prunes is skipped for good
+    (see the module docstring). Only strict improvements above SOLVER_TOL
+    move the iterate, so flat objectives keep the zero initialization.
+    ``grids`` keeps each ``_candidate_values`` grid by its arguments, for
+    every search that shares it. Returns the point, its value, and the
+    counts of distinct points evaluated and pruned.
     """
     start = (0.0, 0.0, 0.0, 0.0)
-    values = {start: objective(start)}
+    values = {start: score(start, None)}
     pruned: set[tuple[float, ...]] = set()
     limits = (params.accel_max, params.steer_max, params.accel_max, params.steer_max)
     current = list(start)
@@ -201,14 +203,17 @@ def _coordinate_search(
                 candidate = list(current)
                 candidate[coord] = value
                 point = tuple(candidate)
-                score = values.get(point)
-                if score is None:
-                    if point in pruned or bound(point) <= best + SOLVER_TOL:
+                scored = values.get(point)
+                if scored is None:
+                    if point in pruned:
+                        continue
+                    scored = score(point, best + SOLVER_TOL)
+                    if scored is None:
                         pruned.add(point)
                         continue
-                    score = values[point] = objective(point)
-                if score > best + SOLVER_TOL:
-                    best = score
+                    values[point] = scored
+                if scored > best + SOLVER_TOL:
+                    best = scored
                     current = candidate
         spans = [s / 2 for s in spans]
     return tuple(current), best, len(values), len(pruned)
@@ -222,7 +227,7 @@ class _Rollouts:
     against any other trajectory adds only the pair features. A state's
     bound term is ``own + b4 + b5``; a first half keeps those terms summed
     from 0.0, a second half keeps them per state, to be summed on from
-    wherever its first half ends.
+    wherever its first half ends, in ``_pair_cost``'s order.
     """
 
     def __init__(
@@ -272,65 +277,37 @@ class _Rollouts:
     def states(self, params4: tuple[float, ...]) -> list:
         return self.head(params4[0], params4[1])[0] + self.tail(params4)[0]
 
-    def bound(self, params4: tuple[float, ...], head_cost: float | None = None) -> float:
-        """Upper bound of the cost against any other trajectory, in ``_pair_cost``'s order.
 
-        ``head_cost`` is the exact first-half cost, when it is known.
-        """
-        total = self.head(params4[0], params4[1])[2] if head_cost is None else head_cost
-        for term in self.tail(params4)[2]:
-            total += term
-        return total
+def _follower_search(
+    rollouts: _Rollouts, head_costs: dict, leader_frame: list, params: BicycleParams, grids: dict
+) -> tuple[tuple[float, ...], int, int]:
+    """Follower 4-tuple maximizing its weighted features against a leader ``_frame``.
 
-
-class _FollowerSolver:
-    """Follower best responses from one start state, with that state's caches.
-
-    ``head_costs[leader_head][(accel1, steer1)]`` is the follower's
-    first-half cost against a leader first half; ``leader_head`` is any key
-    that identifies the leader's first-half controls. ``solves``,
-    ``evaluated`` and ``pruned`` add up the work of every solve.
+    ``head_costs`` maps a follower (accel1, steer1) to its exact first-half
+    cost against this leader's first half; it is filled as the search goes
+    and may be shared by every leader with the same first half. Returns the
+    point and the counts of distinct points evaluated and pruned.
     """
+    weights, feature_params = rollouts.weights, rollouts.feature_params
+    head_frame, tail_frame = leader_frame[:rollouts.first], leader_frame[rollouts.first:]
 
-    def __init__(
-        self,
-        rollouts: _Rollouts,
-        bicycle_params: BicycleParams,
-        grids: dict,
-    ) -> None:
-        self.rollouts = rollouts
-        self.bicycle_params = bicycle_params
-        self.grids = grids
-        self.head_costs: dict[object, dict[tuple[float, float], float]] = {}
-        self.solves = self.evaluated = self.pruned = 0
+    def score(params4: tuple[float, ...], floor: float | None) -> float | None:
+        head_states, head_owns, head_bound = rollouts.head(params4[0], params4[1])
+        tail_states, tail_owns, terms = rollouts.tail(params4)
+        partial = head_costs.get(params4[:2])
+        total = head_bound if partial is None else partial
+        for term in terms:
+            total += term
+        if floor is not None and total <= floor:
+            return None
+        if partial is None:
+            partial = head_costs[params4[:2]] = _pair_cost(
+                head_states, head_owns, head_frame, weights, feature_params
+            )
+        return _pair_cost(tail_states, tail_owns, tail_frame, weights, feature_params, partial)
 
-    def solve(self, leader_head, leader_frame: list) -> tuple[float, ...]:
-        """Follower 4-tuple maximizing its weighted features against a leader ``_frame``."""
-        rollouts = self.rollouts
-        weights, feature_params = rollouts.weights, rollouts.feature_params
-        head_frame, tail_frame = leader_frame[:rollouts.first], leader_frame[rollouts.first:]
-        head_costs = self.head_costs.setdefault(leader_head, {})
-
-        def objective(params4: tuple[float, ...]) -> float:
-            accel1, steer1 = params4[0], params4[1]
-            partial = head_costs.get((accel1, steer1))
-            if partial is None:
-                states, owns, _ = rollouts.head(accel1, steer1)
-                partial = _pair_cost(states, owns, head_frame, weights, feature_params)
-                head_costs[(accel1, steer1)] = partial
-            states, owns, _ = rollouts.tail(params4)
-            return _pair_cost(states, owns, tail_frame, weights, feature_params, partial)
-
-        def bound(params4: tuple[float, ...]) -> float:
-            return rollouts.bound(params4, head_costs.get(params4[:2]))
-
-        params4, _, evaluated, pruned = _coordinate_search(
-            objective, bound, self.bicycle_params, self.grids
-        )
-        self.solves += 1
-        self.evaluated += evaluated
-        self.pruned += pruned
-        return params4
+    point, _, evaluated, pruned = _coordinate_search(score, params, grids)
+    return point, evaluated, pruned
 
 
 def follower_plan(
@@ -353,8 +330,8 @@ def follower_plan(
         leader.append((state.x, state.y, state.v, state.theta))
     rollouts = _Rollouts(follower_state, follower_weights, horizon, dt, feature_params,
                          bicycle_params.wheelbase)
-    solver = _FollowerSolver(rollouts, bicycle_params, {})
-    return _expand(solver.solve(leader_controls[:rollouts.first], _frame(leader)), horizon)
+    point, _, _ = _follower_search(rollouts, {}, _frame(leader), bicycle_params, {})
+    return _expand(point, horizon)
 
 
 def bilevel_plan(request: PlanRequest) -> Plan:
@@ -367,21 +344,31 @@ def bilevel_plan(request: PlanRequest) -> Plan:
     follower = _Rollouts(request.follower_state, request.follower_weights, horizon, dt,
                          feature_params, wheelbase)
     grids: dict = {}
-    solver = _FollowerSolver(follower, bicycle_params, grids)
+    head_costs: dict[tuple[float, float], dict[tuple[float, float], float]] = {}
     responses: dict[tuple[float, ...], tuple[float, ...]] = {}
+    follower_evaluated = follower_pruned = 0
 
-    def objective(params4: tuple[float, ...]) -> float:
-        head_states, head_owns, _ = leader.head(params4[0], params4[1])
-        tail_states, tail_owns, _ = leader.tail(params4)
+    def score(params4: tuple[float, ...], floor: float | None) -> float | None:
+        nonlocal follower_evaluated, follower_pruned
+        head_states, head_owns, total = leader.head(params4[0], params4[1])
+        tail_states, tail_owns, terms = leader.tail(params4)
+        for term in terms:
+            total += term
+        if floor is not None and total <= floor:
+            return None
         states = head_states + tail_states
-        response = responses[params4] = solver.solve(params4[:2], _frame(states))
+        response, evaluated, pruned = _follower_search(
+            follower, head_costs.setdefault(params4[:2], {}), _frame(states), bicycle_params,
+            grids,
+        )
+        responses[params4] = response
+        follower_evaluated += evaluated
+        follower_pruned += pruned
         return _pair_cost(states, head_owns + tail_owns, _frame(follower.states(response)),
                           request.leader_weights, feature_params)
 
-    params4, value, evaluated, pruned = _coordinate_search(
-        objective, leader.bound, bicycle_params, grids
-    )
+    params4, value, evaluated, pruned = _coordinate_search(score, bicycle_params, grids)
     if not math.isfinite(value):
         raise ValueError(f"the winning leader cost is not finite: {value}")
-    stats = PlanStats(evaluated, pruned, solver.solves, solver.evaluated, solver.pruned)
+    stats = PlanStats(evaluated, pruned, len(responses), follower_evaluated, follower_pruned)
     return Plan(_expand(params4, horizon), _expand(responses[params4], horizon), value, stats)

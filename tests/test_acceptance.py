@@ -5,7 +5,8 @@ decision totals, conflict region) with their stated tolerances and a 1 s
 runtime budget each. Criteria 6-7 assert closed-loop behaviour classes of
 the shipped scenarios (trajectory-exact reproduction is out of scope; the
 per-cell weights are artifact defaults). Criterion 8 runs the randomized
-property suites against brute-force oracles.
+property suites against brute-force oracles, and replays the shipped
+episodes against them.
 """
 
 import dataclasses
@@ -22,12 +23,14 @@ from altmerge.explore import (
     ExplorationStrategy,
     StrategyKind,
     conflict_region,
+    decision_partition,
     expected_reward_gain_bonus,
     info_gain_bonus,
     select_action,
 )
 from altmerge.game import (AltruismGame, intersection_points, leader_preference_of_follower,
                            stackelberg_equilibrium)
+from altmerge.planner import PlanRequest
 from altmerge.sim import load_scenario, run_conflict_experiment, run_episode
 from conftest import (
     make_high_stakes_probe_game,
@@ -36,11 +39,24 @@ from conftest import (
     make_two_row_sufficiency_game,
     random_game_belief_pairs,
 )
-from oracles import oracle_equilibrium, oracle_info_gain, oracle_reward_gain
+from oracles import (
+    _in_order,
+    _oracle_responses,
+    oracle_bilevel_plan,
+    oracle_equilibrium,
+    oracle_evaluations,
+    oracle_info_gain,
+    oracle_outcome_distribution,
+    oracle_reward_gain,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 EPISODE_BUDGET_SECONDS = 60.0
+
+#: Leading steps of each shipped episode that criterion 8e replays; an
+#: oracle plan costs about 0.13 s.
+REPLAYED_STEPS = 2
 
 
 @contextmanager
@@ -229,14 +245,19 @@ def test_criterion_8b_bonus_nonnegativity_and_zero_scale_reduction():
 
 def test_criterion_8c_monte_carlo_bonus_agreement():
     with criterion(8, "property suite c: Monte-Carlo bonus oracle within 1e-2"):
+        passive = ExplorationStrategy(StrategyKind.PASSIVE)
         for game, belief in random_game_belief_pairs(50, seed=161803):
             lo, hi = (float(x) for x in belief.support)
+            rows, _ = select_action(game, belief, passive)
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) == pytest.approx(
                     oracle_info_gain(game.rewards, i, lo, hi), abs=1e-2
                 )
                 assert expected_reward_gain_bonus(game, belief, i) == pytest.approx(
                     oracle_reward_gain(game.rewards, i, lo, hi), abs=1e-2
+                )
+                assert rows[i].outcome_probabilities == pytest.approx(
+                    oracle_outcome_distribution(game.rewards, i, lo, hi), abs=1e-2
                 )
 
 
@@ -249,3 +270,50 @@ def test_criterion_8d_mass_conservation_in_episodes(lane_merge_episodes, conflic
             for record in result.records:
                 assert sum(record.belief_masses) == pytest.approx(1.0, abs=1e-9)
                 assert all(mass >= 0 for mass in record.belief_masses)
+
+
+def _shipped_episodes(lane_merge_episodes, conflict_episodes):
+    """(scenario as run, result) of every episode of criteria 6 and 7."""
+    scenario = load_scenario(SCENARIO_DIR / "lane_merge.json")
+    for (_, kind), result in lane_merge_episodes.items():
+        strategy = dataclasses.replace(scenario.strategy, kind=kind, lam=1.0)
+        yield dataclasses.replace(scenario, strategy=strategy), result
+    scenario = load_scenario(SCENARIO_DIR / "lane_merge_responsibility.json")
+    for by_mode in conflict_episodes.values():
+        for mode, result in by_mode.items():
+            strategy = dataclasses.replace(scenario.strategy, conflict_aware=mode == "aware")
+            yield dataclasses.replace(scenario, strategy=strategy), result
+
+
+def test_criterion_8e_episodes_replay_against_the_oracles(lane_merge_episodes, conflict_episodes):
+    """Each step's decision, update and plan, rebuilt from the record and the oracles.
+
+    A cache that lives across steps can go stale only from the second step
+    on, where oracle tests of one call on fresh objects do not look.
+    """
+    with criterion(8, "property suite e: shipped episodes replay against the oracles"):
+        for scenario, result in _shipped_episodes(lane_merge_episodes, conflict_episodes):
+            game, strategy = scenario.game, scenario.strategy
+            partition = decision_partition(game, strategy.conflict_aware)
+            belief = IntervalBelief.uniform(partition)
+            leader, follower = scenario.leader_start, scenario.follower_start
+            for record in result.records[:REPLAYED_STEPS]:
+                assert list(record.evaluations) == oracle_evaluations(game, belief, strategy)
+                leader_weights, follower_weights = scenario.weights[record.chosen_cell]
+                controls, _, _ = oracle_bilevel_plan(PlanRequest(
+                    leader, follower, leader_weights, follower_weights, scenario.horizon,
+                    scenario.dt, scenario.feature_params, scenario.bicycle_params,
+                ))
+                assert record.leader_control == controls[0]
+                if record.warning is None:
+                    responses = _oracle_responses(game, belief, record.chosen_cell[0])
+                    weighted = [mass * record.likelihoods[j]
+                                for mass, j in zip(belief.masses, responses)]
+                    total = _in_order(weighted)
+                    expected = tuple(w / total for w in weighted)
+                else:
+                    expected = IntervalBelief.uniform(partition).masses
+                assert record.belief_breakpoints == partition.floats
+                assert record.belief_masses == expected
+                belief = IntervalBelief(partition, record.belief_masses)
+                leader, follower = record.leader_state, record.follower_state

@@ -54,6 +54,12 @@ class TestRun:
         ]
         assert summary["chosen_cells"] == logged
 
+    def test_conflict_aware_flag_reaches_the_summary(self, tmp_path):
+        status = run_cli("run", "--scenario", SCENARIO, "--steps", "1", "--conflict-aware",
+                         "--out", str(tmp_path))
+        assert status == EXIT_OK
+        assert json.loads((tmp_path / "summary.json").read_text())["conflict_aware"] is True
+
     def test_missing_scenario_exits_one(self, tmp_path, capsys):
         status = run_cli(
             "run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path),
@@ -112,6 +118,31 @@ class TestRun:
         pytest.param(("true_alpha",), 10**400, "true_alpha", id="true_alpha_huge_int"),
         pytest.param(("feature_params", "lambda_x"), -10**400, "feature_params.lambda_x",
                      id="lambda_x_huge_int"),
+        # values of the right type that the scenario's own checks reject
+        pytest.param(("game", "rewards"), [[[3, -2], [-10, 3]]],
+                     "game: reward grid row count does not match leader actions", id="reward_rows"),
+        pytest.param(("game", "rewards"), [[[3, -2]], [[0, -2]], [[2, 0]]],
+                     "game: reward grid column count does not match follower actions",
+                     id="reward_columns"),
+        pytest.param(("game", "leader_actions"), [],
+                     "game: game needs at least one action per player", id="no_leader_actions"),
+        pytest.param(("game", "outcome_labels"), [],
+                     "game: give either 'rewards' or 'outcome_labels', not both",
+                     id="rewards_and_labels"),
+        pytest.param(("game",), {"leader_actions": ["a"], "follower_actions": ["b"]},
+                     "game: needs 'rewards' or 'outcome_labels'", id="no_rewards_or_labels"),
+        pytest.param(("initial_states", "leader", "v"), -1,
+                     "initial_states.leader: speed must be nonnegative", id="negative_speed"),
+        pytest.param(("feature_params", "vehicle_width"), 0,
+                     "feature_params: vehicle dimensions must be positive", id="vehicle_width"),
+        pytest.param(("feature_params", "width_margin"), -3,
+                     "feature_params: lateral ellipse axis must be positive", id="width_margin"),
+        pytest.param(("dt",), 0, "dt must be positive and finite, got 0.0", id="dt_zero"),
+        pytest.param(("observation_temperature",), 0,
+                     "observation_temperature must be positive and finite, got 0.0",
+                     id="temperature_zero"),
+        pytest.param(("follower_mode",), "bogus", "unknown follower_mode 'bogus'",
+                     id="follower_mode"),
     ])
     def test_non_finite_scenario_number_exits_one(self, tmp_path, capsys, path, value, word):
         status = self._run_with_value(tmp_path, path, value)
@@ -168,7 +199,9 @@ class TestRun:
          ("initial_states", "follower", "x"): 1e308},
         # finite lateral positions whose span passes the float range
         {("initial_states", "leader", "x"): 1e308, ("initial_states", "follower", "x"): -1e308},
-    ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral"])
+        # one plotted value on an axis, where adding 1.0 to widen its span changes nothing
+        {("initial_states", "leader", "y"): 1e308, ("initial_states", "follower", "y"): 1e308},
+    ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral", "flat_axis"])
     def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, changes):
         # the safety ellipse scores 0.0 at any distance, so nothing overflows
         assert self._run_with_values(tmp_path, changes, steps=3, plots=True) == EXIT_OK
@@ -324,7 +357,8 @@ class TestRun:
         self._assert_one_error_line(exit_info.value.code, capsys, "greedy")
 
     @pytest.mark.parametrize("flag, value", [
-        ("--steps", "abc"), ("--seed", "3"), ("--alpha", ","), ("--strategy", ","),
+        ("--steps", "abc"), ("--seed", "3"), ("--alpha", ","), ("--alpha", "abc"),
+        ("--strategy", ","),
     ])
     def test_bad_flag_exits_one(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
@@ -340,7 +374,7 @@ class TestRun:
 class TestPlot:
     def test_plot_emits_four_svgs(self, tmp_path):
         run_cli("run", "--scenario", SCENARIO, "--steps", "3", "--out", str(tmp_path))
-        assert cli.plot(tmp_path) == EXIT_OK
+        assert run_cli("plot", str(tmp_path)) == EXIT_OK
         names = {p.name for p in tmp_path.glob("*.svg")}
         assert names == {"trajectory.svg", "relative_position.svg", "belief.svg", "bonuses.svg"}
 

@@ -29,9 +29,6 @@ from oracles import (
     oracle_conflict_mass,
     oracle_conflict_region,
     oracle_evaluations,
-    oracle_info_gain,
-    oracle_outcome_distribution,
-    oracle_reward_gain,
     oracle_row_expectation,
 )
 
@@ -193,21 +190,6 @@ class TestBonusProperties:
             for i in range(game.n_leader):
                 assert info_gain_bonus(game, belief, i) >= -1e-9
                 assert expected_reward_gain_bonus(game, belief, i) >= -1e-9
-
-    def test_bonuses_match_grid_oracle(self):
-        for game, belief in random_game_belief_pairs(40, seed=7):
-            lo, hi = (float(x) for x in belief.support)
-            rows = passive_rows(game, belief)
-            for i in range(game.n_leader):
-                assert info_gain_bonus(game, belief, i) == pytest.approx(
-                    oracle_info_gain(game.rewards, i, lo, hi), abs=1e-2
-                )
-                assert expected_reward_gain_bonus(game, belief, i) == pytest.approx(
-                    oracle_reward_gain(game.rewards, i, lo, hi), abs=1e-2
-                )
-                assert rows[i].outcome_probabilities == pytest.approx(
-                    oracle_outcome_distribution(game.rewards, i, lo, hi), abs=1e-2
-                )
 
     def test_reward_gain_vanishes_when_no_action_can_learn(self, sufficiency_game):
         # support strictly inside the first cell of both rows
