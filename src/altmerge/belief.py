@@ -191,13 +191,13 @@ class _CellTable:
 
         The posterior keeps the masses of the cells predicting the response
         and divides them by their sum, as a one-hot ``bayes_update`` does.
+        That sum is ``p``: both add the same masses from 0.0 in cell order.
         """
         for j, p in enumerate(probs):
             if p <= 0:
                 continue
-            kept = [mass if r == j else 0.0 for mass, r in zip(masses, self.responses[i])]
-            total = _sum_in_order(kept)
-            yield p, tuple(mass / total for mass in kept)
+            yield p, tuple(mass / p if r == j else 0.0
+                           for mass, r in zip(masses, self.responses[i]))
 
     def info_gain(
         self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], prior_entropy: float

@@ -220,16 +220,16 @@ def _svg_document(body: list[str], title: str) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
-def _polyline(points: list[tuple[float, float]], color: str, width=1.5, dash="") -> str:
+def _polyline(points: list[tuple[float, float]], color: str, width: float, dash="") -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{dash_attr}/>')
 
 
-def _label(x: float, y: float, text: str, color="#333333", size=11, anchor="start") -> str:
+def _label(x: float, y: float, text: str, color="#333333", size=11) -> str:
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" fill="{color}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}">{text}</text>')
+            f'font-size="{size}" text-anchor="start">{text}</text>')
 
 
 @contextlib.contextmanager

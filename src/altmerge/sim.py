@@ -336,6 +336,12 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _present(data: dict, prefix: str, readers: dict) -> dict:
+    """``field: read(data[key])`` per ``key: (field, read)`` present; the rest keep defaults."""
+    return {field: read(data[key], f"{prefix}{key}")
+            for key, (field, read) in readers.items() if key in data}
+
+
 def _build(make, context: str, /, *args, **kwargs):
     """``make(*args, **kwargs)``, with a ValueError it raises re-raised naming ``context``."""
     try:
@@ -359,6 +365,16 @@ def _string(raw, context: str) -> str:
     return raw
 
 
+def _real(raw, context: str) -> float:
+    return float(_number(raw, context))
+
+
+def _flag(raw, context: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ScenarioError(f"{context}: expected true or false, got {raw!r}")
+    return raw
+
+
 def _count(raw, context: str) -> int:
     """A whole JSON number; 3.0 is accepted, 2.5 is not."""
     value = _number(raw, context)
@@ -370,7 +386,7 @@ def _count(raw, context: str) -> int:
 def _weight_vector(raw, context: str) -> tuple[float, ...]:
     if not isinstance(raw, list) or len(raw) != N_FEATURES:
         raise ScenarioError(f"{context}: expected a list of {N_FEATURES} numbers")
-    return tuple(float(_number(v, context)) for v in raw)
+    return tuple(_real(v, context) for v in raw)
 
 
 def _action_names(data: dict, key: str, context: str) -> tuple[str, ...]:
@@ -426,27 +442,22 @@ def _parse_game(data, context: str) -> AltruismGame:
         rewards = build_responsibility_matrix(_pair_grid(data, "outcome_labels", context, _label))
     else:
         raise ScenarioError(f"{context}: needs 'rewards' or 'outcome_labels'")
-    alpha_leader = _number(data.get("alpha_leader", 0), f"{context}.alpha_leader")
-    return _build(AltruismGame, context, leader_actions, follower_actions, rewards, alpha_leader)
+    return _build(AltruismGame, context, leader_actions, follower_actions, rewards,
+                  **_present(data, f"{context}.", {"alpha_leader": ("alpha_leader", _number)}))
 
 
 def _parse_state(data, context: str) -> VehicleState:
     _object(data, _KEYS["state"], context)
-    values = [
-        float(_number(_require(data, key, context), f"{context}.{key}"))
-        for key in ("x", "y", "v", "theta")
-    ]
+    values = [_real(_require(data, key, context), f"{context}.{key}")
+              for key in ("x", "y", "v", "theta")]
     return _build(VehicleState, context, *values)
 
 
 def _parse_strategy(data, context: str) -> ExplorationStrategy:
     _object(data, _KEYS["strategy"], context)
     kind = _choice(StrategyKind, _require(data, "kind", context), context, "strategy kind")
-    aware = data.get("conflict_aware", False)
-    if not isinstance(aware, bool):
-        raise ScenarioError(f"{context}.conflict_aware: expected true or false, got {aware!r}")
-    lam = float(_number(data.get("lambda", 1.0), f"{context}.lambda"))
-    return _build(ExplorationStrategy, context, kind=kind, lam=lam, conflict_aware=aware)
+    readers = {"conflict_aware": ("conflict_aware", _flag), "lambda": ("lam", _real)}
+    return _build(ExplorationStrategy, context, kind=kind, **_present(data, f"{context}.", readers))
 
 
 def _parse_params(data: dict, key: str, source: str):
@@ -488,18 +499,15 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         leader_start=_parse_state(_require(states, "leader", states_ctx), f"{states_ctx}.leader"),
         follower_start=_parse_state(_require(states, "follower", states_ctx),
                                     f"{states_ctx}.follower"),
-        true_alpha=float(_number(_require(data, "true_alpha", source), f"{source}: true_alpha")),
+        true_alpha=_real(_require(data, "true_alpha", source), f"{source}: true_alpha"),
         strategy=_parse_strategy(_require(data, "strategy", source), f"{source}: strategy"),
-        episode_steps=_count(data.get("episode_steps", 30), f"{source}: episode_steps"),
-        dt=float(_number(data.get("dt", 0.2), f"{source}: dt")),
-        horizon=_count(data.get("horizon_steps", 6), f"{source}: horizon_steps"),
-        observation_temperature=float(
-            _number(data.get("observation_temperature", 1.0), f"{source}: observation_temperature")
-        ),
-        follower_mode=_string(data.get("follower_mode", FOLLOWER_MODE_FOLLOWER),
-                              f"{source}: follower_mode"),
         feature_params=feature_params,
         bicycle_params=bicycle_params,
+        **_present(data, f"{source}: ", {
+            "episode_steps": ("episode_steps", _count), "dt": ("dt", _real),
+            "horizon_steps": ("horizon", _count),
+            "observation_temperature": ("observation_temperature", _real),
+            "follower_mode": ("follower_mode", _string)}),
     )
 
 

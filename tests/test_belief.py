@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,19 @@ class TestIntervalBelief:
     def test_rejects_non_finite_mass(self, masses):
         with pytest.raises(ValueError, match="mass"):
             IntervalBelief(Partition((0, 0.5, 1)), masses)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda game: IntervalBelief(Partition((0, 0.5, 1)), (1.0,)),
+         "one mass per partition cell required"),
+        (lambda game: IntervalBelief.uniform_on(0.6, 0.4), "invalid support [0.6, 0.4]"),
+        (lambda game: bayes_update(IntervalBelief.uniform(partition_domain(game)), game, 0, (1.0,)),
+         "one likelihood per follower action required"),
+        (lambda game: mass_below(IntervalBelief.uniform(Partition((0, 1))), 1.5),
+         "threshold 1.5 outside [0, 1]"),
+    ], ids=["one_mass", "reversed_support", "one_likelihood", "threshold"])
+    def test_rejects_malformed_input(self, lane_merge_game, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(lane_merge_game)
 
 
 class TestPartitionDomain:

@@ -5,7 +5,10 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -53,6 +56,17 @@ class TestRun:
             for line in (tmp_path / "belief.jsonl").read_text().splitlines()
         ]
         assert summary["chosen_cells"] == logged
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "altmerge.cli", "run", "--scenario", SCENARIO,
+             "--steps", "1", "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith(f"{tmp_path / 'o'}: outcome=")
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["steps"] == 1
 
     def test_conflict_aware_flag_reaches_the_summary(self, tmp_path):
         status = run_cli("run", "--scenario", SCENARIO, "--steps", "1", "--conflict-aware",
@@ -137,6 +151,9 @@ class TestRun:
                      "feature_params: vehicle dimensions must be positive", id="vehicle_width"),
         pytest.param(("feature_params", "width_margin"), -3,
                      "feature_params: lateral ellipse axis must be positive", id="width_margin"),
+        pytest.param(("feature_params", "length_margin"), -10,
+                     "feature_params: longitudinal ellipse axis must be positive",
+                     id="length_margin"),
         pytest.param(("dt",), 0, "dt must be positive and finite, got 0.0", id="dt_zero"),
         pytest.param(("observation_temperature",), 0,
                      "observation_temperature must be positive and finite, got 0.0",
@@ -204,14 +221,14 @@ class TestRun:
     ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral", "flat_axis"])
     def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, changes):
         # the safety ellipse scores 0.0 at any distance, so nothing overflows
-        assert self._run_with_values(tmp_path, changes, steps=3, plots=True) == EXIT_OK
+        assert self._run_with_values(tmp_path, changes, steps=5, plots=True) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
         out = tmp_path / "o"
         lines = (out / "belief.jsonl").read_text().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 5
         for text in [*lines, (out / "summary.json").read_text()]:
             json.loads(text, parse_constant=reject)
         svgs = list(out.glob("*.svg"))

@@ -31,6 +31,14 @@ class TestParams:
         with pytest.raises(ValueError, match="lambda_x"):
             FeatureParams(lambda_x=value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: VehicleState(0.0, math.nan, 5.0, 0.0), "non-finite state component y"),
+        (lambda: FeatureParams(length_margin=-10.0), "longitudinal ellipse axis must be positive"),
+    ], ids=["state_y_nan", "length_margin"])
+    def test_rejects_malformed_input(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestStep:
     def test_straight_line_motion(self):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from altmerge.game import (
     AltruismGame,
     OutcomeLabel,
+    Partition,
     Player,
     altruistic_reward,
     build_responsibility_matrix,
@@ -33,6 +34,15 @@ class TestAltruismGame:
     def test_rejects_non_finite_reward(self, reward):
         with pytest.raises(ValueError, match="finite"):
             AltruismGame(("a",), ("x", "y"), (((1, reward), (0, 2)),))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AltruismGame(("a",), ("x", "y"), (((1, 0, 2), (0, 2)),)),
+         r"every cell must hold exactly one reward pair"),
+        (lambda: Partition((0, 1)).refined((1.5,)), r"breakpoint 1\.5 outside \[0, 1\]"),
+    ], ids=["three_number_cell", "breakpoint_outside"])
+    def test_rejects_malformed_input(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestAltruisticReward:

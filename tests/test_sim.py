@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,17 @@ class TestScenarioParsing:
         del data["weights"]["probe"]["stay_ahead"]
         with pytest.raises(ScenarioError, match="probe"):
             parse_scenario(data, "doc")
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda weights: weights.pop((2, 1)), "weight table misses cell (2, 1)"),
+        (lambda weights: weights.update({(2, 1): (weights[(2, 1)][0], (0.0,) * 5)}),
+         "cell (2, 1) needs two 6-entry weight vectors"),
+    ], ids=["missing_cell", "short_follower_vector"])
+    def test_scenario_rejects_incomplete_weights(self, lane_scenario, change, message):
+        weights = dict(lane_scenario.weights)
+        change(weights)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            dataclasses.replace(lane_scenario, weights=weights)
 
     def test_wrong_weight_arity_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
