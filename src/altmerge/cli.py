@@ -176,6 +176,11 @@ def _ratio(value: float, lo: float, hi: float) -> float:
     return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
+def _clamp(value: float) -> float:
+    """``value`` in the float range: a sum past it draws at the range's edge."""
+    return min(max(value, -sys.float_info.max), sys.float_info.max)
+
+
 def _span(values) -> tuple[float, float]:
     """(min, max) of finite ``values``, a flat one widened to a finite, nonempty span.
 
@@ -257,8 +262,9 @@ def _json(text: str):
 
 
 def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
-    half_lane = (x_right - x_left) / 2
-    edges = [x_left - half_lane, (x_left + x_right) / 2, x_right + half_lane]
+    # from halves, as in _ratio: the same for normal floats, and finite for any lanes
+    half_lane = x_right / 2 - x_left / 2
+    edges = [_clamp(x_left - half_lane), x_left / 2 + x_right / 2, _clamp(x_right + half_lane)]
     per_vehicle: dict[str, list[tuple[float, float]]] = {"leader": [], "follower": []}
     for row in rows:
         per_vehicle[row["vehicle"]].append((float(row["x"]), float(row["y"])))
@@ -315,7 +321,7 @@ def _plot_bonuses(records: list[dict], actions: list[str]) -> str:
     n_actions = len(records[0]["evaluations"])
     totals = [abs(e["expected_reward"]) + e["bonus"]
               for r in records for e in r["evaluations"]]
-    peak = max(max(totals), 1e-9)
+    peak = max(_clamp(max(totals)), 1e-9)
     frame = _Frame([0, len(records) * n_actions], [-peak, peak])
     slot = (_WIDTH - 2 * _MARGIN) / max(1, len(records))
     bar = slot / (n_actions + 1)
@@ -337,7 +343,7 @@ def _plot_bonuses(records: list[dict], actions: list[str]) -> str:
                 f'<rect x="{_fmt(x0)}" y="{_fmt(top)}" width="{_fmt(bar * 0.9)}" '
                 f'height="{_fmt(height)}" fill="{color}" fill-opacity="0.55"/>'
             )
-            bonus_base = frame.y(max(reward, 0.0) + bonus)
+            bonus_base = frame.y(_clamp(max(reward, 0.0) + bonus))
             bonus_height = abs(frame.y(max(reward, 0.0)) - bonus_base)
             body.append(
                 f'<rect x="{_fmt(x0)}" y="{_fmt(bonus_base)}" width="{_fmt(bar * 0.9)}" '

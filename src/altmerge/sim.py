@@ -86,10 +86,14 @@ class Scenario:
     def __post_init__(self) -> None:
         if not 0 <= self.true_alpha <= 1:
             raise ScenarioError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
+        if not isinstance(self.episode_steps, int):
+            raise ScenarioError(f"episode_steps must be an integer, got {self.episode_steps!r}")
         if self.episode_steps < 1:
             raise ScenarioError("episode_steps must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
+        if not isinstance(self.horizon, int):
+            raise ScenarioError(f"horizon must be an integer, got {self.horizon!r}")
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon:g}")
         if not (math.isfinite(self.observation_temperature) and self.observation_temperature > 0):
@@ -105,6 +109,8 @@ class Scenario:
                 pair = self.weights[(i, j)]
                 if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
                     raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
+                if not all(math.isfinite(w) for vector in pair for w in vector):
+                    raise ScenarioError(f"cell ({i}, {j}) needs finite weights")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from altmerge.belief import IntervalBelief, partition_domain
-from altmerge.game import AltruismGame, OutcomeLabel, build_responsibility_matrix
+from altmerge.game import AltruismGame
+from altmerge.sim import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_high_stakes_probe_game() -> AltruismGame:
@@ -39,35 +43,21 @@ def make_two_row_sufficiency_game() -> AltruismGame:
 
 
 def make_lane_merge_game() -> AltruismGame:
-    """Hand-valued lane-merge game: merge ahead / merge behind / probe."""
-    return AltruismGame(
-        leader_actions=("merge_ahead", "merge_behind", "probe"),
-        follower_actions=("give_way", "stay_ahead"),
-        rewards=(
-            ((3, -2), (-10, 3)),
-            ((0, -2), (1, 3)),
-            ((2, 0), (-1, 3)),
-        ),
-    )
-
-
-LANE_MERGE_LABELS = [
-    [(OutcomeLabel.GOAL_ACHIEVED, OutcomeLabel.NEUTRAL),
-     (OutcomeLabel.ACCIDENT_RESPONSIBLE, OutcomeLabel.ACCIDENT_RESPONSIBLE)],
-    [(OutcomeLabel.ACCIDENT_RESPONSIBLE, OutcomeLabel.ACCIDENT_RESPONSIBLE),
-     (OutcomeLabel.NEUTRAL, OutcomeLabel.GOAL_ACHIEVED)],
-    [(OutcomeLabel.GOAL_ACHIEVED, OutcomeLabel.NEUTRAL),
-     (OutcomeLabel.NEUTRAL, OutcomeLabel.GOAL_ACHIEVED)],
-]
+    """The shipped lane-merge game: merge ahead / merge behind / probe."""
+    return load_scenario(SCENARIO_DIR / "lane_merge.json").game
 
 
 def make_responsibility_lane_game() -> AltruismGame:
-    """Lane-merge game built from accident-responsibility labels."""
-    return AltruismGame(
-        leader_actions=("merge_ahead", "merge_behind", "probe"),
-        follower_actions=("give_way", "stay_ahead"),
-        rewards=build_responsibility_matrix(LANE_MERGE_LABELS),
-    )
+    """The shipped lane-merge game built from accident-responsibility labels."""
+    return load_scenario(SCENARIO_DIR / "lane_merge_responsibility.json").game
+
+
+def shipped_games() -> list[AltruismGame]:
+    return [make_lane_merge_game(), make_responsibility_lane_game()]
+
+
+def uniform_for(game, lo=0, hi=1):
+    return IntervalBelief.uniform_on(lo, hi, partition_domain(game))
 
 
 def random_game_belief_pairs(count, seed, leader_altruism=False):

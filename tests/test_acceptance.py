@@ -14,11 +14,10 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from altmerge.belief import IntervalBelief, partition_domain
+from altmerge.belief import IntervalBelief
 from altmerge.explore import (
     ExplorationStrategy,
     StrategyKind,
@@ -33,11 +32,13 @@ from altmerge.game import (AltruismGame, intersection_points, leader_preference_
 from altmerge.planner import PlanRequest
 from altmerge.sim import load_scenario, run_conflict_experiment, run_episode
 from conftest import (
+    SCENARIO_DIR,
     make_high_stakes_probe_game,
     make_lane_merge_game,
     make_responsibility_lane_game,
     make_two_row_sufficiency_game,
     random_game_belief_pairs,
+    uniform_for,
 )
 from oracles import (
     _in_order,
@@ -49,8 +50,6 @@ from oracles import (
     oracle_outcome_distribution,
     oracle_reward_gain,
 )
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 EPISODE_BUDGET_SECONDS = 60.0
 
@@ -69,10 +68,6 @@ def criterion(number, description):
         raise
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE {number} ({description}): PASS [{elapsed:.2f}s]")
-
-
-def uniform_for(game, lo=0, hi=1):
-    return IntervalBelief.uniform_on(lo, hi, partition_domain(game))
 
 
 @pytest.fixture(scope="module")

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import altmerge.cli as cli
 from altmerge.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
+from conftest import SCENARIO_DIR
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO = str(SCENARIO_DIR / "lane_merge.json")
 
 
@@ -218,7 +218,13 @@ class TestRun:
         {("initial_states", "leader", "x"): 1e308, ("initial_states", "follower", "x"): -1e308},
         # one plotted value on an axis, where adding 1.0 to widen its span changes nothing
         {("initial_states", "leader", "y"): 1e308, ("initial_states", "follower", "y"): 1e308},
-    ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral", "flat_axis"])
+        # lanes whose width, and so the drawn outer lane edges, pass the float range
+        {("feature_params", "x_left"): -1e308, ("feature_params", "x_right"): 1e308},
+        # a row whose |expected reward| + bonus, the bar chart's scale, passes the float range
+        {("game", "rewards"): [[[-1.5e308, 1e308], [-1e308, 0]], [[0, 1e308], [1e308, 0]],
+                               [[0, 0], [0, 0]]]},
+    ], ids=["accel_max", "follower_y", "dt", "zero_rate", "lateral", "flat_axis", "wide_lanes",
+            "huge_rewards"])
     def test_vehicles_far_apart_run_to_strict_json(self, tmp_path, changes):
         # the safety ellipse scores 0.0 at any distance, so nothing overflows
         assert self._run_with_values(tmp_path, changes, steps=5, plots=True) == EXIT_OK
@@ -232,7 +238,8 @@ class TestRun:
         for text in [*lines, (out / "summary.json").read_text()]:
             json.loads(text, parse_constant=reject)
         svgs = list(out.glob("*.svg"))
-        assert len(svgs) == 4 and not [svg for svg in svgs if "nan" in svg.read_text()]
+        assert len(svgs) == 4
+        assert not [svg for svg in svgs if re.search("nan|inf", svg.read_text())]
 
     @pytest.mark.parametrize("path, value, message", [
         (("horizon_step",), 10, "mutated.json: unknown key 'horizon_step'"),
@@ -258,10 +265,11 @@ class TestRun:
         (("name",), 5, "mutated.json: name: expected a string, got 5"),
         (("name",), ["a"], "mutated.json: name: expected a string, got ['a']"),
         (("description",), 5, "mutated.json: description: expected a string, got 5"),
+        (("game", "rewards"), 5, "mutated.json: game.rewards: expected a list of rows"),
     ], ids=["horizon_step", "conflict_awre", "positive_gain_only", "conflict_aware_string",
             "game", "initial_states", "state", "weight_cell", "lambda_v", "feature_param",
             "vehicle", "weights_row", "weights_cell", "leader_actions", "follower_actions",
-            "name_null", "name_number", "name_list", "description"])
+            "name_null", "name_number", "name_list", "description", "rewards_not_a_list"])
     def test_misspelled_or_mistyped_key_exits_one(self, tmp_path, capsys, path, value, message):
         status = self._run_with_value(tmp_path, path, value)
         self._assert_one_error_line(status, capsys, message)

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,9 +20,8 @@ from altmerge.explore import (
     select_action,
 )
 import altmerge.game as game_module
-from altmerge.game import AltruismGame, leader_preference_of_follower, stackelberg_equilibrium
-from altmerge.sim import load_scenario
-from conftest import random_game_belief_pairs
+from altmerge.game import AltruismGame
+from conftest import random_game_belief_pairs, shipped_games, uniform_for
 from oracles import (
     _oracle_responses,
     oracle_conflict_mass,
@@ -32,14 +30,7 @@ from oracles import (
     oracle_row_expectation,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
 PASSIVE = ExplorationStrategy(StrategyKind.PASSIVE)
-
-
-def uniform_for(game, lo=0, hi=1):
-    return IntervalBelief.uniform_on(lo, hi, partition_domain(game))
 
 
 def passive_rows(game, belief):
@@ -87,11 +78,6 @@ class TestPredictedOutcomeDistribution:
 
 
 class TestInfoGainBonus:
-    def test_sufficiency_game_full_prior(self, sufficiency_game):
-        b = uniform_for(sufficiency_game)
-        assert info_gain_bonus(sufficiency_game, b, 0) == pytest.approx(0.68, abs=0.01)
-        assert info_gain_bonus(sufficiency_game, b, 1) == pytest.approx(0.45, abs=0.01)
-
     def test_sufficiency_game_after_first_observation(self, sufficiency_game):
         b = uniform_for(sufficiency_game, Fraction(5, 12), 1)
         assert info_gain_bonus(sufficiency_game, b, 0) == pytest.approx(0.0, abs=1e-9)
@@ -103,11 +89,6 @@ class TestInfoGainBonus:
 
 
 class TestExpectedRewardGainBonus:
-    def test_sufficiency_game_full_prior(self, sufficiency_game):
-        b = uniform_for(sufficiency_game)
-        assert expected_reward_gain_bonus(sufficiency_game, b, 0) == pytest.approx(3.54, abs=0.01)
-        assert expected_reward_gain_bonus(sufficiency_game, b, 1) == pytest.approx(1.25, abs=0.01)
-
     def test_sufficiency_game_after_first_observation(self, sufficiency_game):
         b = uniform_for(sufficiency_game, Fraction(5, 12), 1)
         assert expected_reward_gain_bonus(sufficiency_game, b, 0) == pytest.approx(0.0, abs=1e-9)
@@ -119,13 +100,6 @@ class TestExpectedRewardGainBonus:
 
 
 class TestSelectAction:
-    def test_probe_game_passive_prefers_safe_row(self, probe_game):
-        b = uniform_for(probe_game)
-        evals, chosen = select_action(probe_game, b, ExplorationStrategy(StrategyKind.PASSIVE))
-        assert chosen == 2
-        rewards = [e.expected_reward for e in evals]
-        assert rewards == pytest.approx([-11 / 15, 1 / 3, 2], abs=1e-9)
-
     def test_probe_game_info_gain_still_prefers_safe_row(self, probe_game):
         b = uniform_for(probe_game)
         evals, chosen = select_action(probe_game, b, ExplorationStrategy(StrategyKind.INFO_GAIN))
@@ -185,12 +159,6 @@ class TestSelectAction:
 
 
 class TestBonusProperties:
-    def test_bonuses_are_nonnegative(self):
-        for game, belief in random_game_belief_pairs(150, seed=42):
-            for i in range(game.n_leader):
-                assert info_gain_bonus(game, belief, i) >= -1e-9
-                assert expected_reward_gain_bonus(game, belief, i) >= -1e-9
-
     def test_reward_gain_vanishes_when_no_action_can_learn(self, sufficiency_game):
         # support strictly inside the first cell of both rows
         b = uniform_for(sufficiency_game, 0.05, 0.35)
@@ -214,17 +182,6 @@ class TestBonusProperties:
 
 
 class TestConflict:
-    def test_responsibility_game_region_is_lower_half(self, responsibility_game):
-        region = conflict_region(responsibility_game)
-        assert region == ((0, Fraction(1, 2)),)
-
-    def test_breakpoint_itself_is_conflict_free(self, responsibility_game):
-        ((lo, hi),) = conflict_region(responsibility_game)
-        assert lo < 0.49 < hi < 0.51
-        half = Fraction(1, 2)
-        as_follower = stackelberg_equilibrium(responsibility_game, half).follower_index
-        assert as_follower == leader_preference_of_follower(responsibility_game, half)
-
     def test_agreeing_roles_give_empty_region(self):
         # follower's dominant column matches its leader preference everywhere
         game = AltruismGame(("a", "b"), ("x", "y"), (((2, 5), (0, 0)), ((1, 4), (0, 0))))
@@ -249,11 +206,6 @@ class TestConflict:
         assert evals[2].total > evals[0].total
 
 
-def _shipped_games():
-    return [load_scenario(SCENARIO_DIR / f"{name}.json").game
-            for name in ("lane_merge", "lane_merge_responsibility")]
-
-
 def _random_masses(rng, n_cells):
     """Seeded masses on ``n_cells`` cells, about a third of them exactly zero."""
     weights = [0.0 if rng.random() < 1 / 3 else rng.expovariate(1.0) for _ in range(n_cells)]
@@ -268,7 +220,7 @@ class TestOracleParity:
 
     def test_select_action_is_bit_identical_on_shipped_games(self):
         rng = random.Random(1618)
-        for game in _shipped_games():
+        for game in shipped_games():
             for aware in (False, True):
                 partition = decision_partition(game, aware)
                 for _ in range(6):

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +25,7 @@ from altmerge.planner import (
     follower_plan,
 )
 from altmerge.sim import load_scenario
+from conftest import SCENARIO_DIR
 from oracles import (
     oracle_bilevel_plan,
     oracle_follower_plan,
@@ -221,8 +221,6 @@ class TestFollowerPlanInput:
         with pytest.raises(ValueError, match="non-finite"):
             follower_plan(runaway, LEADER, self.CONTROLS, ZERO, 0.2, FP, BP)
 
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MIXED_WEIGHTS = ((0, -1.5, -0.5, -1.0, 0.3, 2.0), (0, -1.0, -0.5, -1.0, 0.3, -1.0))
 

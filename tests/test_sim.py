@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import re
-from pathlib import Path
 
 import pytest
 
@@ -23,8 +22,7 @@ from altmerge.sim import (
     run_conflict_experiment,
     run_episode,
 )
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from conftest import SCENARIO_DIR
 
 
 @pytest.fixture(scope="module")
@@ -258,12 +256,19 @@ class TestScenarioParsing:
         (lambda weights: weights.pop((2, 1)), "weight table misses cell (2, 1)"),
         (lambda weights: weights.update({(2, 1): (weights[(2, 1)][0], (0.0,) * 5)}),
          "cell (2, 1) needs two 6-entry weight vectors"),
-    ], ids=["missing_cell", "short_follower_vector"])
+        (lambda weights: weights.update({(1, 0): ((math.nan,) * 6, weights[(1, 0)][1])}),
+         "cell (1, 0) needs finite weights"),
+    ], ids=["missing_cell", "short_follower_vector", "nan_leader_weight"])
     def test_scenario_rejects_incomplete_weights(self, lane_scenario, change, message):
         weights = dict(lane_scenario.weights)
         change(weights)
         with pytest.raises(ScenarioError, match=re.escape(message)):
             dataclasses.replace(lane_scenario, weights=weights)
+
+    @pytest.mark.parametrize("field", ["episode_steps", "horizon"])
+    def test_scenario_rejects_a_fractional_count(self, lane_scenario, field):
+        with pytest.raises(ScenarioError, match=f"{field} must be an integer, got 2.5"):
+            dataclasses.replace(lane_scenario, **{field: 2.5})
 
     def test_wrong_weight_arity_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
