@@ -100,7 +100,7 @@ class IntervalBelief:
         old = iter(zip(self.partition.floats, self.partition.floats[1:], self.masses))
         lo, hi, mass = next(old)
         for clo, chi in zip(part.floats, part.floats[1:]):
-            while not (lo - MASS_TOL <= clo and chi <= hi + MASS_TOL):
+            while chi > hi:
                 lo, hi, mass = next(old)
             masses.append(mass * ((chi - clo) / (hi - lo)))
         return IntervalBelief(part, tuple(masses))

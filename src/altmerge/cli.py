@@ -244,7 +244,8 @@ def _reading(path: Path):
         yield
     except FileNotFoundError:
         raise ValueError(f"{path} not found; run the scenario first") from None
-    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError, csv.Error) as error:
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError, RecursionError,
+            csv.Error) as error:
         raise ValueError(f"{path} is empty or malformed: {error!r}") from None
 
 

@@ -6,12 +6,13 @@ cell reward with the opponent's through an altruism coefficient in [0, 1]:
 follower best-responds under its coefficient, breaking ties in the
 leader's favour and then by lowest column index so runs are reproducible.
 
-Reward crossings are solved in exact rational arithmetic whenever the
-rewards are ints or Fractions, falling back to floats (deduplicated at
-1e-9) otherwise. A ``Partition`` of [0, 1] computes its floats, cells,
-widths and midpoints once. Each game owns its two decision partitions,
-the domain partition at every row's crossings and its refinement at the
-role-swap crossings, and builds each once, on first use.
+Reward crossings are solved in exact rational arithmetic, a float reward
+read as the exact rational it stores. Two breakpoints are one exactly when
+they are the same float, so distinct rationals less than one float apart
+become one breakpoint. A ``Partition`` of [0, 1] computes its floats,
+cells, widths and midpoints once. Each game owns its two decision
+partitions, the domain partition at every row's crossings and its
+refinement at the role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, and each public function checks its own
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 Number = int | float | Fraction
 
-#: Mass bookkeeping tolerance, also the crossing and breakpoint merge tolerance.
+#: Mass bookkeeping tolerance.
 MASS_TOL = 1e-9
 
 
@@ -205,46 +206,37 @@ def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equil
 
 def line_crossing(
     own_j: Number, other_j: Number, own_k: Number, other_k: Number
-) -> Number | None:
+) -> Fraction | None:
     """Coefficient where (1-a)*own_j + a*other_j meets (1-a)*own_k + a*other_k.
 
-    Returns None for parallel or identical lines. Exact Fraction when all
-    inputs are rational.
+    Returns None for parallel or identical lines, else an exact Fraction; a
+    float input is read as the exact rational it stores.
     """
+    own_j, other_j, own_k, other_k = (
+        Fraction(v) if isinstance(v, float) else v for v in (own_j, other_j, own_k, other_k))
     num = own_j - own_k
-    den = (own_j - own_k) + (other_k - other_j)
-    if den == 0:
-        return None
-    if all(isinstance(v, (int, Fraction)) for v in (own_j, other_j, own_k, other_k)):
-        return Fraction(num, den)
-    return num / den
+    den = num + (other_k - other_j)
+    return None if den == 0 else Fraction(num, den)
 
 
-def intersection_points(game: AltruismGame, leader_action: int) -> list[Number]:
+def intersection_points(game: AltruismGame, leader_action: int) -> list[Fraction]:
     """Coefficients strictly inside (0, 1) where the row's best response can flip.
 
-    Every crossing of two follower reward lines in the row is returned,
-    deduplicated and sorted. Parallel lines contribute nothing.
+    Every exact crossing of two follower reward lines in the row is
+    returned once, sorted. Parallel lines contribute nothing.
     """
     _check_row(game, leader_action)
-    points: list[Number] = []
-    row = game.rewards[leader_action]
-    for j in range(len(row)):
-        for k in range(j + 1, len(row)):
-            alpha = line_crossing(row[j][1], row[j][0], row[k][1], row[k][0])
-            if alpha is None or not 0 < alpha < 1:
-                continue
-            if not any(abs(alpha - p) <= MASS_TOL for p in points):
-                points.append(alpha)
-    return sorted(points)
+    cells = [(follower, leader) for leader, follower in game.rewards[leader_action]]
+    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
+    return sorted({alpha for alpha in crossings if alpha is not None and 0 < alpha < 1})
 
 
-def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:
+def _role_swap_points(game: AltruismGame) -> tuple[Fraction, ...]:
     """Coefficients in (0, 1) where any two cells' follower-altruistic values cross.
 
     Superset of every point where the follower-as-leader preference or its
     tie-breaking can change; used to bound conflict-region cells. Raw, with
-    repeats: ``Partition.refined`` deduplicates and sorts them.
+    repeats: ``Partition.refined`` merges and sorts them.
     """
     cells = [(cell[1], cell[0]) for row in game.rewards for cell in row]
     crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
@@ -253,7 +245,7 @@ def _role_swap_points(game: AltruismGame) -> tuple[Number, ...]:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered breakpoints 0 = t0 < t1 < ... < tK = 1 defining K cells."""
+    """Breakpoints 0 = t0 < t1 < ... < tK = 1, strictly increasing as floats, defining K cells."""
 
     breakpoints: tuple[Number, ...]
     #: The breakpoints as floats, converted once at construction.
@@ -264,10 +256,11 @@ class Partition:
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
             raise ValueError("partition must start at 0 and end at 1")
-        for lo, hi in zip(pts, pts[1:]):
+        floats = tuple(float(p) for p in pts)
+        for lo, hi in zip(floats, floats[1:]):
             if not lo < hi:
-                raise ValueError("partition breakpoints must be strictly increasing")
-        object.__setattr__(self, "floats", tuple(float(p) for p in pts))
+                raise ValueError("partition breakpoints must be strictly increasing as floats")
+        object.__setattr__(self, "floats", floats)
 
     @property
     def n_cells(self) -> int:
@@ -289,19 +282,18 @@ class Partition:
         )
 
     def refines(self, other: "Partition") -> bool:
-        """True if every breakpoint of ``other`` appears here (within tolerance)."""
-        return all(any(abs(p - q) <= MASS_TOL for q in self.floats) for p in other.floats)
+        """True if every breakpoint of ``other`` is, as a float, a breakpoint here."""
+        return set(other.floats) <= set(self.floats)
 
     def refined(self, points: tuple[Number, ...]) -> "Partition":
-        """Partition with the extra breakpoints inserted (duplicates dropped)."""
-        merged = list(zip(self.floats, self.breakpoints))
+        """Partition with the extra points inserted; a point that is the same float as a
+        breakpoint, or as an earlier point, is dropped, so no float replaces an exact one."""
+        merged = dict(zip(self.floats, self.breakpoints))
         for p in points:
             if not 0 <= p <= 1:
                 raise ValueError(f"breakpoint {p} outside [0, 1]")
-            fp = float(p)
-            if not any(abs(fp - q) <= MASS_TOL for q, _ in merged):
-                merged.append((fp, p))
-        return Partition(tuple(point for _, point in sorted(merged)))
+            merged.setdefault(float(p), p)
+        return Partition(tuple(merged[f] for f in sorted(merged)))
 
 
 def build_responsibility_matrix(

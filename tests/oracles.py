@@ -2,21 +2,23 @@
 
 The grid oracles re-derive results from the raw reward grid with plain
 enumeration or dense coefficient grids, deliberately avoiding the library's
-own game and belief machinery. The planner oracle is the plain nested
-search, built only from the validated ``dynamics.step`` and
-``dynamics.cost``: it re-solves the follower for every leader candidate and
-caches nothing. The decision oracle is the per-call evaluation on the
+own game and belief machinery; the exact row oracle integrates over every
+pairwise crossing in Fractions, with no tolerance. The planner oracle is
+the plain nested search, built only from the validated ``dynamics.step``
+and ``dynamics.cost``: it re-solves the follower for every leader candidate
+and caches nothing. The decision oracle is the per-call evaluation on the
 belief's cells: every helper re-solves its own best responses, by
 ``oracle_best_response`` at each cell midpoint, and writes out its own
 one-hot posteriors, nothing shared. Its conflict test and role swap come
-from the grid oracles too, so no follower response comes from the
-package's solver. Both import the package inside their functions, so this
-file loads without the package on the path, as ``perfbench`` loads it.
+from the grid oracles too, so no follower response comes from the package's
+solver. Both import the package inside their functions, so this file loads
+without the package on the path, as ``perfbench`` loads it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def oracle_best_response(rewards, i, alpha, alpha_leader=0):
@@ -126,6 +128,34 @@ def oracle_reward_gain(rewards, i, lo, hi, n=10_000):
         p = len(subset) / n
         bonus += p * abs(_attainable(values, subset) - base)
     return bonus
+
+
+def oracle_exact_row(rewards, i, alpha_leader=0):
+    """Row i's expected leader value and response distribution, exact, under the uniform
+    belief on [0, 1].
+
+    Every pairwise crossing of the row's follower lines is taken in
+    Fractions, with no tolerance. The response is constant between two
+    neighbouring crossings, so each elementary interval adds its width
+    times the value of its midpoint's response. Returns Fractions.
+    """
+    exact = [[(Fraction(lead), Fraction(follow)) for lead, follow in row] for row in rewards]
+    alpha_leader = Fraction(alpha_leader)
+    row = exact[i]
+    ends = {Fraction(0), Fraction(1)}
+    for k, (lead_k, follow_k) in enumerate(row):
+        for lead_m, follow_m in row[k + 1:]:
+            # (1 - a) * follow_k + a * lead_k = (1 - a) * follow_m + a * lead_m
+            num, den = follow_k - follow_m, (follow_k - follow_m) - (lead_k - lead_m)
+            if den != 0 and 0 < num / den < 1:
+                ends.add(num / den)
+    ends = sorted(ends)
+    reward, probs = Fraction(0), [Fraction(0)] * len(row)
+    for lo, hi in zip(ends, ends[1:]):
+        j = oracle_best_response(exact, i, (lo + hi) / 2, alpha_leader)
+        reward += (hi - lo) * ((1 - alpha_leader) * row[j][0] + alpha_leader * row[j][1])
+        probs[j] += hi - lo
+    return reward, probs
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,19 @@ class TestPartition:
         assert finer.refines(part)
         assert not part.refines(finer)
 
+    def test_rejects_breakpoints_that_round_to_one_float(self):
+        # distinct exact values, one float: a cell between them would have no float width
+        with pytest.raises(ValueError, match="strictly increasing as floats"):
+            Partition((0, 1 / 3, Fraction(1, 3), 1))
+
+    def test_refinement_keeps_the_exact_breakpoint_of_a_float(self):
+        part = Partition((0, Fraction(1, 3), 1))
+        assert part.refined((1 / 3, Fraction(1, 3))).breakpoints == part.breakpoints
+        assert Partition((0, 1 / 3, 1)).refines(part) and part.refines(Partition((0, 1 / 3, 1)))
+        # one float apart is two breakpoints
+        apart = part.refined((math.nextafter(1 / 3, 1),))
+        assert apart.breakpoints == (0, Fraction(1, 3), math.nextafter(1 / 3, 1), 1)
+
     def test_cell_geometry_is_computed_once(self):
         part = Partition((0, Fraction(1, 3), 0.5, 1))
         for name in ("cells", "floats", "widths", "midpoints"):
@@ -203,16 +216,13 @@ def test_updates_preserve_mass_property(masses, likelihoods, row):
 # the results that read the partition's floats
 
 def _float_site_refines(part, other):
-    return all(
-        any(abs(float(p) - float(q)) <= MASS_TOL for q in part.breakpoints)
-        for p in other.breakpoints
-    )
+    return all(any(float(p) == float(q) for q in part.breakpoints) for p in other.breakpoints)
 
 
 def _float_site_refined(part, points):
     merged = list(part.breakpoints)
     for p in points:
-        if not any(abs(float(p) - float(q)) <= MASS_TOL for q in merged):
+        if not any(float(p) == float(q) for q in merged):
             merged.append(p)
     return Partition(tuple(sorted(merged, key=float)))
 
@@ -233,7 +243,7 @@ def _float_site_belief_refined(belief, points):
     old = iter(zip(belief.partition.cells, belief.masses))
     (lo, hi), mass = next(old)
     for clo, chi in part.cells:
-        while not (float(lo) - MASS_TOL <= float(clo) and float(chi) <= float(hi) + MASS_TOL):
+        while not (float(lo) <= float(clo) and float(chi) <= float(hi)):
             (lo, hi), mass = next(old)
         frac = (float(chi) - float(clo)) / (float(hi) - float(lo))
         masses.append(mass * frac)
@@ -268,14 +278,16 @@ _UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60)
 @st.composite
 def _mixed_geometry(draw):
     """A partition mixing Fraction and float breakpoints, some within MASS_TOL of
-    each other, plus a belief on it and points at or near its breakpoints."""
-    inner = set()
+    each other yet distinct as floats, plus a belief on it and points at or
+    near its breakpoints."""
+    inner = {}
     for p in draw(st.lists(_UNIT.filter(lambda p: 0 < p < 1), max_size=5)):
         kind = draw(st.sampled_from(("fraction", "float", "twins")))
-        inner.add(float(p) if kind == "float" else p)
+        inner.setdefault(float(p), float(p) if kind == "float" else p)
         if kind == "twins":
-            inner.add(float(p) + draw(st.floats(-MASS_TOL, MASS_TOL)))
-    part = Partition((0, *sorted(inner), 1))
+            twin = float(p) + draw(st.floats(-MASS_TOL, MASS_TOL).filter(lambda d: d != 0))
+            inner.setdefault(twin, twin)
+    part = Partition((0, *(inner[f] for f in sorted(inner)), 1))
     weights = draw(st.lists(st.integers(0, 4), min_size=part.n_cells, max_size=part.n_cells))
     weights[draw(st.integers(0, part.n_cells - 1))] += 1
     belief = IntervalBelief(part, tuple(w / sum(weights) for w in weights))

@@ -434,9 +434,12 @@ class TestPlot:
         # finite coordinates whose plotted gap, leader y - follower y, is past the float range
         ("trace.csv", (r"(?m)^0,leader,([^,]+),[^,]+(,.*\n0,follower,[^,]+),[^,]+",
                        r"0,leader,\1,1e308\2,-1e308")),
+        ("belief.jsonl", "[" * 200_000 + "]" * 200_000 + "\n"),
+        ("summary.json", "[" * 200_000 + "]" * 200_000),
     ], ids=["belief_record", "belief_json", "trace_header", "summary_missing", "summary_keys",
             "trace_x_inf", "trace_y_inf", "belief_mass_nan", "belief_bonus_overflow",
-            "summary_lane_inf", "summary_lane_huge_int", "trace_gap_overflow"])
+            "summary_lane_inf", "summary_lane_huge_int", "trace_gap_overflow",
+            "belief_nested_too_deeply", "summary_nested_too_deeply"])
     def test_malformed_run_file_exits_one(self, tmp_path, capsys, name, content):
         run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path))
         capsys.readouterr()

@@ -1,6 +1,8 @@
 """Action selection, exploration bonuses, and the conflict wrapper."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from oracles import (
     oracle_conflict_mass,
     oracle_conflict_region,
     oracle_evaluations,
+    oracle_exact_row,
     oracle_row_expectation,
 )
 
@@ -261,6 +264,43 @@ class TestOracleParity:
                 assert abs(got.expected_reward - expected.expected_reward) <= 1e-12
 
 
+def _near_coincident_game(n, k, constant=None):
+    """Row 0's three follower crossings lie in [2/3 - k/(800 n), 2/3], and row 1 pays
+    ``constant`` in every cell: by default, halfway between row 0's exact value and the
+    value it would have if its crossings merged at 2/3."""
+    row = ((0, 3 * n), (3 * n, -3 * n), (100 * n, -197 * n + k))
+    if constant is None:
+        constant = (Fraction(100 * n, 3) + 100 * n * Fraction(100 * n, 300 * n - k)) / 2
+    return AltruismGame(("a", "b"), ("x", "y", "z"), (row, ((constant, constant),) * 3))
+
+
+class TestExactCrossings:
+    """Passive decisions against the exact oracle, which integrates over every crossing."""
+
+    @staticmethod
+    def _assert_exact(game):
+        evaluations, best = select_action(game, IntervalBelief.uniform(partition_domain(game)),
+                                          PASSIVE)
+        want = [oracle_exact_row(game.rewards, i, game.alpha_leader) for i in range(game.n_leader)]
+        assert best == max(range(len(want)), key=lambda i: (want[i][0], -i))
+        tol = 4 * sys.float_info.epsilon
+        for got, (reward, probs) in zip(evaluations, want):
+            assert math.isclose(got.expected_reward, reward, rel_tol=tol)
+            for p, q in zip(got.outcome_probabilities, probs, strict=True):
+                assert abs(p - q) <= tol
+        return evaluations, best
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [10**e for e in range(6, 13)])
+    def test_near_coincident_crossings(self, n, k):
+        self._assert_exact(_near_coincident_game(n, k))
+
+    def test_crossings_under_1e_12_apart_decide_row_0(self):
+        # row 0 scores about 100 n / 3 + 1/3; with its crossings merged it would score 100 n / 3
+        evaluations, best = self._assert_exact(_near_coincident_game(10**10, 3, 333333333333.5))
+        assert best == 0 and evaluations[0].expected_reward > 333333333333.6
+
+
 class TestChecksOnce:
     def test_partition_off_the_domain_is_rejected_everywhere(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
@@ -349,12 +389,15 @@ class TestChecksOnce:
         float_game = AltruismGame(*actions, float_rewards)
         int_again = AltruismGame(*actions, lane_merge_game.rewards)
         assert float_game == lane_merge_game and hash(float_game) == hash(lane_merge_game)
-        games = ((lane_merge_game, Fraction), (float_game, float), (int_again, Fraction))
+        games = (lane_merge_game, float_game, int_again)
         for aware in (False, True):
-            for game, kind in games:
-                partition = decision_partition(game, aware)
+            # equal breakpoints, read exactly from the float rewards too, one object per game
+            partitions = [decision_partition(game, aware) for game in games]
+            assert len({id(partition) for partition in partitions}) == len(games)
+            assert len({partition.breakpoints for partition in partitions}) == 1
+            for game, partition in zip(games, partitions):
                 assert partition.n_cells > 1
-                assert all(type(p) is kind for p in partition.breakpoints[1:-1])
+                assert all(type(p) is Fraction for p in partition.breakpoints[1:-1])
                 belief = IntervalBelief.uniform(partition)
                 for strategy_kind in StrategyKind:
                     strategy = ExplorationStrategy(strategy_kind, conflict_aware=aware)
@@ -371,9 +414,9 @@ class TestChecksOnce:
 
         monkeypatch.setattr(belief_module, "_follower_values", counted)
         hedge = ExplorationStrategy(StrategyKind.PASSIVE, conflict_aware=True)
-        for decided, _ in games:
+        for decided in games:
             belief = IntervalBelief.uniform(decision_partition(decided, True))
-            for game, _ in games:
+            for game in games:
                 if game is decided:
                     continue
                 select_action(decided, belief, hedge)

@@ -168,11 +168,10 @@ class TestIntersectionPoints:
         )
         assert intersection_points(game, 0) == []
 
-    def test_float_rewards_fall_back_to_float_points(self):
+    def test_float_rewards_cross_at_exact_fractions(self):
         game = AltruismGame(("row",), ("x", "y"), (((3.0, 0.0), (-5.0, 7.0)),))
         (point,) = intersection_points(game, 0)
-        assert isinstance(point, float)
-        assert point == pytest.approx(7 / 15)
+        assert type(point) is Fraction and point == Fraction(7, 15)
 
     def test_row_out_of_range_is_an_error(self, lane_merge_game):
         for row in (-1, 3):
