@@ -74,8 +74,8 @@ class IntervalBelief:
     def uniform_on(
         cls, lo: Number, hi: Number, partition: Partition | None = None
     ) -> "IntervalBelief":
-        """Uniform belief supported on [lo, hi], optionally on a refined partition."""
-        if not 0 <= lo < hi <= 1:
+        """Uniform belief on [lo, hi], bounds apart as floats, optionally on a refined partition."""
+        if not (0 <= lo < hi <= 1 and float(lo) < float(hi)):
             raise ValueError(f"invalid support [{lo}, {hi}]")
         base = Partition((0, 1)) if partition is None else partition
         part = base.refined(tuple(p for p in (lo, hi) if 0 < p < 1))

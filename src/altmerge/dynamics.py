@@ -15,13 +15,15 @@ inside the box that bounds the ellipse and is exactly 0.0 outside it, so
 the term is defined for every pair of finite states, however far apart.
 The lead term is tanh of the longitudinal gap.
 
-The arithmetic lives once, in private float kernels on plain (x, y, v,
-theta) tuples that skip validation: ``_advance`` for the dynamics, and for
-the cost ``_own_costs`` (features 0-3, which never look at the other
-vehicle) and ``_pair_cost`` (features 4-5, which do). The planner calls
-them on its inner rollouts and keeps a rollout's own-lane terms for every
-other trajectory it is scored against; the public ``step``, ``features``
-and ``cost`` validate their input and delegate.
+Each formula is written once, in a private float kernel that loops over a
+trajectory of plain (x, y, v, theta) tuples with its constants hoisted and
+skips validation: ``_advance`` for the dynamics, ``_own_costs`` for
+features 0-3 (which never look at the other vehicle) and ``_pair_cost``
+for features 4-5 (which do). The planner calls them on its inner rollouts
+and keeps a rollout's own-lane terms for every other trajectory it is
+scored against. The public ``step`` and ``cost`` validate their input and
+delegate; ``features`` reads each feature out of the cost kernels as the
+cost of one state pair under a unit weight vector, which is exact.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import math
 from dataclasses import dataclass
 
 N_FEATURES = 6
+
+#: Row k weighs feature k alone: ``features`` reads each feature through the cost kernels.
+_UNIT = tuple(tuple(float(j == k) for j in range(N_FEATURES)) for k in range(N_FEATURES))
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,14 @@ def _advance(
     x, y, v, theta = state
     dv = accel * dt
     tan_steer = math.tan(steer)
+    sin, cos = math.sin, math.cos
     states = []
     for _ in range(steps):
         v_next = v + dv
         if not v_next > 0.0:
             v_next = 0.0
-        x = x + v_next * math.sin(theta) * dt
-        y = y + v_next * math.cos(theta) * dt
+        x = x + v_next * sin(theta) * dt
+        y = y + v_next * cos(theta) * dt
         theta = theta + (v / wheelbase) * tan_steer * dt
         v = v_next
         states.append((x, y, v, theta))
@@ -165,43 +171,6 @@ def _advance(
         raise ValueError(f"non-finite state (x, y, v, theta) = {(x, y, v, theta)} "
                          f"from dt {dt} and control (accel, steer) = {(accel, steer)}")
     return states
-
-
-def _own_features(
-    x: float, v: float, theta: float, params: FeatureParams
-) -> tuple[float, float, float, float]:
-    """Features 0-3 of one state: bounded penalties 1 - exp(-k * err^2).
-
-    A feature whose rate k is 0 is exactly 0.0: the product would be 0 * inf,
-    NaN, once the offset overflows.
-    """
-    lx, lv, lt = params.lambda_x, params.lambda_v, params.lambda_theta
-    left = x - params.x_left
-    right = x - params.x_right
-    speed = v - params.v_limit
-    heading = theta - params.lane_theta
-    phi0 = 1.0 - math.exp(-lx * left * left) if lx else 0.0
-    phi1 = 1.0 - math.exp(-lx * right * right) if lx else 0.0
-    phi2 = 1.0 - math.exp(-lv * speed * speed) if lv else 0.0
-    phi3 = 1.0 - math.exp(-lt * heading * heading) if lt else 0.0
-    return (phi0, phi1, phi2, phi3)
-
-
-def _pair_features(
-    x: float, y: float, other: tuple[float, float, float, float], params: FeatureParams
-) -> tuple[float, float]:
-    """Features 4-5 of one state; ``other`` is the (x, y, sin, cos) of ``_frame``."""
-    other_x, other_y, sin_o, cos_o = other
-    dx = x - other_x
-    dy = y - other_y
-    lateral = dx * cos_o - dy * sin_o
-    longitudinal = dx * sin_o + dy * cos_o
-    u = lateral / (params.vehicle_width + params.width_margin)
-    w = longitudinal / (params.vehicle_length + params.length_margin)
-    # Outside the box around the ellipse the clamped value is 0.0; squaring there could overflow.
-    phi4 = min(0.0, u ** 2 + w ** 2 - 1.0) if -1.0 < u < 1.0 and -1.0 < w < 1.0 else 0.0
-    phi5 = math.tanh(y - other_y)
-    return (phi4, phi5)
 
 
 def _frame(
@@ -220,10 +189,19 @@ def features(
     2: speed-limit penalty, 3: lane-heading penalty,
     4: safety-ellipse proximity penalty in the other vehicle's frame,
     5: longitudinal lead (tanh of the gap, positive when ahead).
+
+    Each is the cost kernels' sum under its unit weight vector: the other
+    features add only zeros, so its bits come back, except that a sum from
+    0.0 turns -0.0 into 0.0. Only the lead can be -0.0, so it is summed from
+    -0.0 through a pair term that is -0.0 too: 0.0 * phi4 if phi4 < 0, else
+    -0.0 * 0.0.
     """
-    seen = (other.x, other.y, math.sin(other.theta), math.cos(other.theta))
-    return (_own_features(state.x, state.v, state.theta, params)
-            + _pair_features(state.x, state.y, seen, params))
+    own = [(state.x, state.y, state.v, state.theta)]
+    seen = _frame([(other.x, other.y, other.v, other.theta)])
+    phi = [_own_costs(own, unit, params)[0] for unit in _UNIT[:4]]
+    phi4 = _pair_cost(own, [0.0], seen, _UNIT[4], params)
+    lead = (0.0, 0.0, 0.0, 0.0, 0.0 if phi4 else -0.0, 1.0)
+    return (*phi, phi4, _pair_cost(own, [-0.0], seen, lead, params, -0.0))
 
 
 def _own_costs(
@@ -233,13 +211,26 @@ def _own_costs(
 ) -> list[float]:
     """Per state, the weighted features 0-3 summed left to right from 0.0.
 
-    The penalty rates are nonnegative, so ``exp`` never overflows here.
+    Features 0-3 are bounded penalties 1 - exp(-k * err^2). A feature whose
+    rate k is 0 is exactly 0.0: the product would be 0 * inf, NaN, once the
+    offset overflows. The rates are nonnegative, so ``exp`` never overflows.
     """
     w0, w1, w2, w3 = weights[:4]
+    lx, lv, lt = params.lambda_x, params.lambda_v, params.lambda_theta
+    x_left, x_right, v_limit, lane_theta = (params.x_left, params.x_right, params.v_limit,
+                                            params.lane_theta)
+    exp = math.exp
     owns = []
     for x, _, v, theta in states:
-        f0, f1, f2, f3 = _own_features(x, v, theta, params)
-        owns.append(0.0 + w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3)
+        left = x - x_left
+        right = x - x_right
+        speed = v - v_limit
+        heading = theta - lane_theta
+        phi0 = 1.0 - exp(-lx * left * left) if lx else 0.0
+        phi1 = 1.0 - exp(-lx * right * right) if lx else 0.0
+        phi2 = 1.0 - exp(-lv * speed * speed) if lv else 0.0
+        phi3 = 1.0 - exp(-lt * heading * heading) if lt else 0.0
+        owns.append(0.0 + w0 * phi0 + w1 * phi1 + w2 * phi2 + w3 * phi3)
     return owns
 
 
@@ -253,15 +244,24 @@ def _pair_cost(
 ) -> float:
     """Float kernel of ``cost``: adds each state's full weighted features to ``total``.
 
-    ``owns`` are the states' ``_own_costs``. Each state's sum continues
-    left to right as ``own + w4 * f4 + w5 * f5``, and states add to
-    ``total`` in order, so continuing from the partial sum of a
-    trajectory's head gives the same float as the whole sum.
+    ``owns`` are the states' ``_own_costs`` and ``others`` the other
+    trajectory's ``_frame``. Each state's sum continues left to right as
+    ``own + w4 * phi4 + w5 * phi5``, and states add to ``total`` in order,
+    so continuing from the partial sum of a trajectory's head gives the
+    same float as the whole sum.
     """
     w4, w5 = weights[4], weights[5]
-    for (x, y, _, _), own, other in zip(states, owns, others):
-        f4, f5 = _pair_features(x, y, other, params)
-        total += own + w4 * f4 + w5 * f5
+    lat_axis = params.vehicle_width + params.width_margin
+    lon_axis = params.vehicle_length + params.length_margin
+    tanh = math.tanh
+    for (x, y, _, _), own, (other_x, other_y, sin_o, cos_o) in zip(states, owns, others):
+        dx = x - other_x
+        dy = y - other_y
+        u = (dx * cos_o - dy * sin_o) / lat_axis
+        w = (dx * sin_o + dy * cos_o) / lon_axis
+        # Outside the box around the ellipse the clamped value is 0.0; squaring could overflow.
+        phi4 = u ** 2 + w ** 2 - 1.0 if -1.0 < u < 1.0 and -1.0 < w < 1.0 else 0.0
+        total += own + w4 * (phi4 if phi4 < 0.0 else 0.0) + w5 * tanh(dy)
     return total
 
 

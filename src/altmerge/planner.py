@@ -20,9 +20,12 @@ the search grids per (center, span, limit). A follower evaluation then adds
 only the two pair features per state. These caches live for one
 ``bilevel_plan`` call; no cache outlives the call that made it.
 
-Inner rollouts run on plain float tuples through the kernels of
-``dynamics``, in the same arithmetic order as ``dynamics.step`` and
-``dynamics.cost``, so every float matches the validated path bit for bit.
+The planner has no feature or dynamics formula of its own. On plain float
+tuples, ``dynamics._advance`` builds a rollout, ``_own_costs`` scores its
+features 0-3 once, and ``_pair_cost`` adds features 4-5 against the other
+vehicle's ``_frame``; ``step``, ``cost`` and ``features`` read through the
+same kernels, so every float matches the validated path bit for bit. The
+follower ``score`` reads the rollout dicts and builds only on a miss.
 Input is validated once where it enters: ``PlanRequest`` and
 ``follower_plan``'s arguments. The horizon is at most MAX_HORIZON steps, so
 a plan's caches stay small. Candidate controls are clamped into the
@@ -157,7 +160,9 @@ def _candidate_values(center: float, span: float, limit: float) -> list[float]:
     """Grid points around ``center``, clamped into the actuator limit and deduplicated.
 
     The clamp is what keeps every candidate control valid, so the rollouts
-    that follow skip ``BicycleParams.check``.
+    that follow skip ``BicycleParams.check``. Points within 1e-12 of
+    ``center``, where the search stands, are dropped; no later point is that
+    close to an earlier one the search may move to.
     """
     raw = (center - span, center - span / 2, center, center + span / 2, center + span)
     values: list[float] = []
@@ -165,7 +170,7 @@ def _candidate_values(center: float, span: float, limit: float) -> list[float]:
         clamped = max(-limit, min(limit, v))
         if not any(abs(clamped - u) < 1e-12 for u in values):
             values.append(clamped)
-    return values
+    return [v for v in values if not abs(v - center) < 1e-12]
 
 
 def _coordinate_search(
@@ -185,49 +190,41 @@ def _coordinate_search(
     counts of distinct points evaluated and pruned.
     """
     start = (0.0, 0.0, 0.0, 0.0)
-    values = {start: score(start, None)}
-    pruned: set[tuple[float, ...]] = set()
+    best = score(start, None)
+    floor = best + SOLVER_TOL
+    values = {start: best}  # a pruned point maps to None
     limits = (params.accel_max, params.steer_max, params.accel_max, params.steer_max)
-    current = list(start)
-    best = values[start]
-    spans = list(limits)
+    current = start
+    spans = limits
     for _ in range(SEARCH_ROUNDS):
         for coord in range(4):
             key = (current[coord], spans[coord], limits[coord])
             grid = grids.get(key)
             if grid is None:
                 grid = grids[key] = _candidate_values(*key)
+            before, after = current[:coord], current[coord + 1:]
             for value in grid:
-                if abs(value - current[coord]) < 1e-12:
-                    continue
-                candidate = list(current)
-                candidate[coord] = value
-                point = tuple(candidate)
-                scored = values.get(point)
-                if scored is None:
-                    if point in pruned:
-                        continue
-                    scored = score(point, best + SOLVER_TOL)
-                    if scored is None:
-                        pruned.add(point)
-                        continue
-                    values[point] = scored
-                if scored > best + SOLVER_TOL:
-                    best = scored
-                    current = candidate
-        spans = [s / 2 for s in spans]
-    return tuple(current), best, len(values), len(pruned)
+                point = before + (value,) + after
+                if point not in values:
+                    values[point] = score(point, floor)
+                scored = values[point]
+                if scored is not None and scored > floor:
+                    best, floor, current = scored, scored + SOLVER_TOL, point
+        spans = tuple(s / 2 for s in spans)
+    pruned = list(values.values()).count(None)
+    return current, best, len(values) - pruned, pruned
 
 
 class _Rollouts:
     """One vehicle's half-constant rollouts from a fixed start, each built once.
 
-    A first half is kept per (accel1, steer1) and a second half per 4-tuple,
-    each as (post-step states, per-state ``_own_costs``, bound), so a cost
-    against any other trajectory adds only the pair features. A state's
-    bound term is ``own + b4 + b5``; a first half keeps those terms summed
-    from 0.0, a second half keeps them per state, to be summed on from
-    wherever its first half ends, in ``_pair_cost``'s order.
+    ``heads`` keeps a first half per (accel1, steer1) and ``tails`` a second
+    half per 4-tuple; ``head`` and ``tail`` fetch one or build it. Each is
+    (post-step states, per-state ``_own_costs``, bound), so a cost against
+    any other trajectory adds only the pair features. A state's bound term
+    is ``own + b4 + b5``; a first half keeps those terms summed from 0.0, a
+    second half keeps them per state, to be summed on from wherever its
+    first half ends, in ``_pair_cost``'s order.
     """
 
     def __init__(
@@ -247,8 +244,8 @@ class _Rollouts:
         self.feature_params = feature_params
         self.wheelbase = wheelbase
         self._b4, self._b5 = max(0.0, -weights[4]), abs(weights[5])
-        self._heads: dict[tuple[float, float], tuple[list, list[float], float]] = {}
-        self._tails: dict[tuple[float, ...], tuple[list, list[float], list[float]]] = {}
+        self.heads: dict[tuple[float, float], tuple[list, list[float], float]] = {}
+        self.tails: dict[tuple[float, ...], tuple[list, list[float], list[float]]] = {}
 
     def _build(self, start: tuple, accel: float, steer: float, steps: int) -> tuple:
         states = _advance(start, accel, steer, steps, self.wheelbase, self.dt)
@@ -256,26 +253,25 @@ class _Rollouts:
         b4, b5 = self._b4, self._b5
         return states, owns, [own + b4 + b5 for own in owns]
 
-    def head(self, accel1: float, steer1: float) -> tuple[list, list[float], float]:
-        head = self._heads.get((accel1, steer1))
+    def head(self, key: tuple[float, float]) -> tuple[list, list[float], float]:
+        head = self.heads.get(key)
         if head is None:
-            states, owns, terms = self._build(self.start, accel1, steer1, self.first)
+            states, owns, terms = self._build(self.start, *key, self.first)
             total = 0.0
             for term in terms:  # not sum(): from Python 3.12 it compensates rounding
                 total += term
-            head = self._heads[(accel1, steer1)] = (states, owns, total)
+            head = self.heads[key] = (states, owns, total)
         return head
 
     def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float], list[float]]:
-        tail = self._tails.get(params4)
+        tail = self.tails.get(params4)
         if tail is None:
-            accel1, steer1, accel2, steer2 = params4
-            end = self.head(accel1, steer1)[0][-1]
-            tail = self._tails[params4] = self._build(end, accel2, steer2, self.rest)
+            end = self.head(params4[:2])[0][-1]
+            tail = self.tails[params4] = self._build(end, *params4[2:], self.rest)
         return tail
 
     def states(self, params4: tuple[float, ...]) -> list:
-        return self.head(params4[0], params4[1])[0] + self.tail(params4)[0]
+        return self.head(params4[:2])[0] + self.tail(params4)[0]
 
 
 def _follower_search(
@@ -289,19 +285,21 @@ def _follower_search(
     point and the counts of distinct points evaluated and pruned.
     """
     weights, feature_params = rollouts.weights, rollouts.feature_params
+    heads, tails = rollouts.heads, rollouts.tails
     head_frame, tail_frame = leader_frame[:rollouts.first], leader_frame[rollouts.first:]
 
     def score(params4: tuple[float, ...], floor: float | None) -> float | None:
-        head_states, head_owns, head_bound = rollouts.head(params4[0], params4[1])
-        tail_states, tail_owns, terms = rollouts.tail(params4)
-        partial = head_costs.get(params4[:2])
+        key = params4[:2]
+        head_states, head_owns, head_bound = heads.get(key) or rollouts.head(key)
+        tail_states, tail_owns, terms = tails.get(params4) or rollouts.tail(params4)
+        partial = head_costs.get(key)
         total = head_bound if partial is None else partial
         for term in terms:
             total += term
         if floor is not None and total <= floor:
             return None
         if partial is None:
-            partial = head_costs[params4[:2]] = _pair_cost(
+            partial = head_costs[key] = _pair_cost(
                 head_states, head_owns, head_frame, weights, feature_params
             )
         return _pair_cost(tail_states, tail_owns, tail_frame, weights, feature_params, partial)
@@ -350,7 +348,8 @@ def bilevel_plan(request: PlanRequest) -> Plan:
 
     def score(params4: tuple[float, ...], floor: float | None) -> float | None:
         nonlocal follower_evaluated, follower_pruned
-        head_states, head_owns, total = leader.head(params4[0], params4[1])
+        key = params4[:2]
+        head_states, head_owns, total = leader.head(key)
         tail_states, tail_owns, terms = leader.tail(params4)
         for term in terms:
             total += term
@@ -358,8 +357,7 @@ def bilevel_plan(request: PlanRequest) -> Plan:
             return None
         states = head_states + tail_states
         response, evaluated, pruned = _follower_search(
-            follower, head_costs.setdefault(params4[:2], {}), _frame(states), bicycle_params,
-            grids,
+            follower, head_costs.setdefault(key, {}), _frame(states), bicycle_params, grids
         )
         responses[params4] = response
         follower_evaluated += evaluated

@@ -33,7 +33,7 @@ from .dynamics import (
     FeatureParams,
     N_FEATURES,
     VehicleState,
-    features,
+    cost,
     step,
 )
 from .explore import (
@@ -175,12 +175,9 @@ def observation_likelihoods(
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    successor = step(follower_state, observed_control, bicycle_params, dt)
-    phi = features(successor, leader_state_next, feature_params)
-    logits = []
-    for j in range(game.n_follower):
-        column_weights = weights[(leader_action, j)][1]
-        logits.append(_sum_in_order(w * f for w, f in zip(column_weights, phi)) / temperature)
+    successor = [step(follower_state, observed_control, bicycle_params, dt)]
+    logits = [cost(successor, [leader_state_next], weights[(leader_action, j)][1],
+                   feature_params) / temperature for j in range(game.n_follower)]
     if not all(map(math.isfinite, logits)):
         raise ValueError(f"non-finite logits {tuple(logits)} at temperature {temperature!r}")
     peak = max(logits)

@@ -5,8 +5,9 @@ enumeration or dense coefficient grids, deliberately avoiding the library's
 own game and belief machinery; the exact row oracle integrates over every
 pairwise crossing in Fractions, with no tolerance. The planner oracle is
 the plain nested search, built only from the validated ``dynamics.step``
-and ``dynamics.cost``: it re-solves the follower for every leader candidate
-and caches nothing. The decision oracle is the per-call evaluation on the
+and its own plain formula for each feature, not the package's cost
+kernels: it re-solves the follower for every leader candidate and caches
+nothing. The decision oracle is the per-call evaluation on the
 belief's cells: every helper re-solves its own best responses, by
 ``oracle_best_response`` at each cell midpoint, and writes out its own
 one-hot posteriors, nothing shared. Its conflict test and role swap come
@@ -165,6 +166,49 @@ _SOLVER_TOL = 1e-6
 _SEARCH_ROUNDS = 3
 
 
+def oracle_features(own, other, params):
+    """The six features of the (own, other) state pair, each formula written out.
+
+    0-3 are 1 - exp(-rate * err * err) for the offsets from the left and right
+    lane centres, the speed limit and the lane heading, and 0.0 at rate 0.
+    4 is the squared offset in the other vehicle's frame over the safety
+    ellipse's axes, minus 1 and clamped at 0, and 0.0 where squaring
+    overflows. 5 is tanh of the longitudinal gap.
+    """
+    def penalty(rate, err):
+        return 1.0 - math.exp(-rate * err * err) if rate else 0.0
+
+    sin_o, cos_o = math.sin(other.theta), math.cos(other.theta)
+    dx, dy = own.x - other.x, own.y - other.y
+    lateral = dx * cos_o - dy * sin_o
+    longitudinal = dx * sin_o + dy * cos_o
+    try:
+        separation = min(0.0, (lateral / (params.vehicle_width + params.width_margin)) ** 2
+                         + (longitudinal / (params.vehicle_length + params.length_margin)) ** 2
+                         - 1.0)
+    except OverflowError:
+        separation = 0.0
+    return (penalty(params.lambda_x, own.x - params.x_left),
+            penalty(params.lambda_x, own.x - params.x_right),
+            penalty(params.lambda_v, own.v - params.v_limit),
+            penalty(params.lambda_theta, own.theta - params.lane_theta),
+            separation,
+            math.tanh(own.y - other.y))
+
+
+def oracle_cost(trajectory, other_trajectory, weights, params):
+    """Weighted features of each aligned state pair summed from 0.0 in feature order,
+    the own terms first, then ``+ w4 * f4 + w5 * f5``; the pairs' sums added from
+    0.0 in order."""
+    total = 0.0
+    for own, other in zip(trajectory, other_trajectory):
+        value = 0.0
+        for w, f in zip(weights, oracle_features(own, other, params)):
+            value += w * f
+        total += value
+    return total
+
+
 def replay(state, controls, params, dt):
     """Post-step states of the controls applied in order, one validated step each."""
     from altmerge.dynamics import step
@@ -217,15 +261,13 @@ def _search(objective, params):
 def oracle_follower_plan(follower_state, leader_state, leader_controls, weights,
                          dt, feature_params, bicycle_params):
     """Follower best response to a fixed leader control sequence."""
-    from altmerge.dynamics import cost
-
     leader_traj = replay(leader_state, leader_controls, bicycle_params, dt)
     horizon = len(leader_controls)
 
     def objective(params4):
         controls = _halves(params4, horizon)
         traj = replay(follower_state, controls, bicycle_params, dt)
-        return cost(traj, leader_traj, weights, feature_params)
+        return oracle_cost(traj, leader_traj, weights, feature_params)
 
     return _halves(_search(objective, bicycle_params), horizon)
 
@@ -236,8 +278,6 @@ def oracle_leader_value(request, params4):
     Returns (value, leader controls, follower controls, leader trajectory,
     follower trajectory).
     """
-    from altmerge.dynamics import cost
-
     leader_controls = _halves(params4, request.horizon)
     follower_controls = oracle_follower_plan(
         request.follower_state, request.leader_state, leader_controls,
@@ -246,7 +286,8 @@ def oracle_leader_value(request, params4):
     leader_traj = replay(request.leader_state, leader_controls, request.bicycle_params, request.dt)
     follower_traj = replay(request.follower_state, follower_controls,
                            request.bicycle_params, request.dt)
-    value = cost(leader_traj, follower_traj, request.leader_weights, request.feature_params)
+    value = oracle_cost(leader_traj, follower_traj, request.leader_weights,
+                        request.feature_params)
     return value, leader_controls, follower_controls, leader_traj, follower_traj
 
 

@@ -69,11 +69,15 @@ class TestIntervalBelief:
         (lambda game: IntervalBelief(Partition((0, 0.5, 1)), (1.0,)),
          "one mass per partition cell required"),
         (lambda game: IntervalBelief.uniform_on(0.6, 0.4), "invalid support [0.6, 0.4]"),
+        (lambda game: IntervalBelief.uniform_on(1 / 3, Fraction(1, 3)), "invalid support"),
+        (lambda game: IntervalBelief.uniform_on(Fraction(1, 3), Fraction(10**30 + 3, 3 * 10**30)),
+         "invalid support"),
         (lambda game: bayes_update(IntervalBelief.uniform(partition_domain(game)), game, 0, (1.0,)),
          "one likelihood per follower action required"),
         (lambda game: mass_below(IntervalBelief.uniform(Partition((0, 1))), 1.5),
          "threshold 1.5 outside [0, 1]"),
-    ], ids=["one_mass", "reversed_support", "one_likelihood", "threshold"])
+    ], ids=["one_mass", "reversed_support", "support_at_one_float", "fraction_support_at_one_float",
+            "one_likelihood", "threshold"])
     def test_rejects_malformed_input(self, lane_merge_game, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(lane_merge_game)
@@ -228,6 +232,8 @@ def _float_site_refined(part, points):
 
 
 def _float_site_uniform_on(lo, hi, base):
+    if not (0 <= lo < hi <= 1 and float(lo) < float(hi)):
+        raise ValueError(f"invalid support [{lo}, {hi}]")
     part = _float_site_refined(base, tuple(p for p in (lo, hi) if 0 < p < 1))
     total = float(hi - lo)
     masses = []

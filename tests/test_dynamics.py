@@ -14,6 +14,7 @@ from altmerge.dynamics import (
     features,
     step,
 )
+from oracles import oracle_features
 
 BP = BicycleParams()
 FP = FeatureParams()
@@ -163,18 +164,10 @@ class TestFeatures:
             phi4 = features(own, other, FP)[4]
             assert phi4 == 0.0 and math.copysign(1.0, phi4) == 1.0
 
-    def test_separation_matches_the_squared_form(self):
-        """Feature 4 equals the plain squared form bit for bit, and 0.0 where that overflows."""
+    def test_every_feature_matches_the_plain_formulas(self):
+        """All six features equal the oracle's plain formulas bit for bit, -0.0 included."""
         lat_axis = FP.vehicle_width + FP.width_margin
         lon_axis = FP.vehicle_length + FP.length_margin
-
-        def squared_form(own, other):
-            sin_o, cos_o = math.sin(other.theta), math.cos(other.theta)
-            dx, dy = own.x - other.x, own.y - other.y
-            lateral = dx * cos_o - dy * sin_o
-            longitudinal = dx * sin_o + dy * cos_o
-            return min(0.0, (lateral / lat_axis) ** 2 + (longitudinal / lon_axis) ** 2 - 1.0)
-
         rng = random.Random(10)
         # the centre, the ellipse's ends and the box corners; then near it and up to 1e200 away
         pairs = [(VehicleState(5.0 + sx * lat_axis * a, sy * lon_axis * b, 10.0, 0.0),
@@ -186,17 +179,19 @@ class TestFeatures:
                                        10.0, rng.uniform(-4.0, 4.0)),
                           VehicleState(rng.uniform(-10, 10), rng.uniform(-10, 10), 10.0,
                                        rng.uniform(-4.0, 4.0))))
-        overflowed = inside = 0
-        for own, other in pairs:
-            phi4 = features(own, other, FP)[4]
-            inside += phi4 < 0.0
-            try:
-                expected = squared_form(own, other)
-            except OverflowError:
-                overflowed += 1
-                expected = 0.0
-            assert phi4.hex() == expected.hex(), (own, other)
-        assert overflowed > 100 and inside > 100
+        # a -0.0 gap, inside the ellipse and outside it
+        zero_gaps = [(VehicleState(x, -0.0, 10.0, 0.0), VehicleState(5.0, 0.0, 10.0, 0.0))
+                     for x in (5.0, 12.0)]
+        far = inside = 0
+        for own, other in pairs + zero_gaps:
+            phi = features(own, other, FP)
+            inside += phi[4] < 0.0
+            far += max(abs(own.x), abs(own.y)) > 1e160  # squaring the offset overflows
+            assert [f.hex() for f in phi] == [f.hex() for f in oracle_features(own, other, FP)], (
+                own, other)
+        assert far > 100 and inside > 100
+        for own, other in zero_gaps:
+            assert features(own, other, FP)[5].hex() == (-0.0).hex()
 
 
 class TestCost:

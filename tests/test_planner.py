@@ -275,6 +275,28 @@ UNEVEN = ((-1.7, -0.6, -0.9, -1.3, 0.8, 1.1), (-0.4, -1.9, -0.7, -1.2, 0.6, -0.8
 PROXIMITY = ((-1.7, -0.6, -0.9, -1.3, -0.8, 0.0), (-0.4, -1.9, -0.7, -1.2, -0.6, 0.0))
 
 
+#: ``bilevel_plan(...).stats`` of each distinct shipped cell at horizons 1, 2 and 7, as
+#: the planner counted them before its inner loop was made lean: that gain came from
+#: cheaper evaluations, not fewer. A change to the bound or the search order shows here.
+PINNED_STATS = {
+    "lane_merge.json-00": ((31, 0, 31, 257, 704), (41, 0, 41, 1312, 0), (40, 5, 40, 706, 576)),
+    "lane_merge.json-01": ((31, 0, 31, 273, 688), (32, 0, 32, 1233, 0), (32, 0, 32, 776, 297)),
+    "lane_merge.json-10": ((31, 0, 31, 371, 972), (38, 0, 38, 1459, 2), (46, 3, 46, 773, 1199)),
+    "lane_merge.json-20": ((27, 6, 27, 257, 796), (25, 8, 25, 970, 5), (15, 18, 15, 394, 255)),
+    "lane_merge.json-21": ((27, 6, 27, 237, 816), (25, 8, 25, 875, 100), (9, 24, 9, 149, 244)),
+}
+
+
+@pytest.mark.parametrize("request_, pinned", [
+    pytest.param(case.values[0], PINNED_STATS.get(case.id), id=case.id)
+    for case in _distinct_cell_requests()
+])
+def test_work_counts_are_pinned(request_, pinned):
+    stats = tuple(bilevel_plan(dataclasses.replace(request_, horizon=horizon)).stats
+                  for horizon in (1, 2, 7))
+    assert pinned is not None and stats == tuple(PlanStats(*counts) for counts in pinned)
+
+
 class TestOracleParity:
     """The planner returns exactly what the plain nested search returns."""
 
