@@ -7,13 +7,12 @@ induced by the game's reward-line crossings: the follower's best response
 is then constant on each cell interior, which is what makes Bayes
 updates well defined. The game builds that partition once.
 
-The cell table lives here. It checks a belief's partition against the
-game's and holds each row's follower best response and leader value per
-cell and, when conflict-aware, the role swap and the conflict region; it
-calls ``game``'s unchecked ``_follower_values`` once per row and cell.
-``select_action``, ``conflict_mass`` and ``response_per_cell`` share one
-table while the belief and game objects stay the same, so ``bayes_update``
-reads the responses that the step's decision solved.
+The cell table lives here. It checks a partition against the game's
+decision partition and holds each row's follower best response and leader
+value per cell and, when conflict-aware, the role swap and the conflict
+region; it calls ``game``'s unchecked ``_follower_values`` once per row and
+cell. It never reads the masses, so there is one table per game, partition
+and flag: each step of an episode, its ``bayes_update`` included, reads it.
 """
 
 from __future__ import annotations
@@ -38,6 +37,11 @@ class BeliefContradictionError(ValueError):
 def partition_domain(game: AltruismGame) -> Partition:
     """Partition of [0, 1] at every reward-line crossing of every row; the game builds it once."""
     return game._domain_partition
+
+
+def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Partition:
+    """Partition on which every decision-time quantity is cellwise constant; built once per game."""
+    return game._role_swap_partition if conflict_aware else game._domain_partition
 
 
 def _sum_in_order(values) -> float:
@@ -143,8 +147,7 @@ class _CellTable:
     """
 
     def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
-        decision = game._role_swap_partition if conflict_aware else game._domain_partition
-        if not partition.refines(decision):
+        if not partition.refines(decision_partition(game, conflict_aware)):
             if not conflict_aware or not partition.refines(game._domain_partition):
                 raise ValueError("belief partition must refine the game's domain partition")
             raise ValueError("conflict-aware selection needs the role-swap breakpoints refined in")
@@ -225,18 +228,18 @@ class _CellTable:
         return total
 
 
-#: The last cell table built, as (belief, game, conflict_aware, table). The list is
+#: The last cell table built, as (partition, game, conflict_aware, table). The list is
 #: updated in place, so the module attribute stays bound to one object.
 _last_table: list = [(None, None, False, None)]
 
 
-def _cell_table(game: AltruismGame, belief: IntervalBelief, conflict_aware: bool) -> _CellTable:
-    """``belief``'s cell table; the last one is reused for the same belief and game objects."""
+def _cell_table(game: AltruismGame, partition: Partition, conflict_aware: bool) -> _CellTable:
+    """One table per game, partition and flag, built and checked only here; aware serves unaware."""
     last = _last_table[0]
-    if last[0] is belief and last[1] is game and last[2] >= conflict_aware:
+    if last[0] is partition and last[1] is game and last[2] >= conflict_aware:
         return last[3]
-    table = _CellTable(game, belief.partition, conflict_aware)
-    _last_table[0] = (belief, game, conflict_aware, table)
+    table = _CellTable(game, partition, conflict_aware)
+    _last_table[0] = (partition, game, conflict_aware, table)
     return table
 
 
@@ -245,7 +248,7 @@ def response_per_cell(
 ) -> tuple[int, ...]:
     """Follower best response for each belief cell (constant on interiors)."""
     _check_row(game, leader_action)
-    return tuple(_cell_table(game, belief, False).responses[leader_action])
+    return tuple(_cell_table(game, belief.partition, False).responses[leader_action])
 
 
 def bayes_update(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 N_FEATURES = 6
@@ -74,7 +75,7 @@ class BicycleParams:
     def __post_init__(self) -> None:
         for name in ("wheelbase", "accel_max", "steer_max"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if not 0 < value <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def check(self, control: Control) -> None:
@@ -111,7 +112,7 @@ class FeatureParams:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not -math.inf < value < math.inf:
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name.startswith("lambda_") and value < 0:
                 raise ValueError(f"{field.name} must be nonnegative, got {value}")

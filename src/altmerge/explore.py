@@ -7,8 +7,8 @@ attainable leader value. A conflict-aware variant hedges the expected value
 against the chance that the opponent also believes itself the leader.
 
 Every one of these quantities is constant on each cell of the belief's
-partition. So ``select_action`` reads ``belief``'s cell table for the
-game and the belief and scores every row from it; ``ActionEvaluation``
+partition. So ``select_action`` reads the one cell table of the game,
+partition and flag and scores every row from it; ``ActionEvaluation``
 carries each row's expected reward, bonus and predicted response
 distribution. The two bonus helpers read their row from ``select_action``.
 Every score is a float sum over the cell masses, in cell order. The
@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .belief import (IntervalBelief, Partition, _CellTable, _cell_table, _entropy, _sum_in_order,
+from .belief import (IntervalBelief, _cell_table, _entropy, _sum_in_order, decision_partition,
                      mass_below)
 from .game import AltruismGame, Number, _check_row
 
@@ -47,6 +47,10 @@ class ExplorationStrategy:
     conflict_aware: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, StrategyKind):
+            raise ValueError(f"kind must be a StrategyKind, got {self.kind!r}")
+        if not isinstance(self.conflict_aware, bool):
+            raise ValueError(f"conflict_aware must be a bool, got {self.conflict_aware!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
 
@@ -83,11 +87,6 @@ def expected_reward_gain_bonus(
     return _bonus(StrategyKind.REWARD_GAIN, game, belief, leader_action)
 
 
-def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Partition:
-    """Partition on which every decision-time quantity is cellwise constant; built once per game."""
-    return game._role_swap_partition if conflict_aware else game._domain_partition
-
-
 def conflict_region(game: AltruismGame) -> tuple[tuple[Number, Number], ...]:
     """Maximal intervals of coefficients where role confusion breaks coordination.
 
@@ -95,7 +94,7 @@ def conflict_region(game: AltruismGame) -> tuple[tuple[Number, Number], ...]:
     midpoint; adjacent conflicted cells merge. Breakpoints are exact when
     the game is rational, so e.g. a region ending at 1/2 is reported exactly.
     """
-    return tuple(_CellTable(game, decision_partition(game, conflict_aware=True), True).region)
+    return tuple(_cell_table(game, decision_partition(game, True), True).region)
 
 
 def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
@@ -103,7 +102,7 @@ def conflict_mass(game: AltruismGame, belief: IntervalBelief) -> float:
 
     The belief's partition must carry the role-swap breakpoints.
     """
-    return _conflict_mass(belief, _cell_table(game, belief, True).region)
+    return _conflict_mass(belief, _cell_table(game, belief.partition, True).region)
 
 
 def select_action(
@@ -114,7 +113,7 @@ def select_action(
     A finite ``lam`` can still push a row's total out of the float range;
     that raises ``ValueError`` naming lambda rather than comparing infinities.
     """
-    table = _cell_table(game, belief, strategy.conflict_aware)
+    table = _cell_table(game, belief.partition, strategy.conflict_aware)
     masses, kind = belief.masses, strategy.kind
     if kind is StrategyKind.INFO_GAIN:
         prior_entropy = _entropy(masses, table.widths)

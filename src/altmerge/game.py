@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,7 +93,8 @@ class AltruismGame:
             for cell in row:
                 if len(cell) != 2:
                     raise ValueError("every cell must hold exactly one reward pair")
-                if not (-math.inf < cell[0] < math.inf and -math.inf < cell[1] < math.inf):
+                # fails for NaN, an infinity and a number past the float range
+                if not all(-sys.float_info.max <= value <= sys.float_info.max for value in cell):
                     raise ValueError(f"rewards must be finite, got {cell}")
         _check_alpha(self.alpha_leader)
 

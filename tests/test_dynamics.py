@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,12 +23,17 @@ FP = FeatureParams()
 
 class TestParams:
     @pytest.mark.parametrize("field", ["wheelbase", "accel_max", "steer_max"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, 0.0, pytest.param(10**400, id="int_past_float_range")])
     def test_bicycle_params_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             BicycleParams(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="int_past_float_range"),
+        pytest.param(Fraction(10**400), id="fraction_past_float_range"),
+    ])
     def test_feature_params_must_be_finite(self, value):
         with pytest.raises(ValueError, match="lambda_x"):
             FeatureParams(lambda_x=value)

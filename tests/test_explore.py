@@ -23,7 +23,8 @@ from altmerge.explore import (
 )
 import altmerge.game as game_module
 from altmerge.game import AltruismGame
-from conftest import random_game_belief_pairs, shipped_games, uniform_for
+from altmerge.sim import load_scenario, run_conflict_experiment
+from conftest import SCENARIO_DIR, random_game_belief_pairs, shipped_games, uniform_for
 from oracles import (
     _oracle_responses,
     oracle_conflict_mass,
@@ -136,6 +137,14 @@ class TestSelectAction:
         strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, lam=1e308)
         with pytest.raises(ValueError, match="lambda 1e\\+308 times row 0"):
             select_action(lane_merge_game, uniform_for(lane_merge_game), strategy)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "info-gain"), ("kind", None), ("conflict_aware", "no"), ("conflict_aware", 1),
+    ])
+    def test_strategy_rejects_a_kind_or_flag_of_another_type(self, field, value):
+        # a string kind used to score as passive, and any truthy flag switched on the hedge
+        with pytest.raises(ValueError, match=field):
+            ExplorationStrategy(**{"kind": StrategyKind.INFO_GAIN, field: value})
 
     def test_outcome_probabilities_sum_to_one(self, lane_merge_game):
         b = uniform_for(lane_merge_game)
@@ -301,6 +310,21 @@ class TestExactCrossings:
         assert best == 0 and evaluations[0].expected_reward > 333333333333.6
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Every cell table built from here on, as (game, partition, conflict_aware)."""
+    built = []
+    init = belief_module._CellTable.__init__
+
+    def counted(table, game, partition, conflict_aware):
+        built.append((game, partition, conflict_aware))
+        init(table, game, partition, conflict_aware)
+
+    monkeypatch.setattr(belief_module._CellTable, "__init__", counted)
+    monkeypatch.setattr(belief_module, "_last_table", [(None, None, False, None)])
+    return built
+
+
 class TestChecksOnce:
     def test_partition_off_the_domain_is_rejected_everywhere(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
@@ -348,10 +372,30 @@ class TestChecksOnce:
         select_action(game, belief, strategy)
         want = [(i, mid) for mid in partition.midpoints for i in range(game.n_leader)]
         assert sorted(calls) == sorted(want)
-        # the update reads the responses the decision solved, from the same table
+        # the update and the conflict region read what the decision solved, from the same table
         calls.clear()
         bayes_update(belief, game, 1, (1.0, 0.5))
+        assert conflict_region(game) == oracle_conflict_region(game)
         assert calls == []
+
+    def test_one_table_per_game_partition_and_flag_in_an_episode(self, builds):
+        scenario = load_scenario(SCENARIO_DIR / "lane_merge_responsibility.json")
+        episodes = run_conflict_experiment(scenario)
+        game = scenario.game
+        assert [len(result.records) for result in episodes.values()] == [30, 30]
+        assert builds == [(game, decision_partition(game, aware), aware) for aware in (False, True)]
+
+    def test_alternating_flags_build_one_table_per_decision(self, lane_merge_game, builds):
+        # the one kept table follows the last partition, as interleaved streams use it
+        game = lane_merge_game
+        beliefs = [IntervalBelief.uniform(decision_partition(game, aware)) for aware in (False, True)]
+        for t in range(6):
+            aware = t % 2 == 1
+            strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=aware)
+            _, row = select_action(game, beliefs[aware], strategy)
+            beliefs[aware] = bayes_update(beliefs[aware], game, row, (1.0, 0.5))
+        assert builds == [(game, beliefs[aware].partition, aware)
+                          for _ in range(3) for aware in (False, True)]
 
     def test_each_game_builds_its_partitions_once(self, lane_merge_game, monkeypatch):
         game = lane_merge_game

@@ -25,7 +25,11 @@ from oracles import leader_reward_given_alpha, oracle_equilibrium, oracle_role_s
 
 
 class TestAltruismGame:
-    @pytest.mark.parametrize("reward", [math.nan, math.inf])
+    @pytest.mark.parametrize("reward", [
+        math.nan, math.inf,
+        pytest.param(10**400, id="int_past_float_range"),
+        pytest.param(-Fraction(10**400), id="fraction_past_float_range"),
+    ])
     def test_rejects_non_finite_reward(self, reward):
         with pytest.raises(ValueError, match="finite"):
             AltruismGame(("a",), ("x", "y"), (((1, reward), (0, 2)),))
