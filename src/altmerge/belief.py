@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row,
+from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row, _finite,
                    _follower_values, _role_swap)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
@@ -60,7 +60,10 @@ class IntervalBelief:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        masses = tuple(float(m) for m in self.masses)
+        try:
+            masses = tuple(float(m) for m in self.masses)
+        except OverflowError:
+            raise ValueError(f"masses must be nonnegative and finite, got {self.masses}") from None
         object.__setattr__(self, "masses", masses)
         if len(masses) != self.partition.n_cells:
             raise ValueError("one mass per partition cell required")
@@ -266,7 +269,7 @@ def bayes_update(
     """
     if len(observation_likelihoods) != game.n_follower:
         raise ValueError("one likelihood per follower action required")
-    if not all(0 <= l < math.inf for l in observation_likelihoods):
+    if not all(0 <= l and _finite(l) for l in observation_likelihoods):
         raise ValueError(
             f"likelihoods must be nonnegative and finite, got {tuple(observation_likelihoods)}"
         )

@@ -249,7 +249,7 @@ def _reading(path: Path):
         raise ValueError(f"{path} is empty or malformed: {error!r}") from None
 
 
-def _finite(text: str) -> float:
+def _read_float(text: str) -> float:
     """A number read from a run file; NaN or an infinity makes the file malformed."""
     value = float(text)
     if not math.isfinite(value):
@@ -258,8 +258,8 @@ def _finite(text: str) -> float:
 
 
 def _json(text: str):
-    """A run file's JSON, with every non-integer number checked by ``_finite``."""
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    """A run file's JSON, with every non-integer number checked by ``_read_float``."""
+    return json.loads(text, parse_float=_read_float, parse_constant=_read_float)
 
 
 def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
@@ -371,7 +371,7 @@ def plot(run_dir: str | Path) -> int:
             for row in rows:
                 for column in TRACE_COLUMNS:
                     if column != "vehicle":
-                        _finite(row[column])
+                        _read_float(row[column])
             figures = {"trajectory.svg": _plot_trajectories(rows, *lanes),
                        "relative_position.svg": _plot_relative_position(rows)}
         with _reading(log):

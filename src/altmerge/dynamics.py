@@ -30,13 +30,25 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
+
+from .game import _finite
 
 N_FEATURES = 6
 
 #: Row k weighs feature k alone: ``features`` reads each feature through the cost kernels.
 _UNIT = tuple(tuple(float(j == k) for j in range(N_FEATURES)) for k in range(N_FEATURES))
+
+
+def _check_dt(dt: float) -> None:
+    if not (_finite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
+def _check_weights(*weight_vectors: tuple[float, ...]) -> None:
+    for weights in weight_vectors:
+        if len(weights) != N_FEATURES or not all(map(_finite, weights)):
+            raise ValueError(f"weight vectors must have {N_FEATURES} finite entries")
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ class VehicleState:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "v", "theta"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"non-finite state component {name}")
         if self.v < 0:
             raise ValueError("speed must be nonnegative")
@@ -75,7 +87,7 @@ class BicycleParams:
     def __post_init__(self) -> None:
         for name in ("wheelbase", "accel_max", "steer_max"):
             value = getattr(self, name)
-            if not 0 < value <= sys.float_info.max:
+            if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def check(self, control: Control) -> None:
@@ -112,7 +124,7 @@ class FeatureParams:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not -sys.float_info.max <= value <= sys.float_info.max:
+            if not _finite(value):
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name.startswith("lambda_") and value < 0:
                 raise ValueError(f"{field.name} must be nonnegative, got {value}")
@@ -133,8 +145,7 @@ def step(
     Euler), so acceleration is observable in a single step; the heading
     rate uses the pre-step speed.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     params.check(control)
     start = (state.x, state.y, state.v, state.theta)
     return VehicleState(*_advance(start, control.accel, control.steer, 1, params.wheelbase, dt)[0])
@@ -275,8 +286,7 @@ def cost(
     """Weighted feature sum over an aligned pair of state trajectories."""
     if len(trajectory) != len(other_trajectory):
         raise ValueError("trajectories must have equal length")
-    if len(weights) != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} weights, got {len(weights)}")
+    _check_weights(weights)
     states = [(s.x, s.y, s.v, s.theta) for s in trajectory]
     others = _frame([(o.x, o.y, o.v, o.theta) for o in other_trajectory])
     return _pair_cost(states, _own_costs(states, weights, params), others, weights, params)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .belief import (IntervalBelief, _cell_table, _entropy, _sum_in_order, decision_partition,
                      mass_below)
-from .game import AltruismGame, Number, _check_row
+from .game import AltruismGame, Number, _check_row, _finite
 
 
 class StrategyKind(enum.Enum):
@@ -51,7 +51,7 @@ class ExplorationStrategy:
             raise ValueError(f"kind must be a StrategyKind, got {self.kind!r}")
         if not isinstance(self.conflict_aware, bool):
             raise ValueError(f"conflict_aware must be a bool, got {self.conflict_aware!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
+        if not (_finite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
 
 

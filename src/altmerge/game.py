@@ -15,13 +15,13 @@ partitions, the domain partition at every row's crossings and its
 refinement at the role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
-leader's coefficient once, and each public function checks its own
-coefficient and row or cell once. The game also computes the leader's
-value of every cell once, on first use. One unchecked kernel,
-``_follower_values``, blends the follower's values of one row at a
-coefficient; every best response and the role swap are read from these two
-grids. ``belief``'s cell table calls the kernel after its own partition
-check.
+leader's coefficient once, each public function its own coefficient and row
+or cell, and every layer a caller's number with ``_finite``, the one
+float-range rule. The game computes the leader's value of every cell once,
+on first use. One unchecked kernel, ``_follower_values``, blends the
+follower's values of one row at a coefficient; every best response and the
+role swap are read from these two grids. ``belief``'s cell table calls the
+kernel after its own partition check.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ Number = int | float | Fraction
 
 #: Mass bookkeeping tolerance.
 MASS_TOL = 1e-9
+
+
+def _finite(value: Number) -> bool:
+    """In the float range: False for NaN, an infinity, and an int or Fraction past it."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 class Player(enum.Enum):
@@ -93,8 +98,7 @@ class AltruismGame:
             for cell in row:
                 if len(cell) != 2:
                     raise ValueError("every cell must hold exactly one reward pair")
-                # fails for NaN, an infinity and a number past the float range
-                if not all(-sys.float_info.max <= value <= sys.float_info.max for value in cell):
+                if not all(map(_finite, cell)):
                     raise ValueError(f"rewards must be finite, got {cell}")
         _check_alpha(self.alpha_leader)
 
@@ -255,6 +259,9 @@ class Partition:
     def __post_init__(self) -> None:
         pts = tuple(self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
+        for p in pts:
+            if not 0 <= p <= 1:
+                raise ValueError(f"breakpoint {p} outside [0, 1]")
         if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
             raise ValueError("partition must start at 0 and end at 1")
         floats = tuple(float(p) for p in pts)
@@ -288,12 +295,11 @@ class Partition:
 
     def refined(self, points: tuple[Number, ...]) -> "Partition":
         """Partition with the extra points inserted; a point that is the same float as a
-        breakpoint, or as an earlier point, is dropped, so no float replaces an exact one."""
+        breakpoint, or as an earlier point, is dropped, so no float replaces an exact one. A
+        point no float can hold keys itself, and the new partition rejects it."""
         merged = dict(zip(self.floats, self.breakpoints))
         for p in points:
-            if not 0 <= p <= 1:
-                raise ValueError(f"breakpoint {p} outside [0, 1]")
-            merged.setdefault(float(p), p)
+            merged.setdefault(float(p) if _finite(p) else p, p)
         return Partition(tuple(merged[f] for f in sorted(merged)))
 
 

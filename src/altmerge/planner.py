@@ -66,12 +66,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import (
-    N_FEATURES,
     BicycleParams,
     Control,
     FeatureParams,
     VehicleState,
     _advance,
+    _check_dt,
+    _check_weights,
     _frame,
     _own_costs,
     _pair_cost,
@@ -91,14 +92,6 @@ SEARCH_ROUNDS = 3
 MAX_HORIZON = 100
 
 
-def _check_dt_and_weights(dt: float, *weight_vectors: tuple[float, ...]) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    for weights in weight_vectors:
-        if len(weights) != N_FEATURES or not all(math.isfinite(w) for w in weights):
-            raise ValueError("weight vectors must have six finite entries")
-
-
 @dataclass(frozen=True)
 class PlanRequest:
     """Inputs of one bi-level planning problem."""
@@ -113,11 +106,12 @@ class PlanRequest:
     bicycle_params: BicycleParams = BicycleParams()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or not 1 <= self.horizon <= MAX_HORIZON:
+        if type(self.horizon) is not int or not 1 <= self.horizon <= MAX_HORIZON:
             raise ValueError(
                 f"horizon must be an integer in [1, {MAX_HORIZON}], got {self.horizon!r}"
             )
-        _check_dt_and_weights(self.dt, self.leader_weights, self.follower_weights)
+        _check_dt(self.dt)
+        _check_weights(self.leader_weights, self.follower_weights)
 
 
 class PlanStats(NamedTuple):
@@ -318,7 +312,8 @@ def follower_plan(
     bicycle_params: BicycleParams = BicycleParams(),
 ) -> tuple[Control, ...]:
     """Follower controls maximizing its weighted features against a fixed leader plan."""
-    _check_dt_and_weights(dt, follower_weights)
+    _check_dt(dt)
+    _check_weights(follower_weights)
     horizon = len(leader_controls)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"leader control sequence must have 1 to {MAX_HORIZON} steps")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +45,7 @@ from .explore import (
 from .game import (
     AltruismGame,
     OutcomeLabel,
+    _finite,
     build_responsibility_matrix,
     follower_best_response,
     leader_preference_of_follower,
@@ -86,17 +86,17 @@ class Scenario:
     def __post_init__(self) -> None:
         if not 0 <= self.true_alpha <= 1:
             raise ScenarioError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
-        if not isinstance(self.episode_steps, int):
+        if type(self.episode_steps) is not int:
             raise ScenarioError(f"episode_steps must be an integer, got {self.episode_steps!r}")
         if self.episode_steps < 1:
             raise ScenarioError("episode_steps must be at least 1")
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (_finite(self.dt) and self.dt > 0):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        if not isinstance(self.horizon, int):
+        if type(self.horizon) is not int:
             raise ScenarioError(f"horizon must be an integer, got {self.horizon!r}")
         if not 1 <= self.horizon <= MAX_HORIZON:
-            raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon:g}")
-        if not (math.isfinite(self.observation_temperature) and self.observation_temperature > 0):
+            raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon!r}")
+        if not (_finite(self.observation_temperature) and self.observation_temperature > 0):
             raise ScenarioError(
                 f"observation_temperature must be positive and finite, got {self.observation_temperature}"
             )
@@ -109,7 +109,7 @@ class Scenario:
                 pair = self.weights[(i, j)]
                 if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
                     raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
-                if not all(math.isfinite(w) for vector in pair for w in vector):
+                if not all(_finite(w) for vector in pair for w in vector):
                     raise ScenarioError(f"cell ({i}, {j}) needs finite weights")
 
 
@@ -173,7 +173,7 @@ def observation_likelihoods(
     finite once divided by the temperature raises ``ValueError``; a tiny
     temperature can push a score out of the float range.
     """
-    if not (math.isfinite(temperature) and temperature > 0):
+    if not (_finite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     successor = [step(follower_state, observed_control, bicycle_params, dt)]
     logits = [cost(successor, [leader_state_next], weights[(leader_action, j)][1],
@@ -355,9 +355,7 @@ def _build(make, context: str, /, *args, **kwargs):
 
 def _number(raw, context: str) -> int | float:
     """A JSON number in the float range, as parsed: integers stay exact."""
-    # abs(raw) <= max fails for NaN, an infinity and an integer past the float range
-    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-            or not abs(raw) <= sys.float_info.max):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not _finite(raw):
         raise ScenarioError(f"{context}: expected a finite number, got {raw!r}")
     return raw
 

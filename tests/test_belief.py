@@ -60,7 +60,11 @@ class TestPartition:
 
 
 class TestIntervalBelief:
-    @pytest.mark.parametrize("masses", [(math.nan, 0.5), (math.nan, 1.0), (math.inf, 0.0)])
+    @pytest.mark.parametrize("masses", [
+        (math.nan, 0.5), (math.nan, 1.0), (math.inf, 0.0),
+        pytest.param((10**400, 0.0), id="int_past_float_range"),
+        pytest.param((0.5, -Fraction(10**400)), id="fraction_past_float_range"),
+    ])
     def test_rejects_non_finite_mass(self, masses):
         with pytest.raises(ValueError, match="mass"):
             IntervalBelief(Partition((0, 0.5, 1)), masses)
@@ -168,7 +172,9 @@ class TestBayesUpdate:
         with pytest.raises(ValueError):
             bayes_update(b, lane_merge_game, 0, (-0.1, 1.0))
 
-    @pytest.mark.parametrize("likelihoods", [(math.inf, 0.5), (math.nan, 0.5)], ids=["inf", "nan"])
+    @pytest.mark.parametrize("likelihoods", [
+        (math.inf, 0.5), (math.nan, 0.5), (10**400, 0.5), (0.5, Fraction(10**400)),
+    ], ids=["inf", "nan", "int_past_float_range", "fraction_past_float_range"])
     def test_rejects_non_finite_likelihoods(self, lane_merge_game, likelihoods):
         b = IntervalBelief.uniform(partition_domain(lane_merge_game))
         with pytest.raises(ValueError, match="likelihoods must be nonnegative and finite"):

@@ -41,7 +41,19 @@ class TestParams:
     @pytest.mark.parametrize("make, message", [
         (lambda: VehicleState(0.0, math.nan, 5.0, 0.0), "non-finite state component y"),
         (lambda: FeatureParams(length_margin=-10.0), "longitudinal ellipse axis must be positive"),
-    ], ids=["state_y_nan", "length_margin"])
+        (lambda: VehicleState(10**400, 0.0, 5.0, 0.0), "non-finite state component x"),
+        (lambda: VehicleState(0.0, 0.0, Fraction(10**400), 0.0), "non-finite state component v"),
+        (lambda: step(VehicleState(0.0, 0.0, 5.0, 0.0), Control(0.0, 0.0), BP, math.nan),
+         "dt must be positive and finite, got nan"),
+        (lambda: step(VehicleState(0.0, 0.0, 5.0, 0.0), Control(0.0, 0.0), BP, 10**400),
+         "dt must be positive and finite"),
+        (lambda: cost([], [], (0.0, 0.0, 10**400, 0.0, 0.0, 0.0), FP),
+         "weight vectors must have 6 finite entries"),
+        (lambda: cost([], [], (0.0, 0.0, 0.0, 0.0, 0.0, Fraction(10**400)), FP),
+         "weight vectors must have 6 finite entries"),
+    ], ids=["state_y_nan", "length_margin", "state_int_past_float_range",
+            "state_fraction_past_float_range", "step_dt_nan", "step_dt_int_past_float_range",
+            "cost_weight_int_past_float_range", "cost_weight_fraction_past_float_range"])
     def test_rejects_malformed_input(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -140,9 +140,12 @@ class TestSelectAction:
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "info-gain"), ("kind", None), ("conflict_aware", "no"), ("conflict_aware", 1),
+        pytest.param("lam", 10**400, id="lam_int_past_float_range"),
+        pytest.param("lam", Fraction(10**400), id="lam_fraction_past_float_range"),
     ])
     def test_strategy_rejects_a_kind_or_flag_of_another_type(self, field, value):
-        # a string kind used to score as passive, and any truthy flag switched on the hedge
+        # a string kind used to score as passive, any truthy flag switched on the hedge, and a
+        # lam that no float can hold raised OverflowError
         with pytest.raises(ValueError, match=field):
             ExplorationStrategy(**{"kind": StrategyKind.INFO_GAIN, field: value})
 

@@ -38,7 +38,11 @@ class TestAltruismGame:
         (lambda: AltruismGame(("a",), ("x", "y"), (((1, 0, 2), (0, 2)),)),
          r"every cell must hold exactly one reward pair"),
         (lambda: Partition((0, 1)).refined((1.5,)), r"breakpoint 1\.5 outside \[0, 1\]"),
-    ], ids=["three_number_cell", "breakpoint_outside"])
+        (lambda: Partition((0, 10**400, 1)), r"breakpoint 10{400} outside \[0, 1\]"),
+        (lambda: Partition((0, -Fraction(10**400), 1)), r"breakpoint -10{400} outside \[0, 1\]"),
+        (lambda: Partition((0, 1)).refined((10**400,)), r"breakpoint 10{400} outside \[0, 1\]"),
+    ], ids=["three_number_cell", "breakpoint_outside", "breakpoint_int_past_float_range",
+            "breakpoint_fraction_past_float_range", "refined_int_past_float_range"])
     def test_rejects_malformed_input(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -181,16 +182,19 @@ class TestBilevelPlan:
             PlanRequest(LEADER, FOLLOWER, (0.0,) * 5, ZERO)
 
     def test_rejects_nan_leader_weight(self):
-        with pytest.raises(ValueError, match="finite"):
-            self._request((math.nan, 0, 0, 0, 0, 0), ZERO)
+        for weight in (math.nan, 10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="finite"):
+                self._request((weight, 0, 0, 0, 0, 0), ZERO)
 
     def test_rejects_nan_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            PlanRequest(LEADER, FOLLOWER, ZERO, ZERO, dt=math.nan)
+        for dt in (math.nan, 10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="dt"):
+                PlanRequest(LEADER, FOLLOWER, ZERO, ZERO, dt=dt)
 
     def test_rejects_non_integer_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            self._request(ZERO, ZERO, horizon=2.5)
+        for horizon in (2.5, True):
+            with pytest.raises(ValueError, match="horizon"):
+                self._request(ZERO, ZERO, horizon=horizon)
 
     def test_horizon_is_bounded(self):
         assert self._request(ZERO, ZERO, horizon=MAX_HORIZON).horizon == MAX_HORIZON
@@ -205,12 +209,14 @@ class TestFollowerPlanInput:
     CONTROLS = (Control(0.0, 0.0),) * 6
 
     def test_rejects_nan_weight(self):
-        with pytest.raises(ValueError, match="finite"):
-            follower_plan(FOLLOWER, LEADER, self.CONTROLS, (0, 0, math.inf, 0, 0, 0), 0.2, FP, BP)
+        for weight in (math.inf, 10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="finite"):
+                follower_plan(FOLLOWER, LEADER, self.CONTROLS, (0, 0, weight, 0, 0, 0), 0.2, FP, BP)
 
     def test_rejects_nan_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            follower_plan(FOLLOWER, LEADER, self.CONTROLS, ZERO, math.nan, FP, BP)
+        for dt in (math.nan, 10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="dt"):
+                follower_plan(FOLLOWER, LEADER, self.CONTROLS, ZERO, dt, FP, BP)
 
     def test_rejects_nan_leader_control(self):
         with pytest.raises(ValueError, match="acceleration"):

@@ -1,4 +1,5 @@
-"""README.md stays true: its examples run, its exported names exist, its sums add in order."""
+"""README.md stays true: its examples run, its exported names exist, its sums add in order,
+and one predicate states the float range."""
 
 import ast
 import re
@@ -37,3 +38,23 @@ def test_no_package_sum_depends_on_the_python_version():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sum", "fsum")
     ]
     assert not calls
+
+
+def test_only_game_finite_compares_against_the_float_range():
+    # game._finite is the one float-range rule; a comparison against the range's edge
+    # anywhere else states it again
+    def edge(node):
+        return ast.unparse(node).lstrip("-").endswith(("float_info.max", "math.inf"))
+
+    comparisons = []
+    for path in sorted((ROOT / "src" / "altmerge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                and (path.name, function.name) == ("game.py", "_finite")
+                for node in ast.walk(function)}
+        comparisons += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in rule
+            and any(map(edge, [node.left, *node.comparators]))
+        ]
+    assert not comparisons

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -107,7 +108,11 @@ class TestObservationLikelihoods:
         with pytest.raises(ValueError, match=r"non-finite logits \(.*\) at temperature 1e-320"):
             observation_likelihoods(*args, temperature=1e-320)
 
-    @pytest.mark.parametrize("temperature", [0, -1, math.inf, math.nan])
+    @pytest.mark.parametrize("temperature", [
+        0, -1, math.inf, math.nan,
+        pytest.param(10**400, id="int_past_float_range"),
+        pytest.param(Fraction(10**400), id="fraction_past_float_range"),
+    ])
     def test_rejects_temperature_not_positive_and_finite(self, lane_scenario, temperature):
         args = self._braking_args(lane_scenario)
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
@@ -258,17 +263,41 @@ class TestScenarioParsing:
          "cell (2, 1) needs two 6-entry weight vectors"),
         (lambda weights: weights.update({(1, 0): ((math.nan,) * 6, weights[(1, 0)][1])}),
          "cell (1, 0) needs finite weights"),
-    ], ids=["missing_cell", "short_follower_vector", "nan_leader_weight"])
+        (lambda weights: weights.update({(1, 0): ((10**400,) * 6, weights[(1, 0)][1])}),
+         "cell (1, 0) needs finite weights"),
+        (lambda weights: weights.update({(0, 1): (weights[(0, 1)][0], (Fraction(10**400),) * 6)}),
+         "cell (0, 1) needs finite weights"),
+    ], ids=["missing_cell", "short_follower_vector", "nan_leader_weight",
+            "int_past_float_range_leader_weight", "fraction_past_float_range_follower_weight"])
     def test_scenario_rejects_incomplete_weights(self, lane_scenario, change, message):
         weights = dict(lane_scenario.weights)
         change(weights)
         with pytest.raises(ScenarioError, match=re.escape(message)):
             dataclasses.replace(lane_scenario, weights=weights)
 
-    @pytest.mark.parametrize("field", ["episode_steps", "horizon"])
-    def test_scenario_rejects_a_fractional_count(self, lane_scenario, field):
-        with pytest.raises(ScenarioError, match=f"{field} must be an integer, got 2.5"):
-            dataclasses.replace(lane_scenario, **{field: 2.5})
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("episode_steps", 2.5, "episode_steps must be an integer, got 2.5",
+                     id="episode_steps"),
+        pytest.param("horizon", 2.5, "horizon must be an integer, got 2.5", id="horizon"),
+        pytest.param("episode_steps", True, "episode_steps must be an integer, got True",
+                     id="episode_steps_bool"),
+        pytest.param("horizon", True, "horizon must be an integer, got True", id="horizon_bool"),
+        pytest.param("horizon", 10**400, f"horizon must lie in [1, {MAX_HORIZON}], got 1000",
+                     id="horizon_int_past_float_range"),
+        pytest.param("dt", 10**400, "dt must be positive and finite, got 1000",
+                     id="dt_int_past_float_range"),
+        pytest.param("dt", Fraction(10**400), "dt must be positive and finite, got 1000",
+                     id="dt_fraction_past_float_range"),
+        pytest.param("observation_temperature", 10**400,
+                     "observation_temperature must be positive and finite, got 1000",
+                     id="temperature_int_past_float_range"),
+        pytest.param("observation_temperature", Fraction(10**400),
+                     "observation_temperature must be positive and finite, got 1000",
+                     id="temperature_fraction_past_float_range"),
+    ])
+    def test_scenario_rejects_a_malformed_scalar(self, lane_scenario, field, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            dataclasses.replace(lane_scenario, **{field: value})
 
     def test_wrong_weight_arity_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
