@@ -54,7 +54,10 @@ def _sum_in_order(values) -> float:
 
 @dataclass(frozen=True)
 class IntervalBelief:
-    """Probability mass per partition cell, uniform density inside each cell."""
+    """Probability mass per partition cell, uniform density inside each cell.
+
+    A mass down to -MASS_TOL is accepted as rounding and stored as 0.0.
+    """
 
     partition: Partition
     masses: tuple[float, ...]
@@ -64,7 +67,6 @@ class IntervalBelief:
             masses = tuple(float(m) for m in self.masses)
         except OverflowError:
             raise ValueError(f"masses must be nonnegative and finite, got {self.masses}") from None
-        object.__setattr__(self, "masses", masses)
         if len(masses) != self.partition.n_cells:
             raise ValueError("one mass per partition cell required")
         if any(not m >= -MASS_TOL for m in masses):
@@ -72,6 +74,7 @@ class IntervalBelief:
         total = _sum_in_order(masses)
         if not abs(total - 1.0) <= 1e-6:
             raise ValueError(f"masses must sum to 1, got {total}")
+        object.__setattr__(self, "masses", tuple(m if m > 0 else 0.0 for m in masses))
 
     @classmethod
     def uniform(cls, partition: Partition) -> "IntervalBelief":
@@ -145,8 +148,13 @@ class _CellTable:
     same follower values give one role-swap preference per cell, and it
     gives both ``swapped[i][k]``, the leader's value of row i if the
     follower plays that preference, and whether the cell is conflicted;
-    adjacent conflicted cells merge into ``region``. The methods take the
-    belief's masses.
+    adjacent conflicted cells merge into ``region``.
+
+    Each method scores row i in one pass over the belief's masses, adding
+    from 0.0 in cell order and skipping the cells without mass. The bonuses
+    read the posterior after response j as the masses of the cells
+    predicting j over ``probs[j]``, as a one-hot ``bayes_update`` does, and
+    add each cell's term to the running total of its response.
     """
 
     def __init__(self, game: AltruismGame, partition: Partition, conflict_aware: bool) -> None:
@@ -179,56 +187,46 @@ class _CellTable:
                 lo = self.region.pop()[0]
             self.region.append((lo, hi))
 
-    def expectation(self, masses: tuple[float, ...], i: int) -> float:
-        return _sum_in_order(mass * value for mass, value in zip(masses, self.values[i]))
-
-    def attainable(self, masses: tuple[float, ...]) -> float:
-        """Sum over rows of the belief-weighted leader value."""
-        return _sum_in_order(self.expectation(masses, i) for i in range(len(self.values)))
-
-    def probabilities(self, masses: tuple[float, ...], i: int) -> tuple[float, ...]:
+    def row(
+        self, masses: tuple[float, ...], i: int, p: float | None
+    ) -> tuple[tuple[float, ...], float, float]:
+        """Outcome probabilities, expected value, and value hedged by conflict mass ``p``;
+        ``p`` is None unless conflict-aware, and the hedged value is then the expected one."""
         probs = [0.0] * self.n_follower
-        for mass, j in zip(masses, self.responses[i]):
-            probs[j] += mass
-        return tuple(probs)
-
-    def posteriors(self, masses: tuple[float, ...], i: int, probs: tuple[float, ...]):
-        """(probability, posterior masses) of each response the belief predicts.
-
-        The posterior keeps the masses of the cells predicting the response
-        and divides them by their sum, as a one-hot ``bayes_update`` does.
-        That sum is ``p``: both add the same masses from 0.0 in cell order.
-        """
-        for j, p in enumerate(probs):
-            if p <= 0:
-                continue
-            yield p, tuple(mass / p if r == j else 0.0
-                           for mass, r in zip(masses, self.responses[i]))
+        expected = hedged = 0.0
+        swapped = self.values[i] if p is None else self.swapped[i]
+        for mass, j, nominal, conflicted in zip(masses, self.responses[i], self.values[i], swapped):
+            if mass > 0:
+                probs[j] += mass
+                expected += mass * nominal
+                if p is not None:
+                    hedged += mass * ((1 - p) * nominal + p * conflicted)
+        return tuple(probs), expected, expected if p is None else hedged
 
     def info_gain(
         self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], prior_entropy: float
     ) -> float:
-        expected_posterior_entropy = 0.0
-        for p, posterior in self.posteriors(masses, i, probs):
-            expected_posterior_entropy += p * _entropy(posterior, self.widths)
-        return prior_entropy - expected_posterior_entropy
+        """Prior entropy less the expected entropy after row i's response."""
+        totals = [0.0] * len(probs)
+        for mass, j, width in zip(masses, self.responses[i], self.widths):
+            if mass > 0:
+                posterior = mass / probs[j]
+                totals[j] -= posterior * math.log(posterior / width)
+        return prior_entropy - _sum_in_order(
+            p * max(total, ENTROPY_FLOOR) for p, total in zip(probs, totals) if p > 0)
 
     def reward_gain(
         self, masses: tuple[float, ...], i: int, probs: tuple[float, ...], base: float
     ) -> float:
-        bonus = 0.0
-        for p, posterior in self.posteriors(masses, i, probs):
-            bonus += p * abs(self.attainable(posterior) - base)
-        return bonus
-
-    def hedged(self, masses: tuple[float, ...], i: int, p: float) -> float:
-        """Belief-weighted conflict-hedged value of row i, conflict mass ``p``."""
-        total = 0.0
-        for mass, nominal, conflicted in zip(masses, self.values[i], self.swapped[i]):
-            if mass <= 0:
-                continue
-            total += mass * ((1 - p) * nominal + p * conflicted)
-        return total
+        """Expected absolute change of the summed row values, ``base`` under the prior."""
+        sums = [[0.0] * len(self.values) for _ in probs]
+        for k, (mass, j) in enumerate(zip(masses, self.responses[i])):
+            if mass > 0:
+                posterior, row_sums = mass / probs[j], sums[j]
+                for r, values in enumerate(self.values):
+                    row_sums[r] += posterior * values[k]
+        return _sum_in_order(
+            p * abs(_sum_in_order(row_sums) - base) for p, row_sums in zip(probs, sums) if p > 0)
 
 
 #: The last cell table built, as (partition, game, conflict_aware, table). The list is

@@ -11,9 +11,10 @@ partition. So ``select_action`` reads the one cell table of the game,
 partition and flag and scores every row from it; ``ActionEvaluation``
 carries each row's expected reward, bonus and predicted response
 distribution. The two bonus helpers read their row from ``select_action``.
-Every score is a float sum over the cell masses, in cell order. The
-posterior after a hypothetical response keeps the masses of the cells
-predicting it, renormalized; no best response is solved again.
+Every score is a float sum over the cell masses, in cell order, and each
+row costs one pass over the cells: a cell adds its share of a bonus to the
+running total of the response it predicts. No best response is solved
+again and no posterior is built.
 """
 
 from __future__ import annotations
@@ -115,17 +116,14 @@ def select_action(
     """
     table = _cell_table(game, belief.partition, strategy.conflict_aware)
     masses, kind = belief.masses, strategy.kind
+    p = _conflict_mass(belief, table.region) if strategy.conflict_aware else None
+    rows = [table.row(masses, i, p) for i in range(game.n_leader)]
     if kind is StrategyKind.INFO_GAIN:
         prior_entropy = _entropy(masses, table.widths)
     elif kind is StrategyKind.REWARD_GAIN:
-        base = table.attainable(masses)
-    aware = strategy.conflict_aware
-    if aware:
-        p = _conflict_mass(belief, table.region)
+        base = _sum_in_order(expected for _, expected, _ in rows)
     evaluations = []
-    for i in range(game.n_leader):
-        probs = table.probabilities(masses, i)
-        reward = table.hedged(masses, i, p) if aware else table.expectation(masses, i)
+    for i, (probs, _, reward) in enumerate(rows):
         if kind is StrategyKind.INFO_GAIN:
             bonus = table.info_gain(masses, i, probs, prior_entropy)
         elif kind is StrategyKind.REWARD_GAIN:

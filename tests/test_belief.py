@@ -64,10 +64,16 @@ class TestIntervalBelief:
         (math.nan, 0.5), (math.nan, 1.0), (math.inf, 0.0),
         pytest.param((10**400, 0.0), id="int_past_float_range"),
         pytest.param((0.5, -Fraction(10**400)), id="fraction_past_float_range"),
+        pytest.param((-2 * MASS_TOL, 1.0), id="below_minus_mass_tol"),
     ])
     def test_rejects_non_finite_mass(self, masses):
         with pytest.raises(ValueError, match="mass"):
             IntervalBelief(Partition((0, 0.5, 1)), masses)
+
+    @pytest.mark.parametrize("low", [-MASS_TOL / 2, -MASS_TOL, -0.0])
+    def test_stores_a_mass_down_to_minus_mass_tol_as_zero(self, low):
+        masses = IntervalBelief(Partition((0, 0.5, 1)), (low, 1 - low)).masses
+        assert masses == (0.0, 1 - low) and math.copysign(1.0, masses[0]) == 1.0
 
     @pytest.mark.parametrize("call, message", [
         (lambda game: IntervalBelief(Partition((0, 0.5, 1)), (1.0,)),
@@ -179,6 +185,12 @@ class TestBayesUpdate:
         b = IntervalBelief.uniform(partition_domain(lane_merge_game))
         with pytest.raises(ValueError, match="likelihoods must be nonnegative and finite"):
             bayes_update(b, lane_merge_game, 0, likelihoods)
+
+    def test_accepts_its_own_posterior_of_a_belief_with_a_negative_mass(self):
+        game = AltruismGame(("a", "b"), ("x", "y"), (((1, 0), (0, 1)), ((1, 1), (0, 0))))
+        belief = IntervalBelief(partition_domain(game), (-9e-10, 1 + 9e-10))
+        posterior = bayes_update(belief, game, 0, (0.5, 1.0))
+        assert all(m >= 0 for m in posterior.masses) and sum(posterior.masses) == 1.0
 
     def test_requires_refined_partition(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))

@@ -230,15 +230,31 @@ def _random_masses(rng, n_cells):
     return tuple(w / total for w in weights)
 
 
+def _three_by_three_games():
+    """Seeded 3x3 games: int, float and Fraction rewards, each with two kinds of leader
+    altruism out of selfish, Fraction and float. In three of them a row meets all three
+    responses across the cells, and four have a conflict region."""
+    rng = random.Random(100)
+    draws = {int: lambda: rng.randint(-5, 5), float: lambda: rng.uniform(-5, 5),
+             Fraction: lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6))}
+    for number, alpha in [(int, 0), (float, Fraction(1, 3)), (Fraction, 0.4), (int, 0.7),
+                          (float, 0), (Fraction, Fraction(5, 12))]:
+        rewards = tuple(tuple((draws[number](), draws[number]()) for _ in range(3))
+                        for _ in range(3))
+        yield AltruismGame(("a", "b", "c"), ("x", "y", "z"), rewards, alpha)
+
+
 class TestOracleParity:
     """The cell table against the per-call evaluation in ``oracles.py``."""
 
     def test_select_action_is_bit_identical_on_shipped_games(self):
         rng = random.Random(1618)
-        for game in shipped_games():
+        games = [(game, 6) for game in shipped_games()]
+        games += [(game, 1) for game in _three_by_three_games()]  # three follower actions
+        for game, n_beliefs in games:
             for aware in (False, True):
                 partition = decision_partition(game, aware)
-                for _ in range(6):
+                for _ in range(n_beliefs):
                     belief = IntervalBelief(partition, _random_masses(rng, partition.n_cells))
                     for kind in StrategyKind:
                         strategy = ExplorationStrategy(kind, lam=0.8, conflict_aware=aware)
@@ -255,25 +271,14 @@ class TestOracleParity:
         pairs = random_game_belief_pairs(count, seed, leader_altruism)
         for number, (game, belief) in enumerate(pairs):
             for strategy in kinds:
-                got_rows = select_action(game, belief, strategy)[0]
-                want_rows = oracle_evaluations(game, belief, strategy)
-                assert len(got_rows) == len(want_rows) == game.n_leader
-                for got, want in zip(got_rows, want_rows):
-                    assert got.action_index == want.action_index
-                    pairs = [(got.expected_reward, want.expected_reward),
-                             (got.bonus, want.bonus), (got.total, want.total)]
-                    assert len(got.outcome_probabilities) == len(want.outcome_probabilities)
-                    pairs += zip(got.outcome_probabilities, want.outcome_probabilities)
-                    for value, expected in pairs:
-                        assert abs(value - expected) <= 1e-12
+                assert select_action(game, belief, strategy)[0] == oracle_evaluations(
+                    game, belief, strategy)
             assert conflict_region(game) == oracle_conflict_region(game)
             aware = belief.refined(decision_partition(game, True).breakpoints)
-            assert abs(conflict_mass(game, aware) - oracle_conflict_mass(game, aware)) <= 1e-12
+            assert conflict_mass(game, aware) == oracle_conflict_mass(game, aware)
             if number % 5:
                 continue  # the hedge's oracle re-derives the conflict mass per cell: slow
-            hedged = zip(select_action(game, aware, hedge)[0], oracle_evaluations(game, aware, hedge))
-            for got, expected in hedged:
-                assert abs(got.expected_reward - expected.expected_reward) <= 1e-12
+            assert select_action(game, aware, hedge)[0] == oracle_evaluations(game, aware, hedge)
 
 
 def _near_coincident_game(n, k, constant=None):
