@@ -284,10 +284,8 @@ class Partition:
 
     @functools.cached_property
     def midpoints(self) -> tuple[Number, ...]:
-        return tuple(
-            Fraction(lo + hi, 2) if isinstance(lo + hi, (int, Fraction)) else (lo + hi) / 2
-            for lo, hi in self.cells
-        )
+        sums = [lo + hi for lo, hi in self.cells]
+        return tuple(Fraction(s, 2) if isinstance(s, int) else s / 2 for s in sums)
 
     def refines(self, other: "Partition") -> bool:
         """True if every breakpoint of ``other`` is, as a float, a breakpoint here."""

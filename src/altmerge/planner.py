@@ -11,21 +11,23 @@ by less than SOLVER_TOL.
 Each search evaluates a distinct point once, and the winner's follower
 solution is kept, not solved again. Every follower solve of one
 ``bilevel_plan`` starts from the same state with the same weights, so the
-plan keeps, for both vehicles, each first-half rollout per (accel1, steer1)
-and each second-half rollout per 4-tuple, with the per-state own-lane cost
-terms (features 0-3, which never look at the other vehicle). It also keeps
-the follower's first-half cost per (leader first half, follower first half),
-so leader candidates that differ only in their second half share it, and
-the search grids per (center, span, limit). A follower evaluation then adds
-only the two pair features per state. These caches live for one
-``bilevel_plan`` call; no cache outlives the call that made it.
+plan keeps, for both vehicles, each first-half rollout per (accel1, steer1),
+numbered in build order, and each second-half rollout per 4-tuple, holding
+its first half, so a searched point costs one 4-tuple lookup. Each keeps its
+per-state own-lane cost terms (features 0-3, which never look at the other
+vehicle). The plan also keeps the follower's first-half cost per (leader
+first half, follower first half), by number, so leader candidates that
+differ only in their second half share it, and the search grids per
+(center, span, limit). A follower evaluation then adds only the two pair
+features per state. These caches live for one ``bilevel_plan`` call; no
+cache outlives the call that made it.
 
 The planner has no feature or dynamics formula of its own. On plain float
 tuples, ``dynamics._advance`` builds a rollout, ``_own_costs`` scores its
 features 0-3 once, and ``_pair_cost`` adds features 4-5 against the other
 vehicle's ``_frame``; ``step``, ``cost`` and ``features`` read through the
 same kernels, so every float matches the validated path bit for bit. The
-follower ``score`` reads the rollout dicts and builds only on a miss.
+follower ``score`` reads the second-half dict and builds only on a miss.
 Input is validated once where it enters: ``PlanRequest`` and
 ``follower_plan``'s arguments. The horizon is at most MAX_HORIZON steps, so
 a plan's caches stay small. Candidate controls are clamped into the
@@ -84,6 +86,8 @@ SOLVER_TOL = 1e-6
 
 #: Grid-shrink rounds of the coordinate search.
 SEARCH_ROUNDS = 3
+
+_UNSEEN = object()  # a search memo's default: the point has not been scored
 
 #: Longest planning horizon, in steps: 16x the shipped 6. A plan keeps
 #: rollouts of its horizon for every candidate it tries, so the bound keeps
@@ -199,9 +203,9 @@ def _coordinate_search(
             before, after = current[:coord], current[coord + 1:]
             for value in grid:
                 point = before + (value,) + after
-                if point not in values:
-                    values[point] = score(point, floor)
-                scored = values[point]
+                scored = values.get(point, _UNSEEN)
+                if scored is _UNSEEN:
+                    scored = values[point] = score(point, floor)
                 if scored is not None and scored > floor:
                     best, floor, current = scored, scored + SOLVER_TOL, point
         spans = tuple(s / 2 for s in spans)
@@ -214,11 +218,11 @@ class _Rollouts:
 
     ``heads`` keeps a first half per (accel1, steer1) and ``tails`` a second
     half per 4-tuple; ``head`` and ``tail`` fetch one or build it. Each is
-    (post-step states, per-state ``_own_costs``, bound), so a cost against
+    (post-step states, per-state ``_own_costs``, bound, link): a cost against
     any other trajectory adds only the pair features. A state's bound term
-    is ``own + b4 + b5``; a first half keeps those terms summed from 0.0, a
-    second half keeps them per state, to be summed on from wherever its
-    first half ends, in ``_pair_cost``'s order.
+    is ``own + b4 + b5``. A first half sums them from 0.0 and links its
+    insertion index; a second half keeps them per state, to sum on from its
+    first half's end in ``_pair_cost``'s order, and links that first half.
     """
 
     def __init__(
@@ -238,8 +242,8 @@ class _Rollouts:
         self.feature_params = feature_params
         self.wheelbase = wheelbase
         self._b4, self._b5 = max(0.0, -weights[4]), abs(weights[5])
-        self.heads: dict[tuple[float, float], tuple[list, list[float], float]] = {}
-        self.tails: dict[tuple[float, ...], tuple[list, list[float], list[float]]] = {}
+        self.heads: dict[tuple[float, float], tuple[list, list[float], float, int]] = {}
+        self.tails: dict[tuple[float, ...], tuple[list, list[float], list[float], tuple]] = {}
 
     def _build(self, start: tuple, accel: float, steer: float, steps: int) -> tuple:
         states = _advance(start, accel, steer, steps, self.wheelbase, self.dt)
@@ -247,25 +251,26 @@ class _Rollouts:
         b4, b5 = self._b4, self._b5
         return states, owns, [own + b4 + b5 for own in owns]
 
-    def head(self, key: tuple[float, float]) -> tuple[list, list[float], float]:
+    def head(self, key: tuple[float, float]) -> tuple[list, list[float], float, int]:
         head = self.heads.get(key)
         if head is None:
             states, owns, terms = self._build(self.start, *key, self.first)
             total = 0.0
             for term in terms:  # not sum(): from Python 3.12 it compensates rounding
                 total += term
-            head = self.heads[key] = (states, owns, total)
+            head = self.heads[key] = (states, owns, total, len(self.heads))
         return head
 
-    def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float], list[float]]:
+    def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float], list[float], tuple]:
         tail = self.tails.get(params4)
         if tail is None:
-            end = self.head(params4[:2])[0][-1]
-            tail = self.tails[params4] = self._build(end, *params4[2:], self.rest)
+            head = self.head(params4[:2])
+            tail = self.tails[params4] = (*self._build(head[0][-1], *params4[2:], self.rest), head)
         return tail
 
     def states(self, params4: tuple[float, ...]) -> list:
-        return self.head(params4[:2])[0] + self.tail(params4)[0]
+        states, _, _, head = self.tail(params4)
+        return head[0] + states
 
 
 def _follower_search(
@@ -273,27 +278,25 @@ def _follower_search(
 ) -> tuple[tuple[float, ...], int, int]:
     """Follower 4-tuple maximizing its weighted features against a leader ``_frame``.
 
-    ``head_costs`` maps a follower (accel1, steer1) to its exact first-half
+    ``head_costs`` maps a follower first half's number to its exact first-half
     cost against this leader's first half; it is filled as the search goes
     and may be shared by every leader with the same first half. Returns the
     point and the counts of distinct points evaluated and pruned.
     """
-    weights, feature_params = rollouts.weights, rollouts.feature_params
-    heads, tails = rollouts.heads, rollouts.tails
+    weights, feature_params, tails = rollouts.weights, rollouts.feature_params, rollouts.tails
     head_frame, tail_frame = leader_frame[:rollouts.first], leader_frame[rollouts.first:]
 
     def score(params4: tuple[float, ...], floor: float | None) -> float | None:
-        key = params4[:2]
-        head_states, head_owns, head_bound = heads.get(key) or rollouts.head(key)
-        tail_states, tail_owns, terms = tails.get(params4) or rollouts.tail(params4)
-        partial = head_costs.get(key)
+        tail_states, tail_owns, terms, head = tails.get(params4) or rollouts.tail(params4)
+        head_states, head_owns, head_bound, head_id = head
+        partial = head_costs.get(head_id)
         total = head_bound if partial is None else partial
         for term in terms:
             total += term
         if floor is not None and total <= floor:
             return None
         if partial is None:
-            partial = head_costs[key] = _pair_cost(
+            partial = head_costs[head_id] = _pair_cost(
                 head_states, head_owns, head_frame, weights, feature_params
             )
         return _pair_cost(tail_states, tail_owns, tail_frame, weights, feature_params, partial)
@@ -337,22 +340,21 @@ def bilevel_plan(request: PlanRequest) -> Plan:
     follower = _Rollouts(request.follower_state, request.follower_weights, horizon, dt,
                          feature_params, wheelbase)
     grids: dict = {}
-    head_costs: dict[tuple[float, float], dict[tuple[float, float], float]] = {}
+    head_costs: dict[int, dict[int, float]] = {}
     responses: dict[tuple[float, ...], tuple[float, ...]] = {}
     follower_evaluated = follower_pruned = 0
 
     def score(params4: tuple[float, ...], floor: float | None) -> float | None:
         nonlocal follower_evaluated, follower_pruned
-        key = params4[:2]
-        head_states, head_owns, total = leader.head(key)
-        tail_states, tail_owns, terms = leader.tail(params4)
+        tail_states, tail_owns, terms, head = leader.tail(params4)
+        head_states, head_owns, total, head_id = head
         for term in terms:
             total += term
         if floor is not None and total <= floor:
             return None
         states = head_states + tail_states
         response, evaluated, pruned = _follower_search(
-            follower, head_costs.setdefault(key, {}), _frame(states), bicycle_params, grids
+            follower, head_costs.setdefault(head_id, {}), _frame(states), bicycle_params, grids
         )
         responses[params4] = response
         follower_evaluated += evaluated

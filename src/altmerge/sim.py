@@ -32,7 +32,10 @@ from .dynamics import (
     FeatureParams,
     N_FEATURES,
     VehicleState,
-    cost,
+    _check_weights,
+    _frame,
+    _own_costs,
+    _pair_cost,
     step,
 )
 from .explore import (
@@ -175,9 +178,14 @@ def observation_likelihoods(
     """
     if not (_finite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    successor = [step(follower_state, observed_control, bicycle_params, dt)]
-    logits = [cost(successor, [leader_state_next], weights[(leader_action, j)][1],
-                   feature_params) / temperature for j in range(game.n_follower)]
+    state = step(follower_state, observed_control, bicycle_params, dt)
+    successor = [(state.x, state.y, state.v, state.theta)]
+    other = leader_state_next
+    leader = _frame([(other.x, other.y, other.v, other.theta)])
+    columns = [weights[(leader_action, j)][1] for j in range(game.n_follower)]
+    _check_weights(*columns)
+    logits = [_pair_cost(successor, _own_costs(successor, w, feature_params), leader, w,
+                         feature_params) / temperature for w in columns]
     if not all(map(math.isfinite, logits)):
         raise ValueError(f"non-finite logits {tuple(logits)} at temperature {temperature!r}")
     peak = max(logits)

@@ -58,6 +58,16 @@ class TestPartition:
             assert getattr(part, name) is getattr(part, name)
         assert part.floats == (0.0, 1 / 3, 0.5, 1.0)
 
+    @pytest.mark.parametrize("breakpoints, midpoints", [
+        ((0, 1), (Fraction(1, 2),)),
+        ((0, Fraction(1, 4), Fraction(1, 2), 0.75, 1),
+         (Fraction(1, 8), Fraction(3, 8), 0.625, 0.875)),
+        ((0, 0.25, 1), (0.125, 0.625)),
+    ])
+    def test_midpoints_are_exact_unless_a_bound_is_a_float(self, breakpoints, midpoints):
+        got = Partition(breakpoints).midpoints
+        assert [(m, type(m)) for m in got] == [(m, type(m)) for m in midpoints]
+
 
 class TestIntervalBelief:
     @pytest.mark.parametrize("masses", [

@@ -417,6 +417,21 @@ class TestOracleParity:
         assert len(heads) > 1
         assert len(heads) == len(set(heads))
 
+    def test_one_second_half_rollout_per_control_quadruple(self, monkeypatch):
+        request = _scenario_requests()[0].values[0]  # lane_merge.json, first weight cell
+        starts = {(s.x, s.y, s.v, s.theta) for s in (request.leader_state, request.follower_state)}
+        tails = []
+
+        def counting_advance(state, accel, steer, steps, wheelbase, dt):
+            if state not in starts:  # a second half starts where its first half ends
+                tails.append((state, accel, steer))
+            return _advance(state, accel, steer, steps, wheelbase, dt)
+
+        monkeypatch.setattr(planner, "_advance", counting_advance)
+        bilevel_plan(request)
+        assert len(tails) > 1
+        assert len(tails) == len(set(tails))
+
     def test_follower_plan_against_uneven_leader_controls(self):
         leader_controls = tuple(Control(1.5 - k, 0.1 * (-1) ** k) for k in range(5))
         args = (FOLLOWER, LEADER, leader_controls, MIXED_WEIGHTS[1], 0.2, FP, BP)
