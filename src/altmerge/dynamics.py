@@ -32,7 +32,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .game import _finite
+from .game import _finite, _positive
 
 N_FEATURES = 6
 
@@ -41,7 +41,7 @@ _UNIT = tuple(tuple(float(j == k) for j in range(N_FEATURES)) for k in range(N_F
 
 
 def _check_dt(dt: float) -> None:
-    if not (_finite(dt) and dt > 0):
+    if not _positive(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
@@ -87,7 +87,7 @@ class BicycleParams:
     def __post_init__(self) -> None:
         for name in ("wheelbase", "accel_max", "steer_max"):
             value = getattr(self, name)
-            if not (_finite(value) and value > 0):
+            if not _positive(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def check(self, control: Control) -> None:
@@ -128,11 +128,11 @@ class FeatureParams:
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name.startswith("lambda_") and value < 0:
                 raise ValueError(f"{field.name} must be nonnegative, got {value}")
-        if self.vehicle_width <= 0 or self.vehicle_length <= 0:
+        if not (_positive(self.vehicle_width) and _positive(self.vehicle_length)):
             raise ValueError("vehicle dimensions must be positive")
-        if self.vehicle_width + self.width_margin <= 0:
+        if not _positive(self.vehicle_width + self.width_margin):
             raise ValueError("lateral ellipse axis must be positive")
-        if self.vehicle_length + self.length_margin <= 0:
+        if not _positive(self.vehicle_length + self.length_margin):
             raise ValueError("longitudinal ellipse axis must be positive")
 
 

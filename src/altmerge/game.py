@@ -16,12 +16,12 @@ refinement at the role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, each public function its own coefficient and row
-or cell, and every layer a caller's number with ``_finite``, the one
-float-range rule. The game computes the leader's value of every cell once,
-on first use. One unchecked kernel, ``_follower_values``, blends the
-follower's values of one row at a coefficient; every best response and the
-role swap are read from these two grids. ``belief``'s cell table calls the
-kernel after its own partition check.
+or cell, and every layer a caller's number with ``_finite`` and
+``_positive``, the two number rules. The game computes the leader's value of
+every cell once, on first use. One unchecked kernel, ``_follower_values``,
+blends the follower's values of one row at a coefficient; every best
+response and the role swap are read from these two grids. ``belief``'s cell
+table calls the kernel after its own partition check.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ MASS_TOL = 1e-9
 def _finite(value: Number) -> bool:
     """In the float range: False for NaN, an infinity, and an int or Fraction past it."""
     return -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _positive(value: Number) -> bool:
+    """Positive and finite as the float the kernels use: ``Fraction(1, 10**400)`` is not."""
+    return _finite(value) and float(value) > 0
 
 
 class Player(enum.Enum):

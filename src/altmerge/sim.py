@@ -49,6 +49,7 @@ from .game import (
     AltruismGame,
     OutcomeLabel,
     _finite,
+    _positive,
     build_responsibility_matrix,
     follower_best_response,
     leader_preference_of_follower,
@@ -93,13 +94,13 @@ class Scenario:
             raise ScenarioError(f"episode_steps must be an integer, got {self.episode_steps!r}")
         if self.episode_steps < 1:
             raise ScenarioError("episode_steps must be at least 1")
-        if not (_finite(self.dt) and self.dt > 0):
+        if not _positive(self.dt):
             raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         if type(self.horizon) is not int:
             raise ScenarioError(f"horizon must be an integer, got {self.horizon!r}")
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon!r}")
-        if not (_finite(self.observation_temperature) and self.observation_temperature > 0):
+        if not _positive(self.observation_temperature):
             raise ScenarioError(
                 f"observation_temperature must be positive and finite, got {self.observation_temperature}"
             )
@@ -176,7 +177,7 @@ def observation_likelihoods(
     finite once divided by the temperature raises ``ValueError``; a tiny
     temperature can push a score out of the float range.
     """
-    if not (_finite(temperature) and temperature > 0):
+    if not _positive(temperature):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     state = step(follower_state, observed_control, bicycle_params, dt)
     successor = [(state.x, state.y, state.v, state.theta)]

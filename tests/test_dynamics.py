@@ -24,7 +24,8 @@ FP = FeatureParams()
 class TestParams:
     @pytest.mark.parametrize("field", ["wheelbase", "accel_max", "steer_max"])
     @pytest.mark.parametrize("value", [
-        math.nan, math.inf, 0.0, pytest.param(10**400, id="int_past_float_range")])
+        math.nan, math.inf, 0.0, pytest.param(10**400, id="int_past_float_range"),
+        pytest.param(Fraction(1, 10**400), id="fraction_whose_float_is_0")])
     def test_bicycle_params_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             BicycleParams(**{field: value})
@@ -47,12 +48,21 @@ class TestParams:
          "dt must be positive and finite, got nan"),
         (lambda: step(VehicleState(0.0, 0.0, 5.0, 0.0), Control(0.0, 0.0), BP, 10**400),
          "dt must be positive and finite"),
+        (lambda: step(VehicleState(0.0, 0.0, 5.0, 0.0), Control(0.0, 0.0), BP,
+                      Fraction(1, 10**400)),
+         "dt must be positive and finite"),
+        (lambda: FeatureParams(vehicle_width=Fraction(1, 10**400), width_margin=Fraction(0)),
+         "vehicle dimensions must be positive"),
+        (lambda: FeatureParams(vehicle_width=Fraction(1), width_margin=Fraction(1, 10**400) - 1),
+         "lateral ellipse axis must be positive"),
         (lambda: cost([], [], (0.0, 0.0, 10**400, 0.0, 0.0, 0.0), FP),
          "weight vectors must have 6 finite entries"),
         (lambda: cost([], [], (0.0, 0.0, 0.0, 0.0, 0.0, Fraction(10**400)), FP),
          "weight vectors must have 6 finite entries"),
     ], ids=["state_y_nan", "length_margin", "state_int_past_float_range",
             "state_fraction_past_float_range", "step_dt_nan", "step_dt_int_past_float_range",
+            "step_dt_fraction_whose_float_is_0", "vehicle_width_whose_float_is_0",
+            "lateral_axis_whose_float_is_0",
             "cost_weight_int_past_float_range", "cost_weight_fraction_past_float_range"])
     def test_rejects_malformed_input(self, make, message):
         with pytest.raises(ValueError, match=message):

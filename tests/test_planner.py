@@ -187,7 +187,7 @@ class TestBilevelPlan:
                 self._request((weight, 0, 0, 0, 0, 0), ZERO)
 
     def test_rejects_nan_dt(self):
-        for dt in (math.nan, 10**400, Fraction(10**400)):
+        for dt in (math.nan, 10**400, Fraction(10**400), Fraction(1, 10**400)):
             with pytest.raises(ValueError, match="dt"):
                 PlanRequest(LEADER, FOLLOWER, ZERO, ZERO, dt=dt)
 
@@ -214,7 +214,7 @@ class TestFollowerPlanInput:
                 follower_plan(FOLLOWER, LEADER, self.CONTROLS, (0, 0, weight, 0, 0, 0), 0.2, FP, BP)
 
     def test_rejects_nan_dt(self):
-        for dt in (math.nan, 10**400, Fraction(10**400)):
+        for dt in (math.nan, 10**400, Fraction(10**400), Fraction(1, 10**400)):
             with pytest.raises(ValueError, match="dt"):
                 follower_plan(FOLLOWER, LEADER, self.CONTROLS, ZERO, dt, FP, BP)
 

@@ -1,5 +1,5 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
-and one predicate states the float range."""
+one predicate states the float range and one states positivity."""
 
 import ast
 import re
@@ -40,21 +40,50 @@ def test_no_package_sum_depends_on_the_python_version():
     assert not calls
 
 
+def _nodes_outside(rule):
+    """(file name, node) for every AST node of the package outside game.py's ``rule``."""
+    for path in sorted((ROOT / "src" / "altmerge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                  and (path.name, function.name) == ("game.py", rule)
+                  for node in ast.walk(function)}
+        yield from ((path.name, node) for node in ast.walk(tree) if id(node) not in inside)
+
+
 def test_only_game_finite_compares_against_the_float_range():
     # game._finite is the one float-range rule; a comparison against the range's edge
     # anywhere else states it again
     def edge(node):
         return ast.unparse(node).lstrip("-").endswith(("float_info.max", "math.inf"))
 
-    comparisons = []
-    for path in sorted((ROOT / "src" / "altmerge").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        rule = {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
-                and (path.name, function.name) == ("game.py", "_finite")
-                for node in ast.walk(function)}
-        comparisons += [
-            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Compare) and id(node) not in rule
-            and any(map(edge, [node.left, *node.comparators]))
-        ]
+    comparisons = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside("_finite")
+        if isinstance(node, ast.Compare) and any(map(edge, [node.left, *node.comparators]))
+    ]
     assert not comparisons
+
+
+def test_only_game_positive_pairs_finite_with_a_positivity_comparison():
+    # game._positive is the one positivity rule; a boolean expression joining a _finite call
+    # to "x > 0" (or its negation "x <= 0") anywhere else states it again. Nonnegativity,
+    # "x >= 0", is another rule.
+    def zero(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and not node.value
+
+    def positivity(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        return any(isinstance(op, (ast.Gt, ast.LtE)) and zero(right)
+                   or isinstance(op, (ast.Lt, ast.GtE)) and zero(left)
+                   for left, op, right in zip(sides, node.ops, sides[1:]))
+
+    def finite(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_finite"
+
+    pairs = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside("_positive")
+        if isinstance(node, ast.BoolOp)
+        and any(map(finite, ast.walk(node))) and any(map(positivity, ast.walk(node)))
+    ]
+    assert not pairs

@@ -112,6 +112,7 @@ class TestObservationLikelihoods:
         0, -1, math.inf, math.nan,
         pytest.param(10**400, id="int_past_float_range"),
         pytest.param(Fraction(10**400), id="fraction_past_float_range"),
+        pytest.param(Fraction(1, 10**400), id="fraction_whose_float_is_0"),
     ])
     def test_rejects_temperature_not_positive_and_finite(self, lane_scenario, temperature):
         args = self._braking_args(lane_scenario)
@@ -294,6 +295,11 @@ class TestScenarioParsing:
         pytest.param("observation_temperature", Fraction(10**400),
                      "observation_temperature must be positive and finite, got 1000",
                      id="temperature_fraction_past_float_range"),
+        pytest.param("dt", Fraction(1, 10**400), "dt must be positive and finite, got 1/1000",
+                     id="dt_fraction_whose_float_is_0"),
+        pytest.param("observation_temperature", Fraction(1, 10**400),
+                     "observation_temperature must be positive and finite, got 1/1000",
+                     id="temperature_fraction_whose_float_is_0"),
     ])
     def test_scenario_rejects_a_malformed_scalar(self, lane_scenario, field, value, message):
         with pytest.raises(ScenarioError, match=re.escape(message)):
