@@ -13,6 +13,11 @@ value per cell and, when conflict-aware, the role swap and the conflict
 region; it calls ``game``'s unchecked ``_follower_values`` once per row and
 cell. It never reads the masses, so there is one table per game, partition
 and flag: each step of an episode, its ``bayes_update`` included, reads it.
+
+``IntervalBelief`` checks a caller's masses. ``bayes_update`` checks a
+caller's likelihoods, and its posterior, like ``uniform`` and ``refined``, is
+built by ``game._made`` without that check: each stores a mass the check would
+store, 0.0 for -0.0 included.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row, _finite,
-                   _follower_values, _role_swap)
+                   _follower_values, _made, _role_swap)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -78,7 +83,7 @@ class IntervalBelief:
 
     @classmethod
     def uniform(cls, partition: Partition) -> "IntervalBelief":
-        return cls(partition, partition.widths)
+        return _made(cls, partition, partition.widths)
 
     @classmethod
     def uniform_on(
@@ -113,7 +118,7 @@ class IntervalBelief:
             while chi > hi:
                 lo, hi, mass = next(old)
             masses.append(mass * ((chi - clo) / (hi - lo)))
-        return IntervalBelief(part, tuple(masses))
+        return _made(IntervalBelief, part, tuple(masses))
 
 
 def entropy(belief: IntervalBelief) -> float:
@@ -282,7 +287,10 @@ def bayes_update(
         raise BeliefContradictionError(
             "observation is inconsistent with every cell of positive mass"
         )
-    return IntervalBelief(belief.partition, tuple(w / total for w in weighted))
+    if not math.isfinite(total):
+        raise ValueError(f"likelihoods {tuple(observation_likelihoods)} overflow the normalizer")
+    return _made(IntervalBelief, belief.partition,
+                 tuple(w / total if w > 0 else 0.0 for w in weighted))
 
 
 def mass_below(belief: IntervalBelief, x: Number) -> float:

@@ -32,7 +32,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .game import _finite, _positive
+from .game import _finite, _made, _positive
 
 N_FEATURES = 6
 
@@ -131,9 +131,9 @@ class FeatureParams:
         if not (_positive(self.vehicle_width) and _positive(self.vehicle_length)):
             raise ValueError("vehicle dimensions must be positive")
         if not _positive(self.vehicle_width + self.width_margin):
-            raise ValueError("lateral ellipse axis must be positive")
+            raise ValueError("lateral ellipse axis must be positive and finite")
         if not _positive(self.vehicle_length + self.length_margin):
-            raise ValueError("longitudinal ellipse axis must be positive")
+            raise ValueError("longitudinal ellipse axis must be positive and finite")
 
 
 def step(
@@ -147,8 +147,14 @@ def step(
     """
     _check_dt(dt)
     params.check(control)
+    return _step(state, control, params.wheelbase, dt)
+
+
+def _step(state: VehicleState, control: Control, wheelbase: float, dt: float) -> VehicleState:
+    """``step`` on a checked ``dt`` and a checked or planner-clamped control; ``_advance``
+    raises on a non-finite state and clamps speed at 0, so the state is not checked again."""
     start = (state.x, state.y, state.v, state.theta)
-    return VehicleState(*_advance(start, control.accel, control.steer, 1, params.wheelbase, dt)[0])
+    return _made(VehicleState, *_advance(start, control.accel, control.steer, 1, wheelbase, dt)[0])
 
 
 def _advance(

@@ -17,7 +17,9 @@ refinement at the role-swap crossings, and builds each once, on first use.
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, each public function its own coefficient and row
 or cell, and every layer a caller's number with ``_finite`` and
-``_positive``, the two number rules. The game computes the leader's value of
+``_positive``, the two number rules. A value the package made is not checked
+again: ``_made`` builds a frozen dataclass from it without ``__post_init__``,
+the only object built that way. The game computes the leader's value of
 every cell once, on first use. One unchecked kernel, ``_follower_values``,
 blends the follower's values of one row at a coefficient; every best
 response and the role swap are read from these two grids. ``belief``'s cell
@@ -47,6 +49,14 @@ def _finite(value: Number) -> bool:
 def _positive(value: Number) -> bool:
     """Positive and finite as the float the kernels use: ``Fraction(1, 10**400)`` is not."""
     return _finite(value) and float(value) > 0
+
+
+def _made(cls, *values):
+    """A frozen dataclass ``cls(*values)`` from values the package made, built without
+    running its ``__post_init__``: nothing is checked or converted again."""
+    made = object.__new__(cls)
+    vars(made).update(zip(cls.__dataclass_fields__, values))
+    return made
 
 
 class Player(enum.Enum):

@@ -29,11 +29,12 @@ vehicle's ``_frame``; ``step``, ``cost`` and ``features`` read through the
 same kernels, so every float matches the validated path bit for bit. The
 follower ``score`` reads the second-half dict and builds only on a miss.
 Input is validated once where it enters: ``PlanRequest`` and
-``follower_plan``'s arguments. The horizon is at most MAX_HORIZON steps, so
-a plan's caches stay small. Candidate controls are clamped into the
-actuator limits where they are generated, and a rollout that produces a
-non-finite state still raises ``ValueError``, as does a plan whose winning
-leader cost is not finite.
+``follower_plan``'s arguments, its leader controls included; ``run_episode``
+builds its request by ``game._made`` from a checked scenario. The horizon
+is at most MAX_HORIZON steps, so a plan's caches stay small. Candidate
+controls are clamped into the actuator limits where they are generated,
+and a rollout that produces a non-finite state still raises
+``ValueError``, as does a plan whose winning leader cost is not finite.
 
 Both searches prune by branch and bound, through one callable per search,
 ``score(point, floor)``: it fetches the point's two rollouts once, sums
@@ -67,19 +68,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynamics import (
-    BicycleParams,
-    Control,
-    FeatureParams,
-    VehicleState,
-    _advance,
-    _check_dt,
-    _check_weights,
-    _frame,
-    _own_costs,
-    _pair_cost,
-    step,
-)
+from .dynamics import (BicycleParams, Control, FeatureParams, VehicleState, _advance, _check_dt,
+                       _check_weights, _frame, _own_costs, _pair_cost,
+                       step)  # unused: kept bound for perfbench's tracer test
 
 #: Objective improvements below this do not move the search.
 SOLVER_TOL = 1e-6
@@ -320,10 +311,11 @@ def follower_plan(
     horizon = len(leader_controls)
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"leader control sequence must have 1 to {MAX_HORIZON} steps")
-    leader, state = [], leader_state
+    leader, state = [], (leader_state.x, leader_state.y, leader_state.v, leader_state.theta)
     for control in leader_controls:
-        state = step(state, control, bicycle_params, dt)
-        leader.append((state.x, state.y, state.v, state.theta))
+        bicycle_params.check(control)
+        state = _advance(state, control.accel, control.steer, 1, bicycle_params.wheelbase, dt)[0]
+        leader.append(state)
     rollouts = _Rollouts(follower_state, follower_weights, horizon, dt, feature_params,
                          bicycle_params.wheelbase)
     point, _, _ = _follower_search(rollouts, {}, _frame(leader), bicycle_params, {})

@@ -9,6 +9,13 @@ realized cell, and executes one control. The leader then scores the
 follower's observed control under every column's weight vector (softmax)
 and Bayes-updates its belief.
 
+The scenario is checked once, when it is built, and a step checks no value
+the package made: both vehicles advance through ``dynamics._advance``, and
+the plan request and states are built by ``game._made``. The public calls a
+step makes still check a caller's arguments: ``observation_likelihoods`` its
+temperature, ``dt``, control and the row's weight columns, ``follower_plan``
+its ``dt``, weights and controls, and ``bayes_update`` its likelihoods.
+
 Scenario files are JSON documents; scenarios/*.json are the shipped
 defaults. The parser here is the source of truth for their layout:
 scenarios/schema.json documents it, and a test keeps the two in agreement.
@@ -26,34 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .belief import BeliefContradictionError, IntervalBelief, _sum_in_order, bayes_update
-from .dynamics import (
-    BicycleParams,
-    Control,
-    FeatureParams,
-    N_FEATURES,
-    VehicleState,
-    _check_weights,
-    _frame,
-    _own_costs,
-    _pair_cost,
-    step,
-)
-from .explore import (
-    ActionEvaluation,
-    ExplorationStrategy,
-    StrategyKind,
-    decision_partition,
-    select_action,
-)
-from .game import (
-    AltruismGame,
-    OutcomeLabel,
-    _finite,
-    _positive,
-    build_responsibility_matrix,
-    follower_best_response,
-    leader_preference_of_follower,
-)
+from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState, _advance,
+                       _check_dt, _check_weights, _frame, _own_costs, _pair_cost, _step,
+                       step)  # unused: kept bound for perfbench's tracer test
+from .explore import (ActionEvaluation, ExplorationStrategy, StrategyKind, decision_partition,
+                      select_action)
+from .game import (AltruismGame, OutcomeLabel, _finite, _made, _positive,
+                   build_responsibility_matrix, follower_best_response,
+                   leader_preference_of_follower)
 from .planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
 
 #: The follower plays the rational response to the leader's action.
@@ -179,8 +166,11 @@ def observation_likelihoods(
     """
     if not _positive(temperature):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    state = step(follower_state, observed_control, bicycle_params, dt)
-    successor = [(state.x, state.y, state.v, state.theta)]
+    _check_dt(dt)
+    bicycle_params.check(observed_control)
+    start = (follower_state.x, follower_state.y, follower_state.v, follower_state.theta)
+    successor = _advance(start, observed_control.accel, observed_control.steer, 1,
+                         bicycle_params.wheelbase, dt)
     other = leader_state_next
     leader = _frame([(other.x, other.y, other.v, other.theta)])
     columns = [weights[(leader_action, j)][1] for j in range(game.n_follower)]
@@ -211,6 +201,7 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
     game = scenario.game
     partition = decision_partition(game, scenario.strategy.conflict_aware)
     belief = IntervalBelief.uniform(partition)
+    wheelbase = scenario.bicycle_params.wheelbase
     leader_state = scenario.leader_start
     follower_state = scenario.follower_start
     records: list[StepRecord] = []
@@ -221,16 +212,9 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
         predicted = _predicted_response(evaluations[leader_action])
         leader_w, follower_w_pred = scenario.weights[(leader_action, predicted)]
         cell = f"cell ({game.leader_actions[leader_action]}, {game.follower_actions[predicted]})"
-        plan = _build(bilevel_plan, cell, PlanRequest(
-            leader_state=leader_state,
-            follower_state=follower_state,
-            leader_weights=leader_w,
-            follower_weights=follower_w_pred,
-            horizon=scenario.horizon,
-            dt=scenario.dt,
-            feature_params=scenario.feature_params,
-            bicycle_params=scenario.bicycle_params,
-        ))
+        plan = _build(bilevel_plan, cell, _made(
+            PlanRequest, leader_state, follower_state, leader_w, follower_w_pred, scenario.horizon,
+            scenario.dt, scenario.feature_params, scenario.bicycle_params))
         leader_control = plan.leader_controls[0]
 
         true_action = _true_response(scenario, leader_action)
@@ -249,8 +233,8 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
             )
         follower_control = follower_controls[0]
 
-        next_leader = step(leader_state, leader_control, scenario.bicycle_params, scenario.dt)
-        next_follower = step(follower_state, follower_control, scenario.bicycle_params, scenario.dt)
+        next_leader = _step(leader_state, leader_control, wheelbase, scenario.dt)
+        next_follower = _step(follower_state, follower_control, wheelbase, scenario.dt)
 
         likelihoods = observation_likelihoods(
             game, leader_action, follower_control, follower_state, next_leader, scenario.weights,

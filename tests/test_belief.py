@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from altmerge.belief import (
     partition_domain,
 )
 from altmerge.game import AltruismGame
+from conftest import make_lane_merge_game
 
 
 class TestPartition:
@@ -196,6 +198,19 @@ class TestBayesUpdate:
         with pytest.raises(ValueError, match="likelihoods must be nonnegative and finite"):
             bayes_update(b, lane_merge_game, 0, likelihoods)
 
+    def test_a_likelihood_of_minus_zero_stores_zero_masses(self, lane_merge_game):
+        # the raw posterior is (1.0, -0.0, -0.0); belief.jsonl must never print -0.0
+        b = IntervalBelief.uniform(partition_domain(lane_merge_game))
+        masses = bayes_update(b, lane_merge_game, 0, (-0.0, 1.0)).masses
+        assert masses == (1.0, 0.0, 0.0) and [math.copysign(1.0, m) for m in masses] == [1.0] * 3
+
+    def test_rejects_likelihoods_whose_normalizer_overflows(self, lane_merge_game):
+        # the masses may sum to 1 + 1e-6, so the largest float likelihood can overflow the total
+        b = IntervalBelief(partition_domain(lane_merge_game), (0.3, 0.2, 0.5000005))
+        big = (sys.float_info.max, sys.float_info.max)
+        with pytest.raises(ValueError, match=re.escape(f"likelihoods {big} overflow the normalizer")):
+            bayes_update(b, lane_merge_game, 0, big)
+
     def test_accepts_its_own_posterior_of_a_belief_with_a_negative_mass(self):
         game = AltruismGame(("a", "b"), ("x", "y"), (((1, 0), (0, 1)), ((1, 1), (0, 0))))
         belief = IntervalBelief(partition_domain(game), (-9e-10, 1 + 9e-10))
@@ -241,6 +256,30 @@ def test_updates_preserve_mass_property(masses, likelihoods, row):
     assert all(m >= 0 for m in updated.masses)
     assert updated.partition.breakpoints[0] == 0
     assert updated.partition.breakpoints[-1] == 1
+
+
+@given(
+    masses=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(any),
+    likelihoods=st.tuples(*[st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1.0)] * 2).filter(any),
+    row=st.integers(0, 2),
+    points=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+def test_a_belief_the_package_makes_stores_what_the_checked_constructor_stores(
+    masses, likelihoods, row, points
+):
+    # uniform, refined and bayes_update build their belief without the mass check; checking
+    # it again must store the same masses, bit for bit
+    game = make_lane_merge_game()
+    part = partition_domain(game)
+    b = IntervalBelief(part, tuple(m / sum(masses) for m in masses))
+    made = [IntervalBelief.uniform(part), b.refined(tuple(points))]
+    try:
+        made.append(bayes_update(b, game, row, likelihoods))
+    except BeliefContradictionError:
+        pass
+    for belief in made:
+        checked = IntervalBelief(belief.partition, belief.masses)
+        assert list(map(float.hex, checked.masses)) == list(map(float.hex, belief.masses))
 
 
 # ---------------------------------------------------------------------------

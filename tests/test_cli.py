@@ -187,10 +187,14 @@ class TestRun:
         # caught when the scenario is read: a negative penalty rate
         ({("feature_params", "lambda_x"): -1e308},
          "feature_params: lambda_x must be nonnegative, got -1e+308"),
+        # caught when the scenario is read: an ellipse axis whose sum leaves the float range
+        ({("feature_params", "vehicle_width"): 1.7e308,
+          ("feature_params", "width_margin"): 1.7e308},
+         "feature_params: lateral ellipse axis must be positive and finite"),
         # caught when the episode ends: the lead is past the float range, so no summary
         ({("initial_states", "leader", "y"): 1e308, ("initial_states", "follower", "y"): -1e308},
          "the final relative position is past the float range"),
-    ], ids=["lambda_x", "relative_position"])
+    ], ids=["lambda_x", "ellipse_axis", "relative_position"])
     def test_overflow_names_the_quantity(self, tmp_path, capsys, changes, quantity):
         status = self._run_with_values(tmp_path, changes, steps=3, plots=True)
         self._assert_one_error_line(status, capsys, quantity)

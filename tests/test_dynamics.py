@@ -55,6 +55,10 @@ class TestParams:
          "vehicle dimensions must be positive"),
         (lambda: FeatureParams(vehicle_width=Fraction(1), width_margin=Fraction(1, 10**400) - 1),
          "lateral ellipse axis must be positive"),
+        (lambda: FeatureParams(vehicle_width=1.7e308, width_margin=1.7e308),
+         "lateral ellipse axis must be positive and finite"),
+        (lambda: FeatureParams(vehicle_length=1.7e308, length_margin=1.7e308),
+         "longitudinal ellipse axis must be positive and finite"),
         (lambda: cost([], [], (0.0, 0.0, 10**400, 0.0, 0.0, 0.0), FP),
          "weight vectors must have 6 finite entries"),
         (lambda: cost([], [], (0.0, 0.0, 0.0, 0.0, 0.0, Fraction(10**400)), FP),
@@ -62,7 +66,8 @@ class TestParams:
     ], ids=["state_y_nan", "length_margin", "state_int_past_float_range",
             "state_fraction_past_float_range", "step_dt_nan", "step_dt_int_past_float_range",
             "step_dt_fraction_whose_float_is_0", "vehicle_width_whose_float_is_0",
-            "lateral_axis_whose_float_is_0",
+            "lateral_axis_whose_float_is_0", "lateral_axis_past_float_range",
+            "longitudinal_axis_past_float_range",
             "cost_weight_int_past_float_range", "cost_weight_fraction_past_float_range"])
     def test_rejects_malformed_input(self, make, message):
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
-one predicate states the float range and one states positivity."""
+one predicate states the float range and one states positivity, and one constructor skips
+``__post_init__``."""
 
 import ast
 import re
@@ -87,3 +88,11 @@ def test_only_game_positive_pairs_finite_with_a_positivity_comparison():
         and any(map(finite, ast.walk(node))) and any(map(positivity, ast.walk(node)))
     ]
     assert not pairs
+
+
+def test_only_game_made_builds_an_object_past_its_post_init():
+    # game._made is the one constructor for values the package made; a __new__ anywhere else
+    # builds an object that skips its checks some other way
+    news = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_made")
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert not news

@@ -4,15 +4,16 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 import altmerge.sim as sim
 from altmerge.belief import BeliefContradictionError
-from altmerge.dynamics import BicycleParams, Control, FeatureParams, VehicleState
+from altmerge.dynamics import N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState
 from altmerge.explore import ExplorationStrategy, StrategyKind
-from altmerge.game import OutcomeLabel
+from altmerge.game import OutcomeLabel, _finite
 from altmerge.planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
 from altmerge.sim import (
     Scenario,
@@ -185,6 +186,25 @@ class TestRunEpisode:
         assert result.summary.final_relative_position == pytest.approx(
             last.leader_state.y - last.follower_state.y
         )
+
+    def test_a_step_checks_only_what_its_public_calls_take_in(self, lane_scenario, monkeypatch):
+        # states, plan requests and posteriors the package made are not checked again, so ten
+        # more steps add only the entry checks of the public calls they make
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("altmerge.")]:
+            if vars(module).get("_finite") is _finite:
+                monkeypatch.setattr(module, "_finite", lambda v: calls.append(v) or _finite(v))
+        counts, solves = [], []
+        for steps in (10, 20):
+            before = len(calls)
+            records = run_episode(short(lane_scenario, steps=steps)).records
+            counts.append(len(calls) - before)
+            solves.append(sum(r.follower_action != r.chosen_cell[1] for r in records))
+        columns = lane_scenario.game.n_follower
+        # observation_likelihoods: temperature, dt and the row's weight columns; bayes_update:
+        # the likelihoods; follower_plan, on a step that calls it: dt and the weights
+        per_step, per_solve = 2 + N_FEATURES * columns + columns, 1 + N_FEATURES
+        assert counts[1] - counts[0] <= 10 * per_step + per_solve * (solves[1] - solves[0])
 
     def test_contradiction_resets_belief_with_warning(self, lane_scenario, monkeypatch):
         calls = {"n": 0}
