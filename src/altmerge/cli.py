@@ -358,7 +358,9 @@ def _plot_bonuses(records: list[dict], actions: list[str]) -> str:
 
 
 def plot(run_dir: str | Path) -> int:
-    """Render the four SVG views of a run directory; a bad file writes none and returns 1."""
+    """Render the four SVG views of a run directory: 0, or 1 after one ``error:`` line.
+
+    A bad run file writes no figure; a figure that cannot be written leaves those before it."""
     run_dir = Path(run_dir)
     trace, log, summary = (run_dir / name for name in ("trace.csv", "belief.jsonl", "summary.json"))
     try:
@@ -378,11 +380,11 @@ def plot(run_dir: str | Path) -> int:
             records = [_json(line) for line in log.read_text().splitlines() if line.strip()]
             figures["belief.svg"] = _plot_belief(records)
             figures["bonuses.svg"] = _plot_bonuses(records, actions)
+        for name, svg in figures.items():
+            (run_dir / name).write_text(svg)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    for name, svg in figures.items():
-        (run_dir / name).write_text(svg)
     return EXIT_OK
 
 

@@ -17,11 +17,14 @@ temperature, ``dt``, control and the row's weight columns, ``follower_plan``
 its ``dt``, weights and controls, and ``bayes_update`` its likelihoods.
 
 Scenario files are JSON documents; scenarios/*.json are the shipped
-defaults. The parser here is the source of truth for their layout:
-scenarios/schema.json documents it, and a test keeps the two in agreement.
-Every value is checked where it is read, and every object, the weights
-rows and cells included, rejects a key the parser does not read, so a
-malformed or misspelled document fails with one ScenarioError naming the key.
+defaults. One field table per fixed-key object (``_SCENARIO``, ``_GAME``,
+``_STRATEGY``, ``_STATES``, ``_STATE``, ``_CELL``, ``_FEATURES``, ``_VEHICLE``)
+is the one statement of their layout: its keys in reading order, each as
+``key: (field, read, required)``. Only the choice of reward grid and the
+weights rows and cells, named by the game's actions, are read by hand.
+scenarios/schema.json documents the layout, and a test keeps the two in
+agreement. Every object rejects a key it does not list, so a malformed or
+misspelled document fails with one ScenarioError naming the key.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
 
 from .belief import BeliefContradictionError, IntervalBelief, _sum_in_order, bayes_update
 from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState, _advance,
@@ -48,7 +54,7 @@ FOLLOWER_MODE_FOLLOWER = "follower"
 #: The follower acts as if it were the leader (conflicted opponent).
 FOLLOWER_MODE_LEADER = "leader"
 
-WeightTable = dict[tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]]
+WeightTable = Mapping[tuple[int, int], tuple[tuple[float, ...], tuple[float, ...]]]
 
 
 class ScenarioError(ValueError):
@@ -93,15 +99,23 @@ class Scenario:
             )
         if self.follower_mode not in (FOLLOWER_MODE_FOLLOWER, FOLLOWER_MODE_LEADER):
             raise ScenarioError(f"unknown follower_mode {self.follower_mode!r}")
+        weights = dict(self.weights)  # stored read-only, vectors as tuples: the check holds
         for i in range(self.game.n_leader):
             for j in range(self.game.n_follower):
-                if (i, j) not in self.weights:
+                if (i, j) not in weights:
                     raise ScenarioError(f"weight table misses cell ({i}, {j})")
-                pair = self.weights[(i, j)]
+                pair = weights[(i, j)]
                 if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
                     raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
                 if not all(_finite(w) for vector in pair for w in vector):
                     raise ScenarioError(f"cell ({i}, {j}) needs finite weights")
+                weights[(i, j)] = tuple(map(tuple, pair))
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+
+    def __reduce__(self):
+        """Pickle and copy as a constructor call: a mappingproxy cannot be pickled."""
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return type(self), tuple(dict(v) if v is self.weights else v for v in values)
 
 
 @dataclass(frozen=True)
@@ -190,15 +204,13 @@ def _predicted_response(evaluation: ActionEvaluation) -> int:
     return max(range(len(probs)), key=lambda j: (probs[j], -j))
 
 
-def _true_response(scenario: Scenario, leader_action: int) -> int:
-    if scenario.follower_mode == FOLLOWER_MODE_LEADER:
-        return leader_preference_of_follower(scenario.game, scenario.true_alpha)
-    return follower_best_response(scenario.game, leader_action, scenario.true_alpha)
-
-
 def run_episode(scenario: Scenario) -> EpisodeResult:
     """Simulate one closed-loop episode of ``scenario.episode_steps`` steps."""
-    game = scenario.game
+    game, alpha = scenario.game, scenario.true_alpha
+    # the simulated follower's response to each row: its inputs are fixed for the episode
+    true_responses = ([leader_preference_of_follower(game, alpha)] * game.n_leader
+                      if scenario.follower_mode == FOLLOWER_MODE_LEADER else
+                      [follower_best_response(game, i, alpha) for i in range(game.n_leader)])
     partition = decision_partition(game, scenario.strategy.conflict_aware)
     belief = IntervalBelief.uniform(partition)
     wheelbase = scenario.bicycle_params.wheelbase
@@ -217,7 +229,7 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
             scenario.dt, scenario.feature_params, scenario.bicycle_params))
         leader_control = plan.leader_controls[0]
 
-        true_action = _true_response(scenario, leader_action)
+        true_action = true_responses[leader_action]
         if true_action == predicted:
             # The plan's follower solve had exactly these inputs.
             follower_controls = plan.follower_controls
@@ -298,24 +310,6 @@ def run_conflict_experiment(scenario: Scenario) -> dict[str, EpisodeResult]:
 # Scenario documents
 
 
-#: The dataclass each parameter object of a scenario document builds.
-_PARAMS = {"feature_params": FeatureParams, "vehicle": BicycleParams}
-#: The keys each object of a scenario document may hold, except the weights
-#: rows and cells, which hold exactly the game's action names.
-_KEYS = {kind: frozenset(keys.split()) for kind, keys in {
-    "scenario": "name description game true_alpha strategy episode_steps dt horizon_steps "
-                "observation_temperature follower_mode feature_params vehicle initial_states "
-                "weights",
-    "game": "leader_actions follower_actions rewards outcome_labels alpha_leader",
-    "strategy": "kind lambda conflict_aware",
-    "initial_states": "leader follower",
-    "state": "x y v theta",
-    "weight cell": "leader follower",
-}.items()} | {
-    key: frozenset(f.name for f in dataclasses.fields(cls)) for key, cls in _PARAMS.items()
-}
-
-
 def _object(data, keys, context: str) -> dict:
     """``data`` as an object holding only ``keys``: rejects a non-object and any other key."""
     if not isinstance(data, dict):
@@ -332,10 +326,14 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _present(data: dict, prefix: str, readers: dict) -> dict:
-    """``field: read(data[key])`` per ``key: (field, read)`` present; the rest keep defaults."""
-    return {field: read(data[key], f"{prefix}{key}")
-            for key, (field, read) in readers.items() if key in data}
+def _fields(data, table: dict, context: str, prefix: str):
+    """Yield ``(field, read(data[key], prefix + key))`` per ``key: (field, read, required)`` of
+    ``table``, in table order, once ``data`` is an object holding no other key. A key is read
+    only when its field is asked for, so a caller can check something between two keys."""
+    _object(data, table, context)
+    for key, (field, read, required) in table.items():
+        if required or key in data:
+            yield field, read(_require(data, key, context), prefix + key)
 
 
 def _build(make, context: str, /, *args, **kwargs):
@@ -344,6 +342,16 @@ def _build(make, context: str, /, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as error:
         raise ScenarioError(f"{context}: {error}") from None
+
+
+def _nested(make, table: dict):
+    """A reader of an object by ``table``, whose fields build ``make``."""
+    return lambda raw, ctx: _build(make, ctx, **dict(_fields(raw, table, ctx, f"{ctx}.")))
+
+
+def _by_name(cls, read, required: bool) -> dict:
+    """The table of the dataclass ``cls``: each field read from the key of its name."""
+    return {f.name: (f.name, read, required) for f in dataclasses.fields(cls)}
 
 
 def _number(raw, context: str) -> int | float:
@@ -383,126 +391,115 @@ def _weight_vector(raw, context: str) -> tuple[float, ...]:
     return tuple(_real(v, context) for v in raw)
 
 
-def _action_names(data: dict, key: str, context: str) -> tuple[str, ...]:
-    raw = _require(data, key, context)
+def _action_names(raw, context: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(name, str) for name in raw):
-        raise ScenarioError(f"{context}.{key}: expected a list of action names, got {raw!r}")
+        raise ScenarioError(f"{context}: expected a list of action names, got {raw!r}")
     for k, name in enumerate(raw):
         if name in raw[:k]:
-            raise ScenarioError(f"{context}.{key}: duplicate action name {name!r}")
+            raise ScenarioError(f"{context}: duplicate action name {name!r}")
     return tuple(raw)
 
 
-def _choice(kind, raw, context: str, what: str):
-    """The member of the enum ``kind`` whose value is ``raw``."""
-    for member in kind:
-        if member.value == raw:
-            return member
-    raise ScenarioError(
-        f"{context}: unknown {what} {raw!r}; expected one of {[m.value for m in kind]}"
-    )
+def _choice(kind, what: str):
+    """A reader of the member of the enum ``kind`` whose value is the raw value."""
+    def read(raw, context: str):
+        for member in kind:
+            if member.value == raw:
+                return member
+        values = [m.value for m in kind]
+        raise ScenarioError(f"{context}: unknown {what} {raw!r}; expected one of {values}")
+    return read
 
 
-def _label(raw, context: str) -> OutcomeLabel:
-    return _choice(OutcomeLabel, raw, context, "outcome label")
+def _grid(read):
+    """A reader of a grid of [leader, follower] pairs, each entry checked by ``read``."""
+    def pair(cell, where: str) -> tuple:
+        if not isinstance(cell, list) or len(cell) != 2:
+            raise ScenarioError(f"{where}: expected a [leader, follower] pair, got {cell!r}")
+        return read(cell[0], where), read(cell[1], where)
+
+    def read_grid(grid, context: str) -> tuple[tuple[tuple, ...], ...]:
+        if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+            raise ScenarioError(f"{context}: expected a list of rows")
+        return tuple(tuple(pair(cell, f"{context}[{i}][{j}]") for j, cell in enumerate(row))
+                     for i, row in enumerate(grid))
+    return read_grid
 
 
-def _pair_grid(data: dict, key: str, context: str, read) -> tuple[tuple[tuple, ...], ...]:
-    """The ``key`` grid of [leader, follower] pairs, each entry checked by ``read``."""
-    grid, context = data[key], f"{context}.{key}"
-    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
-        raise ScenarioError(f"{context}: expected a list of rows")
-    rows = []
-    for i, row in enumerate(grid):
-        cells = []
-        for j, cell in enumerate(row):
-            where = f"{context}[{i}][{j}]"
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise ScenarioError(f"{where}: expected a [leader, follower] pair, got {cell!r}")
-            cells.append((read(cell[0], where), read(cell[1], where)))
-        rows.append(tuple(cells))
-    return tuple(rows)
+_GAME = {
+    "leader_actions": ("leader_actions", _action_names, True),
+    "follower_actions": ("follower_actions", _action_names, True),
+    "rewards": ("rewards", _grid(_number), False),
+    "outcome_labels": ("rewards", lambda raw, context: build_responsibility_matrix(
+        _grid(_choice(OutcomeLabel, "outcome label"))(raw, context)), False),
+    "alpha_leader": ("alpha_leader", _number, False),
+}
+_STRATEGY = {
+    "kind": ("kind", _choice(StrategyKind, "strategy kind"), True),
+    "conflict_aware": ("conflict_aware", _flag, False),
+    "lambda": ("lam", _real, False),
+}
+_STATE = _by_name(VehicleState, _real, True)
+_STATES = {s: (f"{s}_start", _nested(VehicleState, _STATE), True) for s in ("leader", "follower")}
+_CELL = {s: (s, _weight_vector, True) for s in ("leader", "follower")}
+_FEATURES = _by_name(FeatureParams, _number, False)
+_VEHICLE = _by_name(BicycleParams, _number, False)
 
 
-def _parse_game(data, context: str) -> AltruismGame:
-    _object(data, _KEYS["game"], context)
-    leader_actions = _action_names(data, "leader_actions", context)
-    follower_actions = _action_names(data, "follower_actions", context)
+def _game(data, context: str) -> AltruismGame:
+    fields = _fields(data, _GAME, context, f"{context}.")
+    names = dict(islice(fields, 2))  # the two action lists: required, so always read first
     if "rewards" in data and "outcome_labels" in data:
         raise ScenarioError(f"{context}: give either 'rewards' or 'outcome_labels', not both")
-    if "rewards" in data:
-        rewards = _pair_grid(data, "rewards", context, _number)
-    elif "outcome_labels" in data:
-        rewards = build_responsibility_matrix(_pair_grid(data, "outcome_labels", context, _label))
-    else:
+    if "rewards" not in data and "outcome_labels" not in data:
         raise ScenarioError(f"{context}: needs 'rewards' or 'outcome_labels'")
-    return _build(AltruismGame, context, leader_actions, follower_actions, rewards,
-                  **_present(data, f"{context}.", {"alpha_leader": ("alpha_leader", _number)}))
+    return _build(AltruismGame, context, **names, **dict(fields))
 
 
-def _parse_state(data, context: str) -> VehicleState:
-    _object(data, _KEYS["state"], context)
-    values = [_real(_require(data, key, context), f"{context}.{key}")
-              for key in ("x", "y", "v", "theta")]
-    return _build(VehicleState, context, *values)
+def _weights(raw, context: str):
+    """A reader of the weights: a function of the game, whose action names key them."""
+    def read(game: AltruismGame) -> WeightTable:
+        rows, weights = _object(raw, game.leader_actions, context), {}
+        for i, leader in enumerate(game.leader_actions):
+            row_ctx = f"{context}['{leader}']"
+            row = _object(_require(rows, leader, context), game.follower_actions, row_ctx)
+            for j, follower in enumerate(game.follower_actions):
+                cell_ctx = f"{row_ctx}['{follower}']"
+                cell = _fields(_require(row, follower, row_ctx), _CELL, cell_ctx, f"{cell_ctx}.")
+                weights[(i, j)] = tuple(vector for _, vector in cell)
+        return weights
+    return read
 
 
-def _parse_strategy(data, context: str) -> ExplorationStrategy:
-    _object(data, _KEYS["strategy"], context)
-    kind = _choice(StrategyKind, _require(data, "kind", context), context, "strategy kind")
-    readers = {"conflict_aware": ("conflict_aware", _flag), "lambda": ("lam", _real)}
-    return _build(ExplorationStrategy, context, kind=kind, **_present(data, f"{context}.", readers))
-
-
-def _parse_params(data: dict, key: str, source: str):
-    """The ``feature_params`` or ``vehicle`` object; the dataclass defaults fill the rest."""
-    context = f"{source}: {key}"
-    raw = _object(data.get(key, {}), _KEYS[key], context)
-    return _build(_PARAMS[key], context,
-                  **{name: _number(value, f"{context}.{name}") for name, value in raw.items()})
+#: The weights are read right after the game, and the states after the name but their keys before.
+_SCENARIO = {
+    "description": (None, _string, False),
+    "game": ("game", _game, True),
+    "weights": ("weights", _weights, True),
+    "feature_params": ("feature_params", _nested(FeatureParams, _FEATURES), False),
+    "vehicle": ("bicycle_params", _nested(BicycleParams, _VEHICLE), False),
+    "initial_states": ("starts", lambda raw, context: _fields(
+        _object(raw, _STATES, context), _STATES, context, f"{context}."), True),
+    "name": ("name", _string, False),
+    "true_alpha": ("true_alpha", _real, True),
+    "strategy": ("strategy", _nested(ExplorationStrategy, _STRATEGY), True),
+    "episode_steps": ("episode_steps", _count, False),
+    "dt": ("dt", _real, False),
+    "horizon_steps": ("horizon", _count, False),
+    "observation_temperature": ("observation_temperature", _real, False),
+    "follower_mode": ("follower_mode", _string, False),
+}
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     """Build a Scenario from a parsed JSON document, with pointed errors."""
-    _object(data, _KEYS["scenario"], source)
-    _string(data.get("description", ""), f"{source}: description")
-    game = _parse_game(_require(data, "game", source), f"{source}: game")
-    ctx = f"{source}: weights"
-    weights_raw = _object(_require(data, "weights", source), game.leader_actions, ctx)
-    weights: WeightTable = {}
-    for i, leader_label in enumerate(game.leader_actions):
-        row_ctx = f"{ctx}['{leader_label}']"
-        row = _object(_require(weights_raw, leader_label, ctx), game.follower_actions, row_ctx)
-        for j, follower_label in enumerate(game.follower_actions):
-            cell_ctx = f"{row_ctx}['{follower_label}']"
-            cell = _object(_require(row, follower_label, row_ctx), _KEYS["weight cell"], cell_ctx)
-            weights[(i, j)] = (
-                _weight_vector(_require(cell, "leader", cell_ctx), f"{cell_ctx}.leader"),
-                _weight_vector(_require(cell, "follower", cell_ctx), f"{cell_ctx}.follower"),
-            )
-    feature_params = _parse_params(data, "feature_params", source)
-    bicycle_params = _parse_params(data, "vehicle", source)
-    states_ctx = f"{source}: initial_states"
-    states = _object(_require(data, "initial_states", source), _KEYS["initial_states"], states_ctx)
-    return _build(
-        Scenario,
-        source,
-        name=_string(data.get("name", Path(source).stem), f"{source}: name"),
-        game=game,
-        weights=weights,
-        leader_start=_parse_state(_require(states, "leader", states_ctx), f"{states_ctx}.leader"),
-        follower_start=_parse_state(_require(states, "follower", states_ctx),
-                                    f"{states_ctx}.follower"),
-        true_alpha=_real(_require(data, "true_alpha", source), f"{source}: true_alpha"),
-        strategy=_parse_strategy(_require(data, "strategy", source), f"{source}: strategy"),
-        feature_params=feature_params,
-        bicycle_params=bicycle_params,
-        **_present(data, f"{source}: ", {
-            "episode_steps": ("episode_steps", _count), "dt": ("dt", _real),
-            "horizon_steps": ("horizon", _count),
-            "observation_temperature": ("observation_temperature", _real),
-            "follower_mode": ("follower_mode", _string)}),
-    )
+    data = {"name": Path(source).stem, **data} if isinstance(data, dict) else data
+    fields = {}
+    for field, value in _fields(data, _SCENARIO, source, f"{source}: "):
+        fields[field] = value(fields["game"]) if field == "weights" else value
+        if field == "name":  # always read, as it has a default, so the states follow it
+            fields.update(fields.pop("starts"))
+    return _build(Scenario, source, **{field: value for field, value in fields.items() if field})
 
 
 def load_scenario(path: str | Path) -> Scenario:

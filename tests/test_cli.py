@@ -462,6 +462,27 @@ class TestPlot:
         assert len(err) == 1 and err[0].startswith(f"error: {target}")
         assert not list(tmp_path.glob("*.svg"))
 
+    def test_unwritable_figure_exits_one(self, tmp_path, capsys):
+        run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path))
+        (tmp_path / "belief.svg").mkdir()
+        capsys.readouterr()
+        assert cli.plot(tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "belief.svg" in err[0]
+        # the figures written before the failed one stay
+        assert {p.name for p in tmp_path.glob("*.svg") if p.is_file()} == {
+            "trajectory.svg", "relative_position.svg"}
+
+    def test_run_reports_an_unwritable_figure(self, tmp_path, capsys):
+        (tmp_path / "belief.svg").mkdir(parents=True)
+        status = run_cli("run", "--scenario", SCENARIO, "--steps", "2", "--out", str(tmp_path),
+                         "--plots")
+        assert status == EXIT_ERROR
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "belief.svg" in err[0]
+        assert captured.out == ""
+
     def test_svgs_byte_identical_for_identical_traces(self, tmp_path):
         for name in ("a", "b"):
             run_cli("run", "--scenario", SCENARIO, "--steps", "3", "--out", str(tmp_path / name))

@@ -1,11 +1,14 @@
 """Scenario handling, observation model, and closed-loop episode behaviour."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -206,6 +209,18 @@ class TestRunEpisode:
         per_step, per_solve = 2 + N_FEATURES * columns + columns, 1 + N_FEATURES
         assert counts[1] - counts[0] <= 10 * per_step + per_solve * (solves[1] - solves[0])
 
+    @pytest.mark.parametrize("mode", [sim.FOLLOWER_MODE_FOLLOWER, sim.FOLLOWER_MODE_LEADER])
+    def test_true_response_is_solved_once_per_row(self, responsibility_scenario, monkeypatch,
+                                                  mode):
+        # the simulated follower's response depends only on the game, true_alpha and the mode
+        calls = []
+        for name in ("follower_best_response", "leader_preference_of_follower"):
+            solve = getattr(sim, name)
+            monkeypatch.setattr(sim, name, lambda *a, solve=solve: calls.append(a) or solve(*a))
+        run_episode(short(responsibility_scenario, steps=6, follower_mode=mode))
+        game = responsibility_scenario.game
+        assert len(calls) == (1 if mode == sim.FOLLOWER_MODE_LEADER else game.n_leader)
+
     def test_contradiction_resets_belief_with_warning(self, lane_scenario, monkeypatch):
         calls = {"n": 0}
         original = sim.bayes_update
@@ -325,6 +340,24 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             dataclasses.replace(lane_scenario, **{field: value})
 
+    def test_weight_table_is_a_read_only_copy(self, lane_scenario):
+        leader, follower = lane_scenario.weights[(0, 0)]
+        with pytest.raises(TypeError):
+            lane_scenario.weights[(0, 0)] = (leader[:5], follower)
+        # a later change to the caller's table, or to a vector given as a list, does not reach
+        # the scenario
+        weights = {cell: (list(lead), list(follow))
+                   for cell, (lead, follow) in lane_scenario.weights.items()}
+        scenario = dataclasses.replace(lane_scenario, weights=weights)
+        weights[(0, 0)][0].pop()
+        weights[(0, 1)] = (leader[:5], follower)
+        assert scenario.weights == lane_scenario.weights
+        assert run_episode(short(scenario, steps=2)).summary.steps == 2
+        # pickling and copying go through the checked constructor
+        for copied in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+            assert copied == scenario
+            assert isinstance(copied.weights, MappingProxyType)
+
     def test_wrong_weight_arity_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
         data["weights"]["probe"]["give_way"]["leader"] = [1, 2, 3]
@@ -334,7 +367,44 @@ class TestScenarioParsing:
     def test_unknown_strategy_kind_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
         data["strategy"]["kind"] = "greedy"
-        with pytest.raises(ScenarioError, match="greedy"):
+        message = ("doc: strategy.kind: unknown strategy kind 'greedy'; "
+                   "expected one of ['passive', 'info-gain', 'reward-gain']")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(data, "doc")
+
+    @pytest.mark.parametrize("faults, message", [
+        # the weights are read right after the game, before the parameter objects
+        ({("weights", "probe", "give_way", "leader"): [1, 2, 3], ("vehicle", "wheelbase"): "x"},
+         "doc: weights['probe']['give_way'].leader: expected a list of 6 numbers"),
+        # a missing required key is reported where the key would have been read
+        ({("initial_states",): None, ("true_alpha",): "x"},
+         "doc: missing required key 'initial_states'"),
+        # the states' own keys are checked before the name, their values after it
+        ({("initial_states", "extra"): 1, ("name",): 3},
+         "doc: initial_states: unknown key 'extra'"),
+        ({("initial_states", "leader", "x"): "x", ("name",): 3},
+         "doc: name: expected a string, got 3"),
+        ({("initial_states", "follower"): None, ("name",): 3},
+         "doc: name: expected a string, got 3"),
+        # the choice of reward grid is made before either grid, or the leader's altruism, is read
+        ({("game", "rewards"): None, ("game", "alpha_leader"): "x"},
+         "doc: game: needs 'rewards' or 'outcome_labels'"),
+        ({("game", "outcome_labels"): [], ("game", "rewards", 0): "x"},
+         "doc: game: give either 'rewards' or 'outcome_labels', not both"),
+    ], ids=["weights_before_vehicle", "missing_states_before_true_alpha",
+            "states_keys_before_name", "name_before_state_values", "name_before_missing_state",
+            "no_grid_before_alpha_leader", "both_grids_before_either"])
+    def test_the_first_fault_in_reading_order_is_reported(self, faults, message):
+        data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
+        for (*path, key), value in faults.items():
+            target = data
+            for part in path:
+                target = target[part]
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(data, "doc")
 
     def test_unknown_outcome_label_rejected(self):
@@ -381,20 +451,23 @@ class TestScenarioParsing:
         for name, params in (("feature_params", FeatureParams), ("vehicle", BicycleParams)):
             assert set(props[name]["properties"]) == {f.name for f in dataclasses.fields(params)}
 
-        # each fixed-key object allows exactly the keys the schema lists
+        # each fixed-key object's field table lists exactly the keys the schema lists, and
+        # requires exactly the keys the schema requires
         cell = props["weights"]["additionalProperties"]["additionalProperties"]
-        for kind, node in [
-            ("scenario", schema),
-            ("game", props["game"]),
-            ("strategy", props["strategy"]),
-            ("initial_states", props["initial_states"]),
-            ("state", definitions["state"]),
-            ("weight cell", cell),
-            ("feature_params", props["feature_params"]),
-            ("vehicle", props["vehicle"]),
+        for table, node in [
+            (sim._SCENARIO, schema),
+            (sim._GAME, props["game"]),
+            (sim._STRATEGY, props["strategy"]),
+            (sim._STATES, props["initial_states"]),
+            (sim._STATE, definitions["state"]),
+            (sim._CELL, cell),
+            (sim._FEATURES, props["feature_params"]),
+            (sim._VEHICLE, props["vehicle"]),
         ]:
-            assert set(node["properties"]) == sim._KEYS[kind]
+            assert set(node["properties"]) == set(table)
             assert node["additionalProperties"] is False
+            required = {key for key, (_, _, is_required) in table.items() if is_required}
+            assert required == set(node.get("required", []))
 
         # the penalty rates' lower bound is the parser's
         for name in ("lambda_x", "lambda_theta", "lambda_v"):
