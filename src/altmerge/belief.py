@@ -11,8 +11,8 @@ The cell table lives here. It checks a partition against the game's
 decision partition and holds each row's follower best response and leader
 value per cell and, when conflict-aware, the role swap and the conflict
 region; it calls ``game``'s unchecked ``_follower_values`` once per row and
-cell. It never reads the masses, so there is one table per game, partition
-and flag: each step of an episode, its ``bayes_update`` included, reads it.
+cell. It never reads the masses, so a game keeps the last table built for
+it, and each step of an episode, its ``bayes_update`` included, reads it.
 
 ``IntervalBelief`` checks a caller's masses. ``bayes_update`` checks a
 caller's likelihoods, and its posterior, like ``uniform`` and ``refined``, is
@@ -234,18 +234,14 @@ class _CellTable:
             p * abs(_sum_in_order(row_sums) - base) for p, row_sums in zip(probs, sums) if p > 0)
 
 
-#: The last cell table built, as (partition, game, conflict_aware, table). The list is
-#: updated in place, so the module attribute stays bound to one object.
-_last_table: list = [(None, None, False, None)]
-
-
 def _cell_table(game: AltruismGame, partition: Partition, conflict_aware: bool) -> _CellTable:
-    """One table per game, partition and flag, built and checked only here; aware serves unaware."""
-    last = _last_table[0]
-    if last[0] is partition and last[1] is game and last[2] >= conflict_aware:
-        return last[3]
+    """One table per game, partition and flag, built and checked only here; aware serves unaware.
+    The game keeps the last table built for it in its instance dict, beside its first-use values."""
+    kept, aware, table = vars(game).get("_last_table", (None, False, None))
+    if kept is partition and aware >= conflict_aware:
+        return table
     table = _CellTable(game, partition, conflict_aware)
-    _last_table[0] = (partition, game, conflict_aware, table)
+    vars(game)["_last_table"] = (partition, conflict_aware, table)
     return table
 
 

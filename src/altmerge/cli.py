@@ -268,7 +268,7 @@ def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
     edges = [_clamp(x_left - half_lane), x_left / 2 + x_right / 2, _clamp(x_right + half_lane)]
     per_vehicle: dict[str, list[tuple[float, float]]] = {"leader": [], "follower": []}
     for row in rows:
-        per_vehicle[row["vehicle"]].append((float(row["x"]), float(row["y"])))
+        per_vehicle[row["vehicle"]].append((row["x"], row["y"]))
     xs = [p[0] for pts in per_vehicle.values() for p in pts] + edges
     ys = [p[1] for pts in per_vehicle.values() for p in pts]
     frame = _Frame(xs, ys)
@@ -287,8 +287,8 @@ def _plot_trajectories(rows: list[dict], x_left: float, x_right: float) -> str:
 
 
 def _plot_relative_position(rows: list[dict]) -> str:
-    leader = {int(r["step"]): float(r["y"]) for r in rows if r["vehicle"] == "leader"}
-    follower = {int(r["step"]): float(r["y"]) for r in rows if r["vehicle"] == "follower"}
+    leader = {r["step"]: r["y"] for r in rows if r["vehicle"] == "leader"}
+    follower = {r["step"]: r["y"] for r in rows if r["vehicle"] == "follower"}
     steps = sorted(leader)
     gaps = [leader[s] - follower[s] for s in steps]
     frame = _Frame(steps, gaps + [0.0])
@@ -369,11 +369,9 @@ def plot(run_dir: str | Path) -> int:
             lanes = float(facts["lanes"]["x_left"]), float(facts["lanes"]["x_right"])
             actions = [str(name) for name in facts["leader_actions"]]
         with _reading(trace), trace.open() as handle:
-            rows = list(csv.DictReader(handle))
-            for row in rows:
-                for column in TRACE_COLUMNS:
-                    if column != "vehicle":
-                        _read_float(row[column])
+            rows = [{"step": int(row["step"]), "vehicle": row["vehicle"],
+                     **{column: _read_float(row[column]) for column in TRACE_COLUMNS[2:]}}
+                    for row in csv.DictReader(handle)]
             figures = {"trajectory.svg": _plot_trajectories(rows, *lanes),
                        "relative_position.svg": _plot_relative_position(rows)}
         with _reading(log):

@@ -166,16 +166,21 @@ def altruistic_reward(
     """Blend of own and opponent reward at ``cell``: (1-alpha)*own + alpha*other."""
     _check_alpha(alpha)
     i, j = cell
-    if not (0 <= i < game.n_leader and 0 <= j < game.n_follower):
-        raise ValueError(f"cell ({i}, {j}) out of bounds")
+    if not (_index(i, game.n_leader) and _index(j, game.n_follower)):
+        raise ValueError(f"cell ({i!r}, {j!r}) out of bounds")
     r_leader, r_follower = game.rewards[i][j]
     own, other = (r_leader, r_follower) if player is Player.LEADER else (r_follower, r_leader)
     return (1 - alpha) * own + alpha * other
 
 
+def _index(k: int, n: int) -> bool:
+    """The one index rule for rows and columns: an ``int`` in ``range(n)``; 1.0 is not one."""
+    return isinstance(k, int) and 0 <= k < n
+
+
 def _check_row(game: AltruismGame, leader_action: int) -> None:
-    if not 0 <= leader_action < game.n_leader:
-        raise ValueError(f"leader action {leader_action} out of bounds")
+    if not _index(leader_action, game.n_leader):
+        raise ValueError(f"leader action {leader_action!r} out of bounds")
 
 
 def _follower_values(game: AltruismGame, i: int, alpha: Number) -> list[Number]:

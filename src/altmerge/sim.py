@@ -13,7 +13,7 @@ The scenario is checked once, when it is built, and a step checks no value
 the package made: both vehicles advance through ``dynamics._advance``, and
 the plan request and states are built by ``game._made``. The public calls a
 step makes still check a caller's arguments: ``observation_likelihoods`` its
-temperature, ``dt``, control and the row's weight columns, ``follower_plan``
+row, temperature, ``dt``, control and the row's weight columns, ``follower_plan``
 its ``dt``, weights and controls, and ``bayes_update`` its likelihoods.
 
 Scenario files are JSON documents; scenarios/*.json are the shipped
@@ -44,7 +44,7 @@ from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, Vehicl
                        step)  # unused: kept bound for perfbench's tracer test
 from .explore import (ActionEvaluation, ExplorationStrategy, StrategyKind, decision_partition,
                       select_action)
-from .game import (AltruismGame, OutcomeLabel, _finite, _made, _positive,
+from .game import (AltruismGame, OutcomeLabel, _check_row, _finite, _made, _positive,
                    build_responsibility_matrix, follower_best_response,
                    leader_preference_of_follower)
 from .planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
@@ -178,6 +178,7 @@ def observation_likelihoods(
     finite once divided by the temperature raises ``ValueError``; a tiny
     temperature can push a score out of the float range.
     """
+    _check_row(game, leader_action)
     if not _positive(temperature):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     _check_dt(dt)

@@ -2,8 +2,11 @@
 
 The grid oracles re-derive results from the raw reward grid with plain
 enumeration or dense coefficient grids, deliberately avoiding the library's
-own game and belief machinery; the exact row oracle integrates over every
-pairwise crossing in Fractions, with no tolerance. The planner oracle is
+own game and belief machinery. They share one solved grid, each row's
+response and leader value at every point, solved once per
+``(rewards, lo, hi, n)``; each oracle sums it in grid order. The exact row
+oracle integrates over every pairwise crossing in Fractions, with no
+tolerance. The planner oracle is
 the plain nested search, built only from the validated ``dynamics.step``
 and its own plain formula for each feature, not the package's cost
 kernels: it re-solves the follower for every leader candidate and caches
@@ -69,22 +72,44 @@ def _grid(lo, hi, n):
     return [lo + (k + 0.5) * step for k in range(n)]
 
 
-def oracle_leader_row_value(rewards, i, alpha, alpha_leader=0):
-    j = oracle_best_response(rewards, i, alpha, alpha_leader)
+def _leader_value(rewards, i, j, alpha_leader=0):
     return (1 - alpha_leader) * rewards[i][j][0] + alpha_leader * rewards[i][j][1]
+
+
+def oracle_leader_row_value(rewards, i, alpha, alpha_leader=0):
+    return _leader_value(rewards, i, oracle_best_response(rewards, i, alpha, alpha_leader),
+                         alpha_leader)
+
+
+#: The last grid solved, by the repr of its arguments, so an int reward and an equal float
+#: stay apart. One grid is enough: callers ask for every row of one game in turn.
+_SOLVED: dict = {}
+
+
+def _solved_grid(rewards, lo, hi, n):
+    """Every row's response and leader value at each point of the grid, solved once a grid."""
+    key = repr((rewards, lo, hi, n))
+    if key not in _SOLVED:
+        samples = _grid(lo, hi, n)
+        responses = [[oracle_best_response(rewards, i, a) for a in samples]
+                     for i in range(len(rewards))]
+        values = [[_leader_value(rewards, i, j) for j in row] for i, row in enumerate(responses)]
+        _SOLVED.clear()
+        _SOLVED[key] = responses, values
+    return _SOLVED[key]
 
 
 def oracle_row_expectation(rewards, i, lo, hi, n=10_000):
     """Grid-average of the leader's row value under a uniform belief on [lo, hi]."""
-    values = [oracle_leader_row_value(rewards, i, a) for a in _grid(lo, hi, n)]
+    values = _solved_grid(rewards, lo, hi, n)[1][i]
     return sum(values) / len(values)
 
 
 def oracle_outcome_distribution(rewards, i, lo, hi, n=10_000):
     """Fraction of the uniform belief predicting each follower response."""
     counts = [0] * len(rewards[i])
-    for a in _grid(lo, hi, n):
-        counts[oracle_best_response(rewards, i, a)] += 1
+    for j in _solved_grid(rewards, lo, hi, n)[0][i]:
+        counts[j] += 1
     return [c / n for c in counts]
 
 
@@ -102,10 +127,8 @@ def oracle_info_gain(rewards, i, lo, hi, n=10_000):
     Conditioning a uniform belief on a predicted response keeps it uniform
     on the compatible coefficient set, whose entropy is log of its measure.
     """
-    samples = _grid(lo, hi, n)
     by_response: dict[int, int] = {}
-    for a in samples:
-        j = oracle_best_response(rewards, i, a)
+    for j in _solved_grid(rewards, lo, hi, n)[0][i]:
         by_response[j] = by_response.get(j, 0) + 1
     h_prior = math.log(hi - lo)
     expected = 0.0
@@ -117,13 +140,11 @@ def oracle_info_gain(rewards, i, lo, hi, n=10_000):
 
 def oracle_reward_gain(rewards, i, lo, hi, n=10_000):
     """Expected absolute change of total attainable value, grid approximation."""
-    samples = _grid(lo, hi, n)
-    values = [[oracle_leader_row_value(rewards, r, a) for a in samples]
-              for r in range(len(rewards))]
+    responses, values = _solved_grid(rewards, lo, hi, n)
     base = _attainable(values, range(n))
     groups: dict[int, list[int]] = {}
-    for k, a in enumerate(samples):
-        groups.setdefault(oracle_best_response(rewards, i, a), []).append(k)
+    for k, j in enumerate(responses[i]):
+        groups.setdefault(j, []).append(k)
     bonus = 0.0
     for subset in groups.values():
         p = len(subset) / n

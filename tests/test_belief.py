@@ -217,6 +217,12 @@ class TestBayesUpdate:
         posterior = bayes_update(belief, game, 0, (0.5, 1.0))
         assert all(m >= 0 for m in posterior.masses) and sum(posterior.masses) == 1.0
 
+    def test_row_out_of_range_is_an_error(self, lane_merge_game):
+        b = IntervalBelief.uniform(partition_domain(lane_merge_game))
+        for row in (-1, 3, 1.5, Fraction(1)):
+            with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
+                bayes_update(b, lane_merge_game, row, (0.5, 0.5))
+
     def test_requires_refined_partition(self, lane_merge_game):
         coarse = IntervalBelief.uniform(Partition((0, 1)))
         with pytest.raises(ValueError):

@@ -329,7 +329,6 @@ def builds(monkeypatch):
         init(table, game, partition, conflict_aware)
 
     monkeypatch.setattr(belief_module._CellTable, "__init__", counted)
-    monkeypatch.setattr(belief_module, "_last_table", [(None, None, False, None)])
     return built
 
 
@@ -394,7 +393,7 @@ class TestChecksOnce:
         assert builds == [(game, decision_partition(game, aware), aware) for aware in (False, True)]
 
     def test_alternating_flags_build_one_table_per_decision(self, lane_merge_game, builds):
-        # the one kept table follows the last partition, as interleaved streams use it
+        # the game keeps one table, for the last partition, as interleaved streams use it
         game = lane_merge_game
         beliefs = [IntervalBelief.uniform(decision_partition(game, aware)) for aware in (False, True)]
         for t in range(6):
@@ -404,6 +403,18 @@ class TestChecksOnce:
             beliefs[aware] = bayes_update(beliefs[aware], game, row, (1.0, 0.5))
         assert builds == [(game, beliefs[aware].partition, aware)
                           for _ in range(3) for aware in (False, True)]
+
+    def test_games_decided_in_turn_keep_their_own_tables(self, lane_merge_game,
+                                                       responsibility_game, builds):
+        # each game keeps its last table, so a decision on one does not evict the other's
+        games = (lane_merge_game, responsibility_game)
+        beliefs = [IntervalBelief.uniform(decision_partition(game, True)) for game in games]
+        strategy = ExplorationStrategy(StrategyKind.REWARD_GAIN, conflict_aware=True)
+        for _ in range(3):
+            for k, game in enumerate(games):
+                _, row = select_action(game, beliefs[k], strategy)
+                beliefs[k] = bayes_update(beliefs[k], game, row, (1.0, 0.5))
+        assert builds == [(game, belief.partition, True) for game, belief in zip(games, beliefs)]
 
     def test_each_game_builds_its_partitions_once(self, lane_merge_game, monkeypatch):
         game = lane_merge_game
@@ -504,6 +515,6 @@ class TestChecksOnce:
     def test_out_of_range_row_is_an_error(self, lane_merge_game):
         b = uniform_for(lane_merge_game)
         for bonus in (info_gain_bonus, expected_reward_gain_bonus):
-            for row in (-1, 3):
+            for row in (-1, 3, 1.5, Fraction(1)):
                 with pytest.raises(ValueError, match="out of bounds"):
                     bonus(lane_merge_game, b, row)

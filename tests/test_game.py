@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,8 +74,10 @@ class TestAltruisticReward:
             altruistic_reward(probe_game, (0, 0), Player.LEADER, alpha)
 
     def test_rejects_out_of_range_cell(self, probe_game):
-        with pytest.raises(ValueError):
-            altruistic_reward(probe_game, (3, 0), Player.LEADER, 0.5)
+        # a cell holds two int indices: a float or Fraction, even a whole one, is out of bounds
+        for cell in ((3, 0), (1.5, 0), (Fraction(1), 0), (0, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"cell ({cell[0]!r}, {cell[1]!r})")):
+                altruistic_reward(probe_game, cell, Player.LEADER, 0.5)
 
 
 class TestFollowerBestResponse:
@@ -91,6 +94,11 @@ class TestFollowerBestResponse:
             (((3, 5), (1, 5)),),
         )
         assert follower_best_response(game, 0, 0) == 0
+
+    def test_row_out_of_range_is_an_error(self, lane_merge_game):
+        for row in (-1, 3, 1.5, Fraction(1)):
+            with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
+                follower_best_response(lane_merge_game, row, 0.5)
 
     def test_remaining_tie_breaks_to_lowest_index(self):
         game = AltruismGame(
@@ -182,8 +190,8 @@ class TestIntersectionPoints:
         assert type(point) is Fraction and point == Fraction(7, 15)
 
     def test_row_out_of_range_is_an_error(self, lane_merge_game):
-        for row in (-1, 3):
-            with pytest.raises(ValueError, match=f"leader action {row} out of bounds"):
+        for row in (-1, 3, 1.5, Fraction(1)):
+            with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
                 intersection_points(lane_merge_game, row)
 
 

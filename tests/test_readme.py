@@ -1,6 +1,6 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
-one predicate states the float range and one states positivity, and one constructor skips
-``__post_init__``."""
+one predicate states the float range and one states positivity, one constructor skips
+``__post_init__``, and no function keeps state in its module."""
 
 import ast
 import re
@@ -96,3 +96,33 @@ def test_only_game_made_builds_an_object_past_its_post_init():
     news = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_made")
             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert not news
+
+
+def test_no_package_function_keeps_state_in_its_module():
+    # the package keeps no state between calls outside objects its caller owns: no function
+    # declares a global or stores into an item or attribute of a name its module binds
+    def root(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return getattr(node, "id", None)
+
+    stores = []
+    for path in sorted((ROOT / "src" / "altmerge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        module |= {node.name for node in tree.body if isinstance(node, (ast.FunctionDef,
+                                                                        ast.ClassDef))}
+        module |= {name.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for name in ast.walk(node) if isinstance(name, ast.Name)
+                   and isinstance(name.ctx, ast.Store)}
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            local = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+            stores += [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                       for node in ast.walk(function)
+                       if isinstance(node, ast.Global)
+                       or isinstance(node, (ast.Attribute, ast.Subscript))
+                       and isinstance(node.ctx, ast.Store) and root(node) in module - local]
+    assert not stores

@@ -101,6 +101,12 @@ class TestObservationLikelihoods:
             scenario.weights, scenario.feature_params, scenario.bicycle_params, scenario.dt,
         )
 
+    def test_row_out_of_range_is_an_error(self, lane_scenario):
+        game, _, *rest = self._braking_args(lane_scenario)
+        for row in (-1, 3, 1.5, Fraction(1)):
+            with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
+                observation_likelihoods(game, row, *rest)
+
     def test_temperature_softens(self, lane_scenario):
         args = self._braking_args(lane_scenario)
         sharp = observation_likelihoods(*args, temperature=0.5)
