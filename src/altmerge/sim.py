@@ -19,9 +19,12 @@ its ``dt``, weights and controls, and ``bayes_update`` its likelihoods.
 Scenario files are JSON documents; scenarios/*.json are the shipped
 defaults. One field table per fixed-key object (``_SCENARIO``, ``_GAME``,
 ``_STRATEGY``, ``_STATES``, ``_STATE``, ``_CELL``, ``_FEATURES``, ``_VEHICLE``)
-is the one statement of their layout: its keys in reading order, each as
-``key: (field, read, required)``. Only the choice of reward grid and the
-weights rows and cells, named by the game's actions, are read by hand.
+is the one statement of their layout: its keys, each as ``key: (field, read,
+required)``. Each object is read in one pass, in table order, so the first
+fault in that order is the one reported. Two parts are read by hand: the
+game's choice of reward grid, checked before its keys are read, and the
+weights, the scenario table's last key, whose rows and cells are named by the
+game's actions.
 scenarios/schema.json documents the layout, and a test keeps the two in
 agreement. Every object rejects a key it does not list, so a malformed or
 misspelled document fails with one ScenarioError naming the key.
@@ -34,7 +37,6 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -327,14 +329,12 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _fields(data, table: dict, context: str, prefix: str):
-    """Yield ``(field, read(data[key], prefix + key))`` per ``key: (field, read, required)`` of
-    ``table``, in table order, once ``data`` is an object holding no other key. A key is read
-    only when its field is asked for, so a caller can check something between two keys."""
+def _fields(data, table: dict, context: str, prefix: str) -> dict:
+    """``{field: read(data[key], prefix + key)}`` per ``key: (field, read, required)`` of
+    ``table``, read in table order once ``data`` is an object holding no other key."""
     _object(data, table, context)
-    for key, (field, read, required) in table.items():
-        if required or key in data:
-            yield field, read(_require(data, key, context), prefix + key)
+    return {field: read(_require(data, key, context), prefix + key)
+            for key, (field, read, required) in table.items() if required or key in data}
 
 
 def _build(make, context: str, /, *args, **kwargs):
@@ -347,7 +347,7 @@ def _build(make, context: str, /, *args, **kwargs):
 
 def _nested(make, table: dict):
     """A reader of an object by ``table``, whose fields build ``make``."""
-    return lambda raw, ctx: _build(make, ctx, **dict(_fields(raw, table, ctx, f"{ctx}.")))
+    return lambda raw, ctx: _build(make, ctx, **_fields(raw, table, ctx, f"{ctx}."))
 
 
 def _by_name(cls, read, required: bool) -> dict:
@@ -448,39 +448,32 @@ _VEHICLE = _by_name(BicycleParams, _number, False)
 
 
 def _game(data, context: str) -> AltruismGame:
-    fields = _fields(data, _GAME, context, f"{context}.")
-    names = dict(islice(fields, 2))  # the two action lists: required, so always read first
-    if "rewards" in data and "outcome_labels" in data:
-        raise ScenarioError(f"{context}: give either 'rewards' or 'outcome_labels', not both")
-    if "rewards" not in data and "outcome_labels" not in data:
-        raise ScenarioError(f"{context}: needs 'rewards' or 'outcome_labels'")
-    return _build(AltruismGame, context, **names, **dict(fields))
+    grids = [key for key in ("rewards", "outcome_labels") if key in _object(data, _GAME, context)]
+    if len(grids) != 1:
+        raise ScenarioError(f"{context}: give either 'rewards' or 'outcome_labels', not both"
+                            if grids else f"{context}: needs 'rewards' or 'outcome_labels'")
+    return _build(AltruismGame, context, **_fields(data, _GAME, context, f"{context}."))
 
 
-def _weights(raw, context: str):
-    """A reader of the weights: a function of the game, whose action names key them."""
-    def read(game: AltruismGame) -> WeightTable:
-        rows, weights = _object(raw, game.leader_actions, context), {}
-        for i, leader in enumerate(game.leader_actions):
-            row_ctx = f"{context}['{leader}']"
-            row = _object(_require(rows, leader, context), game.follower_actions, row_ctx)
-            for j, follower in enumerate(game.follower_actions):
-                cell_ctx = f"{row_ctx}['{follower}']"
-                cell = _fields(_require(row, follower, row_ctx), _CELL, cell_ctx, f"{cell_ctx}.")
-                weights[(i, j)] = tuple(vector for _, vector in cell)
-        return weights
-    return read
+def _weights(raw, game: AltruismGame, context: str) -> WeightTable:
+    """The weights, whose rows and cells are the game's action names."""
+    rows, weights = _object(raw, game.leader_actions, context), {}
+    for i, leader in enumerate(game.leader_actions):
+        row_ctx = f"{context}['{leader}']"
+        row = _object(_require(rows, leader, context), game.follower_actions, row_ctx)
+        for j, follower in enumerate(game.follower_actions):
+            cell_ctx = f"{row_ctx}['{follower}']"
+            cell = _fields(_require(row, follower, row_ctx), _CELL, cell_ctx, f"{cell_ctx}.")
+            weights[(i, j)] = tuple(cell.values())
+    return weights
 
 
-#: The weights are read right after the game, and the states after the name but their keys before.
 _SCENARIO = {
     "description": (None, _string, False),
     "game": ("game", _game, True),
-    "weights": ("weights", _weights, True),
     "feature_params": ("feature_params", _nested(FeatureParams, _FEATURES), False),
     "vehicle": ("bicycle_params", _nested(BicycleParams, _VEHICLE), False),
-    "initial_states": ("starts", lambda raw, context: _fields(
-        _object(raw, _STATES, context), _STATES, context, f"{context}."), True),
+    "initial_states": ("starts", _nested(dict, _STATES), True),
     "name": ("name", _string, False),
     "true_alpha": ("true_alpha", _real, True),
     "strategy": ("strategy", _nested(ExplorationStrategy, _STRATEGY), True),
@@ -489,18 +482,17 @@ _SCENARIO = {
     "horizon_steps": ("horizon", _count, False),
     "observation_temperature": ("observation_temperature", _real, False),
     "follower_mode": ("follower_mode", _string, False),
+    "weights": ("weights", lambda raw, context: raw, True),  # read with the game, last
 }
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     """Build a Scenario from a parsed JSON document, with pointed errors."""
-    data = {"name": Path(source).stem, **data} if isinstance(data, dict) else data
-    fields = {}
-    for field, value in _fields(data, _SCENARIO, source, f"{source}: "):
-        fields[field] = value(fields["game"]) if field == "weights" else value
-        if field == "name":  # always read, as it has a default, so the states follow it
-            fields.update(fields.pop("starts"))
-    return _build(Scenario, source, **{field: value for field, value in fields.items() if field})
+    fields = {"name": Path(source).stem, **_fields(data, _SCENARIO, source, f"{source}: ")}
+    fields.update(fields.pop("starts"))
+    fields["weights"] = _weights(fields["weights"], fields["game"], f"{source}: weights")
+    fields.pop(None, None)  # the description is checked, not kept
+    return _build(Scenario, source, **fields)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the implementation is checked against.
 
-The grid oracles re-derive results from the raw reward grid with plain
-enumeration or dense coefficient grids, deliberately avoiding the library's
-own game and belief machinery. They share one solved grid, each row's
+Every oracle takes its best responses and leader values from the raw reward
+grid by plain enumeration, deliberately avoiding the library's own game
+machinery (``altmerge.game``). The grid oracles use dense coefficient grids
+and avoid its belief machinery too. They share one solved grid, each row's
 response and leader value at every point, solved once per
 ``(rewards, lo, hi, n)``; each oracle sums it in grid order. The exact row
 oracle integrates over every pairwise crossing in Fractions, with no
@@ -13,7 +14,8 @@ kernels: it re-solves the follower for every leader candidate and caches
 nothing. The decision oracle is the per-call evaluation on the
 belief's cells: every helper re-solves its own best responses, by
 ``oracle_best_response`` at each cell midpoint, and writes out its own
-one-hot posteriors, nothing shared. Its conflict test and role swap come
+one-hot posteriors. Only its conflict region, which depends on the game
+alone, is solved once a game. Its conflict test and role swap come
 from the grid oracles too, so no follower response comes from the package's
 solver. Both import the package inside their functions, so this file loads
 without the package on the path, as ``perfbench`` loads it.
@@ -81,22 +83,28 @@ def oracle_leader_row_value(rewards, i, alpha, alpha_leader=0):
                          alpha_leader)
 
 
-#: The last grid solved, by the repr of its arguments, so an int reward and an equal float
-#: stay apart. One grid is enough: callers ask for every row of one game in turn.
-_SOLVED: dict = {}
+def _solved_once(solve):
+    """``solve``, keeping its last result by the repr of its arguments, so an int reward and an
+    equal float stay apart. One result is enough: callers ask about one game in turn."""
+    last = {}
+
+    def solved(*args):
+        key = repr(args)
+        if key not in last:
+            last.clear()
+            last[key] = solve(*args)
+        return last[key]
+    return solved
 
 
+@_solved_once
 def _solved_grid(rewards, lo, hi, n):
     """Every row's response and leader value at each point of the grid, solved once a grid."""
-    key = repr((rewards, lo, hi, n))
-    if key not in _SOLVED:
-        samples = _grid(lo, hi, n)
-        responses = [[oracle_best_response(rewards, i, a) for a in samples]
-                     for i in range(len(rewards))]
-        values = [[_leader_value(rewards, i, j) for j in row] for i, row in enumerate(responses)]
-        _SOLVED.clear()
-        _SOLVED[key] = responses, values
-    return _SOLVED[key]
+    samples = _grid(lo, hi, n)
+    responses = [[oracle_best_response(rewards, i, a) for a in samples]
+                 for i in range(len(rewards))]
+    values = [[_leader_value(rewards, i, j) for j in row] for i, row in enumerate(responses)]
+    return responses, values
 
 
 def oracle_row_expectation(rewards, i, lo, hi, n=10_000):
@@ -336,14 +344,6 @@ def _in_order(values):
     return total
 
 
-def leader_reward_given_alpha(game, leader_action, alpha):
-    """Leader's value of the row once the follower responds at ``alpha``."""
-    from altmerge.game import Player, altruistic_reward, follower_best_response
-
-    j = follower_best_response(game, leader_action, alpha)
-    return altruistic_reward(game, (leader_action, j), Player.LEADER, game.alpha_leader)
-
-
 def _oracle_responses(game, belief, leader_action):
     """The enumerated best response at each belief cell's midpoint."""
     return [oracle_best_response(game.rewards, leader_action, mid, game.alpha_leader)
@@ -412,8 +412,9 @@ def _oracle_is_conflicted(game, alpha):
     return as_follower != oracle_role_swap_preference(game.rewards, alpha, game.alpha_leader)
 
 
+@_solved_once
 def oracle_conflict_region(game):
-    """Conflicted cells of the conflict-aware decision partition, merged."""
+    """Conflicted cells of the conflict-aware decision partition, merged; solved once a game."""
     from altmerge.explore import decision_partition
 
     partition = decision_partition(game, conflict_aware=True)
@@ -440,13 +441,11 @@ def oracle_conflict_mass(game, belief):
 
 def oracle_conflict_adjusted_reward(game, belief, cell, alpha):
     """Cell value mixed with the role-swap cell by the conflict mass."""
-    from altmerge.game import Player, altruistic_reward
-
     i, j = cell
     p = oracle_conflict_mass(game, belief)
     j_leader = oracle_role_swap_preference(game.rewards, alpha, game.alpha_leader)
-    nominal = float(altruistic_reward(game, (i, j), Player.LEADER, game.alpha_leader))
-    conflicted = float(altruistic_reward(game, (i, j_leader), Player.LEADER, game.alpha_leader))
+    nominal = float(_leader_value(game.rewards, i, j, game.alpha_leader))
+    conflicted = float(_leader_value(game.rewards, i, j_leader, game.alpha_leader))
     return (1 - p) * nominal + p * conflicted
 
 

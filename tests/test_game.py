@@ -22,7 +22,7 @@ from altmerge.game import (
     stackelberg_equilibrium,
 )
 from conftest import SCENARIO_DIR
-from oracles import leader_reward_given_alpha, oracle_equilibrium, oracle_role_swap_preference
+from oracles import oracle_equilibrium, oracle_role_swap_preference
 
 
 class TestAltruismGame:
@@ -151,6 +151,12 @@ class TestStackelbergEquilibrium:
             g2 = AltruismGame(("a", "b", "c"), ("x", "y"), scaled)
             e1, e2 = stackelberg_equilibrium(g1, alpha), stackelberg_equilibrium(g2, alpha)
             assert (e1.leader_index, e1.follower_index) == (e2.leader_index, e2.follower_index)
+
+
+def leader_reward_given_alpha(game, leader_action, alpha):
+    """Leader's value of the row once the follower responds at ``alpha``."""
+    j = follower_best_response(game, leader_action, alpha)
+    return altruistic_reward(game, (leader_action, j), Player.LEADER, game.alpha_leader)
 
 
 class TestLeaderRewardGivenAlpha:

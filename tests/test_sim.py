@@ -379,26 +379,29 @@ class TestScenarioParsing:
             parse_scenario(data, "doc")
 
     @pytest.mark.parametrize("faults, message", [
-        # the weights are read right after the game, before the parameter objects
+        # each object is read in one pass, in the order of its field table; the weights are the
+        # scenario table's last key, read after every other key, the parameter objects included
         ({("weights", "probe", "give_way", "leader"): [1, 2, 3], ("vehicle", "wheelbase"): "x"},
-         "doc: weights['probe']['give_way'].leader: expected a list of 6 numbers"),
+         "doc: vehicle.wheelbase: expected a finite number, got 'x'"),
+        ({("weights", "probe", "give_way", "leader"): [1, 2, 3], ("follower_mode",): 3},
+         "doc: follower_mode: expected a string, got 3"),
         # a missing required key is reported where the key would have been read
         ({("initial_states",): None, ("true_alpha",): "x"},
          "doc: missing required key 'initial_states'"),
-        # the states' own keys are checked before the name, their values after it
+        # the states, keys and values alike, are read before the name
         ({("initial_states", "extra"): 1, ("name",): 3},
          "doc: initial_states: unknown key 'extra'"),
         ({("initial_states", "leader", "x"): "x", ("name",): 3},
-         "doc: name: expected a string, got 3"),
+         "doc: initial_states.leader.x: expected a finite number, got 'x'"),
         ({("initial_states", "follower"): None, ("name",): 3},
-         "doc: name: expected a string, got 3"),
+         "doc: initial_states: missing required key 'follower'"),
         # the choice of reward grid is made before either grid, or the leader's altruism, is read
         ({("game", "rewards"): None, ("game", "alpha_leader"): "x"},
          "doc: game: needs 'rewards' or 'outcome_labels'"),
         ({("game", "outcome_labels"): [], ("game", "rewards", 0): "x"},
          "doc: game: give either 'rewards' or 'outcome_labels', not both"),
-    ], ids=["weights_before_vehicle", "missing_states_before_true_alpha",
-            "states_keys_before_name", "name_before_state_values", "name_before_missing_state",
+    ], ids=["vehicle_before_weights", "weights_after_every_key", "missing_states_before_true_alpha",
+            "states_keys_before_name", "state_values_before_name", "missing_state_before_name",
             "no_grid_before_alpha_leader", "both_grids_before_either"])
     def test_the_first_fault_in_reading_order_is_reported(self, faults, message):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
