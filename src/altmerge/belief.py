@@ -10,8 +10,9 @@ updates well defined. The game builds that partition once.
 The cell table lives here. It checks a partition against the game's
 decision partition and holds each row's follower best response and leader
 value per cell and, when conflict-aware, the role swap and the conflict
-region; it calls ``game``'s unchecked ``_follower_values`` once per row and
-cell. It never reads the masses, so a game keeps the last table built for
+region. Per cell it calls ``game``'s unchecked ``_follower_values`` once per
+row, and ``game._commit`` gives the responses, the equilibrium row and the
+role swap. It never reads the masses, so a game keeps the last table built for
 it, and each step of an episode, its ``bayes_update`` included, reads it.
 
 ``IntervalBelief`` checks a caller's masses. ``bayes_update`` checks a
@@ -25,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import (MASS_TOL, AltruismGame, Number, Partition, _argmax, _check_row, _finite,
-                   _follower_values, _made, _role_swap)
+from .game import (MASS_TOL, AltruismGame, Number, Partition, _check_row, _commit, _finite,
+                   _follower_values, _made, _sum_in_order)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -47,14 +48,6 @@ def partition_domain(game: AltruismGame) -> Partition:
 def decision_partition(game: AltruismGame, conflict_aware: bool = False) -> Partition:
     """Partition on which every decision-time quantity is cellwise constant; built once per game."""
     return game._role_swap_partition if conflict_aware else game._domain_partition
-
-
-def _sum_in_order(values) -> float:
-    """Float sum from 0.0, left to right: ``sum`` compensates rounding from Python 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -176,16 +169,15 @@ class _CellTable:
         self.region: list[tuple[Number, Number]] = []
         for (lo, hi), mid in zip(partition.cells, partition.midpoints):
             follower = [_follower_values(game, i, mid) for i in rows]
-            responses = [_argmax(follower[i], leader[i]) for i in rows]
+            responses, equilibrium_row = _commit(leader, follower)
             for i, j in enumerate(responses):
                 self.responses[i].append(j)
                 self.values[i].append(float(leader[i][j]))
             if not conflict_aware:
                 continue
-            as_leader = _role_swap(leader, follower)
+            as_leader = _commit(list(zip(*follower)), list(zip(*leader)))[1]
             for i in rows:
                 self.swapped[i].append(float(leader[i][as_leader]))
-            equilibrium_row = max(rows, key=lambda i: (leader[i][responses[i]], -i))
             if responses[equilibrium_row] == as_leader:
                 continue
             if self.region and self.region[-1][1] == lo:

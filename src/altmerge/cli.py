@@ -390,20 +390,23 @@ def plot(run_dir: str | Path) -> int:
 # Argument parsing
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
+def _parse_list(raw: str, read, what: str) -> tuple:
+    """Each nonblank comma-separated part of ``raw``, read; none, or a ValueError, is an error."""
     try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
+        values = tuple(read(part) for part in raw.split(",") if part.strip())
     except ValueError:
         values = ()
     if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {raw!r}")
     return values
 
 
+def _parse_float_list(raw: str) -> tuple[float, ...]:
+    return _parse_list(raw, float, "numbers")
+
+
 def _parse_strategy_list(raw: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(f"expected comma-separated strategies, got {raw!r}")
+    names = _parse_list(raw, str.strip, "strategies")
     valid = {kind.value for kind in StrategyKind}
     for name in names:
         if name not in valid:

@@ -23,9 +23,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .belief import (IntervalBelief, _cell_table, _entropy, _sum_in_order, decision_partition,
-                     mass_below)
-from .game import AltruismGame, Number, _check_row, _finite
+from .belief import IntervalBelief, _cell_table, _entropy, decision_partition, mass_below
+from .game import AltruismGame, Number, _check_row, _finite, _first_max, _sum_in_order
 
 
 class StrategyKind(enum.Enum):
@@ -134,5 +133,4 @@ def select_action(
         if not math.isfinite(total):
             raise ValueError(f"lambda {strategy.lam!r} times row {i}'s bonus {bonus!r} overflows")
         evaluations.append(ActionEvaluation(i, reward, bonus, total, probs))
-    best = max(range(len(evaluations)), key=lambda i: (evaluations[i].total, -i))
-    return evaluations, best
+    return evaluations, _first_max([evaluation.total for evaluation in evaluations])

@@ -2,9 +2,13 @@
 
 A game holds one reward pair per action cell. Each player blends its own
 cell reward with the opponent's through an altruism coefficient in [0, 1]:
-0 is fully selfish, 1 fully altruistic. The leader commits first; the
-follower best-responds under its coefficient, breaking ties in the
-leader's favour and then by lowest column index so runs are reproducible.
+0 is fully selfish, 1 fully altruistic. ``_commit`` is the one Stackelberg
+commitment rule: the answer to each action maximizes the answering player's
+value, ties to the leader's, then to the lowest index, and the leader commits
+to the first action whose answer it values most. The equilibrium applies it to
+the game's grids, the role swap, where the follower leads, to the transposed
+grids. ``_first_max`` is the one lowest-index tie-break, ``_sum_in_order`` the
+one float sum, ``_crossings`` the one pairwise reward-line crossing enumerator.
 
 Reward crossings are solved in exact rational arithmetic, a float reward
 read as the exact rational it stores. Two breakpoints are one exactly when
@@ -23,7 +27,7 @@ the only object built that way. The game computes the leader's value of
 every cell once, on first use. One unchecked kernel, ``_follower_values``,
 blends the follower's values of one row at a coefficient; every best
 response and the role swap are read from these two grids. ``belief``'s cell
-table calls the kernel after its own partition check.
+table calls the kernel and ``_commit`` after its own partition check.
 """
 
 from __future__ import annotations
@@ -49,6 +53,19 @@ def _finite(value: Number) -> bool:
 def _positive(value: Number) -> bool:
     """Positive and finite as the float the kernels use: ``Fraction(1, 10**400)`` is not."""
     return _finite(value) and float(value) > 0
+
+
+def _first_max(values: Sequence[Number]) -> int:
+    """Index of the largest value, ties to the lowest: the package's one tie-break."""
+    return values.index(max(values))
+
+
+def _sum_in_order(values) -> float:
+    """Float sum from 0.0, left to right: ``sum`` compensates rounding from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _made(cls, *values):
@@ -193,20 +210,16 @@ def _argmax(values: Sequence[Number], ties: Sequence[Number]) -> int:
     """Index of the largest value; ties go to the largest ``ties[k]``, then the lowest k."""
     best = max(values)
     tied = [k for k, value in enumerate(values) if value == best]
-    if len(tied) == 1:
-        return tied[0]
-    return max(tied, key=lambda k: (ties[k], -k))
+    return tied[_first_max([ties[k] for k in tied])] if len(tied) > 1 else tied[0]
 
 
-def _role_swap(leader: Sequence[Sequence[Number]], follower: Sequence[Sequence[Number]]) -> int:
-    """Column the follower commits to as leader, from both players' value grids.
-
-    The leader answers column j with the row it values most, ties to the
-    follower's value, then to the lowest row. The follower commits to the
-    column whose answer it values most, ties to the lowest.
-    """
-    values = [follow[_argmax(lead, follow)] for lead, follow in zip(zip(*leader), zip(*follower))]
-    return values.index(max(values))
+def _commit(own: Sequence[Sequence[Number]], other: Sequence[Sequence[Number]]) -> tuple:
+    """Every answer and the committed action, the leader valuing i answered by j at
+    ``own[i][j]`` and the answering player at ``other[i][j]``: the answer to i is the
+    ``_argmax`` of ``other[i]`` with ties to ``own[i]``; the leader commits to the first
+    action whose answer it values most."""
+    answers = [_argmax(answer, lead) for lead, answer in zip(own, other)]
+    return answers, _first_max([lead[j] for lead, j in zip(own, answers)])
 
 
 def follower_best_response(game: AltruismGame, leader_action: int, alpha: Number) -> int:
@@ -223,9 +236,8 @@ def follower_best_response(game: AltruismGame, leader_action: int, alpha: Number
 def stackelberg_equilibrium(game: AltruismGame, alpha_follower: Number) -> Equilibrium:
     """Backward-induction equilibrium; leader ties break to the lowest row."""
     _check_alpha(alpha_follower)
-    rows, leader = range(game.n_leader), game._leader_values
-    responses = [_argmax(_follower_values(game, i, alpha_follower), leader[i]) for i in rows]
-    i = max(rows, key=lambda i: (leader[i][responses[i]], -i))
+    follower = [_follower_values(game, i, alpha_follower) for i in range(game.n_leader)]
+    responses, i = _commit(game._leader_values, follower)
     return Equilibrium(i, responses[i], *game.rewards[i][responses[i]])
 
 
@@ -251,20 +263,19 @@ def intersection_points(game: AltruismGame, leader_action: int) -> list[Fraction
     returned once, sorted. Parallel lines contribute nothing.
     """
     _check_row(game, leader_action)
-    cells = [(follower, leader) for leader, follower in game.rewards[leader_action]]
-    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
-    return sorted({alpha for alpha in crossings if alpha is not None and 0 < alpha < 1})
+    return sorted(set(_crossings(game.rewards[leader_action])))
 
 
 def _role_swap_points(game: AltruismGame) -> tuple[Fraction, ...]:
-    """Coefficients in (0, 1) where any two cells' follower-altruistic values cross.
+    """Every crossing in (0, 1) of two cells' follower values, with repeats: a superset of
+    the points where the follower-as-leader preference or its tie-breaking can change."""
+    return _crossings([cell for row in game.rewards for cell in row])
 
-    Superset of every point where the follower-as-leader preference or its
-    tie-breaking can change; used to bound conflict-region cells. Raw, with
-    repeats: ``Partition.refined`` merges and sorts them.
-    """
-    cells = [(cell[1], cell[0]) for row in game.rewards for cell in row]
-    crossings = (line_crossing(*a, *b) for k, a in enumerate(cells) for b in cells[k + 1:])
+
+def _crossings(cells: Sequence[tuple[Number, Number]]) -> tuple[Fraction, ...]:
+    """Every coefficient in (0, 1) where the follower's values of two cells cross, with repeats."""
+    lines = [(follower, leader) for leader, follower in cells]
+    crossings = (line_crossing(*a, *b) for k, a in enumerate(lines) for b in lines[k + 1:])
     return tuple(alpha for alpha in crossings if alpha is not None and 0 < alpha < 1)
 
 
@@ -340,4 +351,4 @@ def leader_preference_of_follower(game: AltruismGame, alpha_follower: Number) ->
     """
     _check_alpha(alpha_follower)
     follower = [_follower_values(game, i, alpha_follower) for i in range(game.n_leader)]
-    return _role_swap(game._leader_values, follower)
+    return _commit(list(zip(*follower)), list(zip(*game._leader_values)))[1]

@@ -71,6 +71,7 @@ from typing import NamedTuple
 from .dynamics import (BicycleParams, Control, FeatureParams, VehicleState, _advance, _check_dt,
                        _check_weights, _frame, _own_costs, _pair_cost,
                        step)  # unused: kept bound for perfbench's tracer test
+from .game import _sum_in_order
 
 #: Objective improvements below this do not move the search.
 SOLVER_TOL = 1e-6
@@ -211,9 +212,10 @@ class _Rollouts:
     half per 4-tuple; ``head`` and ``tail`` fetch one or build it. Each is
     (post-step states, per-state ``_own_costs``, bound, link): a cost against
     any other trajectory adds only the pair features. A state's bound term
-    is ``own + b4 + b5``. A first half sums them from 0.0 and links its
-    insertion index; a second half keeps them per state, to sum on from its
-    first half's end in ``_pair_cost``'s order, and links that first half.
+    is ``own + b4 + b5``. A first half sums them with ``_sum_in_order``
+    and links its insertion index; a second half keeps them per state, to
+    sum on from its first half's end in ``_pair_cost``'s order, and links
+    that first half.
     """
 
     def __init__(
@@ -246,10 +248,7 @@ class _Rollouts:
         head = self.heads.get(key)
         if head is None:
             states, owns, terms = self._build(self.start, *key, self.first)
-            total = 0.0
-            for term in terms:  # not sum(): from Python 3.12 it compensates rounding
-                total += term
-            head = self.heads[key] = (states, owns, total, len(self.heads))
+            head = self.heads[key] = (states, owns, _sum_in_order(terms), len(self.heads))
         return head
 
     def tail(self, params4: tuple[float, ...]) -> tuple[list, list[float], list[float], tuple]:

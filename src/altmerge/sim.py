@@ -40,14 +40,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .belief import BeliefContradictionError, IntervalBelief, _sum_in_order, bayes_update
+from .belief import BeliefContradictionError, IntervalBelief, bayes_update
 from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState, _advance,
                        _check_dt, _check_weights, _frame, _own_costs, _pair_cost, _step,
                        step)  # unused: kept bound for perfbench's tracer test
 from .explore import (ActionEvaluation, ExplorationStrategy, StrategyKind, decision_partition,
                       select_action)
-from .game import (AltruismGame, OutcomeLabel, _check_row, _finite, _made, _positive,
-                   build_responsibility_matrix, follower_best_response,
+from .game import (AltruismGame, OutcomeLabel, _check_row, _finite, _first_max, _made, _positive,
+                   _sum_in_order, build_responsibility_matrix, follower_best_response,
                    leader_preference_of_follower)
 from .planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
 
@@ -202,11 +202,6 @@ def observation_likelihoods(
     return tuple(u / total for u in unnormalized)
 
 
-def _predicted_response(evaluation: ActionEvaluation) -> int:
-    probs = evaluation.outcome_probabilities
-    return max(range(len(probs)), key=lambda j: (probs[j], -j))
-
-
 def run_episode(scenario: Scenario) -> EpisodeResult:
     """Simulate one closed-loop episode of ``scenario.episode_steps`` steps."""
     game, alpha = scenario.game, scenario.true_alpha
@@ -224,7 +219,7 @@ def run_episode(scenario: Scenario) -> EpisodeResult:
 
     for t in range(scenario.episode_steps):
         evaluations, leader_action = select_action(game, belief, scenario.strategy)
-        predicted = _predicted_response(evaluations[leader_action])
+        predicted = _first_max(evaluations[leader_action].outcome_probabilities)
         leader_w, follower_w_pred = scenario.weights[(leader_action, predicted)]
         cell = f"cell ({game.leader_actions[leader_action]}, {game.follower_actions[predicted]})"
         plan = _build(bilevel_plan, cell, _made(

@@ -233,6 +233,29 @@ class TestLeaderPreferenceOfFollower:
         game = AltruismGame(("a", "b"), ("only",), (((1, 2),), ((3, 0),)))
         assert leader_preference_of_follower(game, 0.4) == 0
 
+    @pytest.mark.parametrize("reward", [
+        lambda rng: rng.randint(-2, 2),
+        lambda rng: rng.randint(-4, 4) / 2,
+        lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    ], ids=["int", "float", "fraction"])
+    def test_is_the_equilibrium_with_the_roles_exchanged(self, reward):
+        # one commitment rule serves both roles: the follower leading at a is the leader of
+        # the transposed game, each reward pair swapped, with coefficient a, answered by the
+        # original leader at its own coefficient. Small rewards and coefficients on a coarse
+        # grid make ties in both the answers and the commitment common.
+        rng = random.Random(20261020)
+        alphas = [0, 1, 0.25, 0.5, *(Fraction(k, 12) for k in range(1, 12))]
+        for _ in range(300):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            grid = [[(reward(rng), reward(rng)) for _ in range(n)] for _ in range(m)]
+            rows, columns = tuple(f"r{i}" for i in range(m)), tuple(f"c{j}" for j in range(n))
+            game = AltruismGame(rows, columns, grid, rng.choice(alphas))
+            transposed = [[grid[i][j][::-1] for i in range(m)] for j in range(n)]
+            for alpha in rng.sample(alphas, 4):
+                swapped = AltruismGame(columns, rows, transposed, alpha)
+                equilibrium = stackelberg_equilibrium(swapped, game.alpha_leader)
+                assert leader_preference_of_follower(game, alpha) == equilibrium.leader_index
+
 
 @given(
     rewards=st.lists(

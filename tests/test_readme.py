@@ -1,6 +1,7 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
 one predicate states the float range and one states positivity, one constructor skips
-``__post_init__``, and no function keeps state in its module."""
+``__post_init__``, one function breaks a tie to the lowest index, and no function keeps state
+in its module."""
 
 import ast
 import re
@@ -96,6 +97,23 @@ def test_only_game_made_builds_an_object_past_its_post_init():
     news = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_made")
             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert not news
+
+
+def test_only_game_first_max_breaks_a_tie_to_the_lowest_index():
+    # game._first_max is the one lowest-index tie-break; a max or min with a key, or an
+    # .index(max(...)), anywhere else states it again
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    def tie_break(node):
+        return isinstance(node, ast.Call) and (
+            called(node) in ("max", "min") and any(k.arg == "key" for k in node.keywords)
+            or isinstance(node.func, ast.Attribute) and called(node) == "index"
+            and any(isinstance(arg, ast.Call) and called(arg) == "max" for arg in node.args))
+
+    sites = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_first_max")
+             if tie_break(node)]
+    assert not sites
 
 
 def test_no_package_function_keeps_state_in_its_module():
