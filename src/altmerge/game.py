@@ -26,7 +26,12 @@ again: ``_made`` builds a frozen dataclass from it without ``__post_init__``,
 the only object built that way. The game computes the leader's value of
 every cell once, on first use. One unchecked kernel, ``_follower_values``,
 blends the follower's values of one row at a coefficient; every best
-response and the role swap are read from these two grids. ``belief``'s cell
+response and the role swap are read from these two grids. When every reward
+and the coefficient are ints or Fractions, the kernel reads each cell's
+follower line, intercept f and slope l − f, built once per game, as
+f + α·(l − f): the exact rational of (1 − α)·f + α·l with one multiply. A
+float reward or coefficient keeps the product form, whose rounding the float
+results are pinned to; the leader's values keep it too. ``belief``'s cell
 table calls the kernel and ``_commit`` after its own partition check.
 """
 
@@ -150,6 +155,15 @@ class AltruismGame:
                      for row in self.rewards)
 
     @functools.cached_property
+    def _follower_lines(self) -> tuple[tuple[tuple[Number, Number], ...], ...] | None:
+        """Each cell's follower reward line, ``[i][j]`` = (intercept f, slope l − f); None
+        unless every reward is an int or Fraction, where ``f + α·(l − f)`` is exact."""
+        if not all(isinstance(r, (int, Fraction)) for row in self.rewards for c in row for r in c):
+            return None
+        return tuple(tuple((follower, leader - follower) for leader, follower in row)
+                     for row in self.rewards)
+
+    @functools.cached_property
     def _domain_partition(self) -> Partition:
         """Partition of [0, 1] at every reward-line crossing of every leader row."""
         return Partition((0, 1)).refined(
@@ -201,9 +215,14 @@ def _check_row(game: AltruismGame, leader_action: int) -> None:
 
 
 def _follower_values(game: AltruismGame, i: int, alpha: Number) -> list[Number]:
-    """The follower's blend of each cell of row i at ``alpha``; the one unchecked kernel."""
-    beta = 1 - alpha
-    return [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
+    """The follower's blend of each cell of row i at ``alpha``; the one unchecked kernel.
+    Exact inputs read the game's lines, one multiply per cell; a float keeps the product
+    form, whose rounding every float result is pinned to."""
+    lines = game._follower_lines
+    if lines is None or not isinstance(alpha, (int, Fraction)):
+        beta = 1 - alpha
+        return [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
+    return [intercept + alpha * slope for intercept, slope in lines[i]]
 
 
 def _argmax(values: Sequence[Number], ties: Sequence[Number]) -> int:

@@ -14,6 +14,7 @@ from altmerge.game import (
     OutcomeLabel,
     Partition,
     Player,
+    _follower_values,
     altruistic_reward,
     build_responsibility_matrix,
     follower_best_response,
@@ -117,6 +118,40 @@ class TestFollowerBestResponse:
                 if current != previous:
                     assert any(alpha - 1 / 400 <= c <= alpha for c in crossings)
                 previous = current
+
+
+def _bits(value):
+    """A float by ``float.hex``, an exact value by ``repr``: equal only when identical."""
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+class TestFollowerValues:
+    @pytest.mark.parametrize("reward", [
+        lambda rng: rng.randint(-3, 3),
+        lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        lambda rng: rng.choice((rng.randint(-3, 3), rng.randint(-6, 6) / 3)),
+    ], ids=["int", "fraction", "float"])
+    def test_is_the_product_form_blend(self, reward):
+        # the kernel may read f + a*(l - f): the same rational as (1 - a)*f + a*l when the
+        # rewards and a are exact, but rounded differently in floats, where every result
+        # must stay the product form's bit for bit. Small rewards make equal lines common.
+        rng = random.Random(20261021)
+        exact = [0, 1, Fraction(1, 2), *(Fraction(k, 7) for k in range(1, 7))]
+        floats = [0.0, 1.0, 0.1, 0.3, 0.7, 1 / 3, 5 / 7]
+        for _ in range(200):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            grid = [[(reward(rng), reward(rng)) for _ in range(n)] for _ in range(m)]
+            game = AltruismGame(tuple(f"r{i}" for i in range(m)), tuple(f"c{j}" for j in range(n)),
+                                grid, rng.choice(exact))
+            is_exact = not any(isinstance(r, float) for row in grid for cell in row for r in cell)
+            for alpha in exact + floats:
+                for i, row in enumerate(grid):
+                    values = _follower_values(game, i, alpha)
+                    blends = [(1 - alpha) * follower + alpha * leader for leader, follower in row]
+                    if is_exact and not isinstance(alpha, float):
+                        assert values == blends and not any(isinstance(v, float) for v in values)
+                    else:
+                        assert list(map(_bits, values)) == list(map(_bits, blends)), (grid, alpha)
 
 
 class TestStackelbergEquilibrium:
