@@ -22,7 +22,8 @@ features 0-3 (which never look at the other vehicle) and ``_pair_cost``
 for features 4-5 (which do). The planner calls them on its inner rollouts
 and keeps a rollout's own-lane terms for every other trajectory it is
 scored against. The public ``step`` and ``cost`` validate their input and
-delegate; ``features`` reads each feature out of the cost kernels as the
+delegate, and every other caller, the simulation's likelihood included, goes
+through them; ``features`` reads each feature out of the cost kernels as the
 cost of one state pair under a unit weight vector, which is exact.
 """
 
@@ -32,17 +33,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .game import _finite, _made, _positive
+from .game import _check_positive, _finite, _made
 
 N_FEATURES = 6
 
 #: Row k weighs feature k alone: ``features`` reads each feature through the cost kernels.
 _UNIT = tuple(tuple(float(j == k) for j in range(N_FEATURES)) for k in range(N_FEATURES))
-
-
-def _check_dt(dt: float) -> None:
-    if not _positive(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def _check_weights(*weight_vectors: tuple[float, ...]) -> None:
@@ -86,9 +82,7 @@ class BicycleParams:
 
     def __post_init__(self) -> None:
         for name in ("wheelbase", "accel_max", "steer_max"):
-            value = getattr(self, name)
-            if not _positive(value):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
 
     def check(self, control: Control) -> None:
         """Reject a control beyond the actuator limits, or a NaN one."""
@@ -128,12 +122,10 @@ class FeatureParams:
                 raise ValueError(f"{field.name} must be finite, got {value}")
             if field.name.startswith("lambda_") and value < 0:
                 raise ValueError(f"{field.name} must be nonnegative, got {value}")
-        if not (_positive(self.vehicle_width) and _positive(self.vehicle_length)):
-            raise ValueError("vehicle dimensions must be positive")
-        if not _positive(self.vehicle_width + self.width_margin):
-            raise ValueError("lateral ellipse axis must be positive and finite")
-        if not _positive(self.vehicle_length + self.length_margin):
-            raise ValueError("longitudinal ellipse axis must be positive and finite")
+        _check_positive("vehicle_width", self.vehicle_width)
+        _check_positive("vehicle_length", self.vehicle_length)
+        _check_positive("lateral ellipse axis", self.vehicle_width + self.width_margin)
+        _check_positive("longitudinal ellipse axis", self.vehicle_length + self.length_margin)
 
 
 def step(
@@ -145,7 +137,7 @@ def step(
     Euler), so acceleration is observable in a single step; the heading
     rate uses the pre-step speed.
     """
-    _check_dt(dt)
+    _check_positive("dt", dt)
     params.check(control)
     return _step(state, control, params.wheelbase, dt)
 

@@ -20,8 +20,9 @@ refinement at the role-swap crossings, and builds each once, on first use.
 
 Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, each public function its own coefficient and row
-or cell, and every layer a caller's number with ``_finite`` and
-``_positive``, the two number rules. A value the package made is not checked
+or cell, and every layer a caller's number with ``_finite``, ``_positive``
+and ``_whole``, the number rules; ``_check_positive`` is the one raise of
+the positivity rule. A value the package made is not checked
 again: ``_made`` builds a frozen dataclass from it without ``__post_init__``,
 the only object built that way. The game computes the leader's value of
 every cell once, on first use. One unchecked kernel, ``_follower_values``,
@@ -58,6 +59,17 @@ def _finite(value: Number) -> bool:
 def _positive(value: Number) -> bool:
     """Positive and finite as the float the kernels use: ``Fraction(1, 10**400)`` is not."""
     return _finite(value) and float(value) > 0
+
+
+def _check_positive(name: str, value: Number) -> None:
+    """The one raise of the positivity rule, naming the quantity."""
+    if not _positive(value):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _whole(value) -> bool:
+    """The one integer rule: an ``int``, not a bool, a whole float or a Fraction."""
+    return type(value) is int
 
 
 def _first_max(values: Sequence[Number]) -> int:
@@ -205,8 +217,8 @@ def altruistic_reward(
 
 
 def _index(k: int, n: int) -> bool:
-    """The one index rule for rows and columns: an ``int`` in ``range(n)``; 1.0 is not one."""
-    return isinstance(k, int) and 0 <= k < n
+    """The one index rule for rows and columns: a ``_whole`` number in ``range(n)``."""
+    return _whole(k) and 0 <= k < n
 
 
 def _check_row(game: AltruismGame, leader_action: int) -> None:
@@ -335,7 +347,7 @@ class Partition:
     @functools.cached_property
     def midpoints(self) -> tuple[Number, ...]:
         sums = [lo + hi for lo, hi in self.cells]
-        return tuple(Fraction(s, 2) if isinstance(s, int) else s / 2 for s in sums)
+        return tuple(Fraction(s, 2) if _whole(s) else s / 2 for s in sums)
 
     def refines(self, other: "Partition") -> bool:
         """True if every breakpoint of ``other`` is, as a float, a breakpoint here."""

@@ -68,10 +68,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dynamics import (BicycleParams, Control, FeatureParams, VehicleState, _advance, _check_dt,
+from .dynamics import (BicycleParams, Control, FeatureParams, VehicleState, _advance,
                        _check_weights, _frame, _own_costs, _pair_cost,
                        step)  # unused: kept bound for perfbench's tracer test
-from .game import _sum_in_order
+from .game import _check_positive, _sum_in_order, _whole
 
 #: Objective improvements below this do not move the search.
 SOLVER_TOL = 1e-6
@@ -102,12 +102,15 @@ class PlanRequest:
     bicycle_params: BicycleParams = BicycleParams()
 
     def __post_init__(self) -> None:
-        if type(self.horizon) is not int or not 1 <= self.horizon <= MAX_HORIZON:
-            raise ValueError(
-                f"horizon must be an integer in [1, {MAX_HORIZON}], got {self.horizon!r}"
-            )
-        _check_dt(self.dt)
+        _check_horizon(self.horizon)
+        _check_positive("dt", self.dt)
         _check_weights(self.leader_weights, self.follower_weights)
+
+
+def _check_horizon(horizon: int) -> None:
+    """The one horizon rule: a ``_whole`` number of steps in [1, MAX_HORIZON]."""
+    if not (_whole(horizon) and 1 <= horizon <= MAX_HORIZON):
+        raise ValueError(f"horizon must be an integer in [1, {MAX_HORIZON}], got {horizon!r}")
 
 
 class PlanStats(NamedTuple):
@@ -305,7 +308,7 @@ def follower_plan(
     bicycle_params: BicycleParams = BicycleParams(),
 ) -> tuple[Control, ...]:
     """Follower controls maximizing its weighted features against a fixed leader plan."""
-    _check_dt(dt)
+    _check_positive("dt", dt)
     _check_weights(follower_weights)
     horizon = len(leader_controls)
     if not 1 <= horizon <= MAX_HORIZON:

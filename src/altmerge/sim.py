@@ -9,12 +9,15 @@ realized cell, and executes one control. The leader then scores the
 follower's observed control under every column's weight vector (softmax)
 and Bayes-updates its belief.
 
-The scenario is checked once, when it is built, and a step checks no value
-the package made: both vehicles advance through ``dynamics._advance``, and
-the plan request and states are built by ``game._made``. The public calls a
-step makes still check a caller's arguments: ``observation_likelihoods`` its
-row, temperature, ``dt``, control and the row's weight columns, ``follower_plan``
-its ``dt``, weights and controls, and ``bayes_update`` its likelihoods.
+The scenario is checked once, when it is built, by the package's rules, and
+``Scenario`` turns their ``ValueError`` into ``ScenarioError`` in one place. A
+step checks no value the package made: both vehicles advance through
+``dynamics._step``, and the plan request and states are built by
+``game._made``. The public calls a step makes still check a caller's
+arguments: ``observation_likelihoods`` its row and temperature, then its
+``dt``, control and each weight column through ``dynamics.step`` and
+``dynamics.cost``, which score the observed move; ``follower_plan`` its
+``dt``, weights and controls, and ``bayes_update`` its likelihoods.
 
 Scenario files are JSON documents; scenarios/*.json are the shipped
 defaults. One field table per fixed-key object (``_SCENARIO``, ``_GAME``,
@@ -41,15 +44,14 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .belief import BeliefContradictionError, IntervalBelief, bayes_update
-from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState, _advance,
-                       _check_dt, _check_weights, _frame, _own_costs, _pair_cost, _step,
-                       step)  # unused: kept bound for perfbench's tracer test
+from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState,
+                       _check_weights, _step, cost, step)
 from .explore import (ActionEvaluation, ExplorationStrategy, StrategyKind, decision_partition,
                       select_action)
-from .game import (AltruismGame, OutcomeLabel, _check_row, _finite, _first_max, _made, _positive,
-                   _sum_in_order, build_responsibility_matrix, follower_best_response,
-                   leader_preference_of_follower)
-from .planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
+from .game import (AltruismGame, OutcomeLabel, _check_positive, _check_row, _finite, _first_max,
+                   _made, _sum_in_order, _whole, build_responsibility_matrix,
+                   follower_best_response, leader_preference_of_follower)
+from .planner import PlanRequest, _check_horizon, bilevel_plan, follower_plan
 
 #: The follower plays the rational response to the leader's action.
 FOLLOWER_MODE_FOLLOWER = "follower"
@@ -83,35 +85,28 @@ class Scenario:
     bicycle_params: BicycleParams = BicycleParams()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.true_alpha <= 1:
-            raise ScenarioError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
-        if type(self.episode_steps) is not int:
-            raise ScenarioError(f"episode_steps must be an integer, got {self.episode_steps!r}")
-        if self.episode_steps < 1:
-            raise ScenarioError("episode_steps must be at least 1")
-        if not _positive(self.dt):
-            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        if type(self.horizon) is not int:
-            raise ScenarioError(f"horizon must be an integer, got {self.horizon!r}")
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            raise ScenarioError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon!r}")
-        if not _positive(self.observation_temperature):
-            raise ScenarioError(
-                f"observation_temperature must be positive and finite, got {self.observation_temperature}"
-            )
-        if self.follower_mode not in (FOLLOWER_MODE_FOLLOWER, FOLLOWER_MODE_LEADER):
-            raise ScenarioError(f"unknown follower_mode {self.follower_mode!r}")
-        weights = dict(self.weights)  # stored read-only, vectors as tuples: the check holds
-        for i in range(self.game.n_leader):
-            for j in range(self.game.n_follower):
-                if (i, j) not in weights:
-                    raise ScenarioError(f"weight table misses cell ({i}, {j})")
-                pair = weights[(i, j)]
-                if len(pair) != 2 or any(len(w) != N_FEATURES for w in pair):
-                    raise ScenarioError(f"cell ({i}, {j}) needs two 6-entry weight vectors")
-                if not all(_finite(w) for vector in pair for w in vector):
-                    raise ScenarioError(f"cell ({i}, {j}) needs finite weights")
-                weights[(i, j)] = tuple(map(tuple, pair))
+        try:
+            if not 0 <= self.true_alpha <= 1:
+                raise ValueError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
+            if not _whole(self.episode_steps):
+                raise ValueError(f"episode_steps must be an integer, got {self.episode_steps!r}")
+            if self.episode_steps < 1:
+                raise ValueError("episode_steps must be at least 1")
+            _check_positive("dt", self.dt)
+            _check_horizon(self.horizon)
+            _check_positive("observation_temperature", self.observation_temperature)
+            if self.follower_mode not in (FOLLOWER_MODE_FOLLOWER, FOLLOWER_MODE_LEADER):
+                raise ValueError(f"unknown follower_mode {self.follower_mode!r}")
+            weights, game = dict(self.weights), self.game  # stored read-only, vectors as tuples
+            for cell in [(i, j) for i in range(game.n_leader) for j in range(game.n_follower)]:
+                if cell not in weights:
+                    raise ValueError(f"weight table misses cell {cell}")
+                pair = weights[cell] = tuple(map(tuple, weights[cell]))
+                if len(pair) != 2:
+                    raise ValueError(f"cell {cell} needs a leader and a follower weight vector")
+                _build(_check_weights, f"cell {cell}", *pair)
+        except ValueError as error:  # the one place a rule's ValueError becomes a ScenarioError
+            raise ScenarioError(str(error)) from None
         object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def __reduce__(self):
@@ -173,27 +168,19 @@ def observation_likelihoods(
 ) -> tuple[float, ...]:
     """Softmax over follower actions scoring the observed one-step behaviour.
 
-    The observed control is applied to the follower's state; the successor,
-    paired with the leader's realized state, is scored under each column's
-    follower weight vector. Equal weight vectors give uniform likelihoods;
-    adding a constant to all scores changes nothing. A score that is not
-    finite once divided by the temperature raises ``ValueError``; a tiny
-    temperature can push a score out of the float range.
+    The observed control is applied to the follower's state by ``step``; the
+    successor, paired with the leader's realized state, is scored by ``cost``
+    under each column's follower weight vector. Equal weight vectors give
+    uniform likelihoods; adding a constant to all scores changes nothing. A
+    score that is not finite once divided by the temperature raises
+    ``ValueError``; a tiny temperature can push a score out of the float range.
     """
     _check_row(game, leader_action)
-    if not _positive(temperature):
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    _check_dt(dt)
-    bicycle_params.check(observed_control)
-    start = (follower_state.x, follower_state.y, follower_state.v, follower_state.theta)
-    successor = _advance(start, observed_control.accel, observed_control.steer, 1,
-                         bicycle_params.wheelbase, dt)
-    other = leader_state_next
-    leader = _frame([(other.x, other.y, other.v, other.theta)])
+    _check_positive("temperature", temperature)
+    successor = [step(follower_state, observed_control, bicycle_params, dt)]
     columns = [weights[(leader_action, j)][1] for j in range(game.n_follower)]
-    _check_weights(*columns)
-    logits = [_pair_cost(successor, _own_costs(successor, w, feature_params), leader, w,
-                         feature_params) / temperature for w in columns]
+    logits = [cost(successor, [leader_state_next], w, feature_params) / temperature
+              for w in columns]
     if not all(map(math.isfinite, logits)):
         raise ValueError(f"non-finite logits {tuple(logits)} at temperature {temperature!r}")
     peak = max(logits)

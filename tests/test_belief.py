@@ -219,7 +219,7 @@ class TestBayesUpdate:
 
     def test_row_out_of_range_is_an_error(self, lane_merge_game):
         b = IntervalBelief.uniform(partition_domain(lane_merge_game))
-        for row in (-1, 3, 1.5, Fraction(1)):
+        for row in (-1, 3, 1.5, Fraction(1), True):
             with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
                 bayes_update(b, lane_merge_game, row, (0.5, 0.5))
 

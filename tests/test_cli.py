@@ -148,7 +148,8 @@ class TestRun:
         pytest.param(("initial_states", "leader", "v"), -1,
                      "initial_states.leader: speed must be nonnegative", id="negative_speed"),
         pytest.param(("feature_params", "vehicle_width"), 0,
-                     "feature_params: vehicle dimensions must be positive", id="vehicle_width"),
+                     "feature_params: vehicle_width must be positive and finite, got 0",
+                     id="vehicle_width"),
         pytest.param(("feature_params", "width_margin"), -3,
                      "feature_params: lateral ellipse axis must be positive", id="width_margin"),
         pytest.param(("feature_params", "length_margin"), -10,

@@ -52,7 +52,7 @@ class TestParams:
                       Fraction(1, 10**400)),
          "dt must be positive and finite"),
         (lambda: FeatureParams(vehicle_width=Fraction(1, 10**400), width_margin=Fraction(0)),
-         "vehicle dimensions must be positive"),
+         "vehicle_width must be positive and finite, got 1/1000"),
         (lambda: FeatureParams(vehicle_width=Fraction(1), width_margin=Fraction(1, 10**400) - 1),
          "lateral ellipse axis must be positive"),
         (lambda: FeatureParams(vehicle_width=1.7e308, width_margin=1.7e308),

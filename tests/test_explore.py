@@ -513,6 +513,6 @@ class TestChecksOnce:
     def test_out_of_range_row_is_an_error(self, lane_merge_game):
         b = uniform_for(lane_merge_game)
         for bonus in (info_gain_bonus, expected_reward_gain_bonus):
-            for row in (-1, 3, 1.5, Fraction(1)):
+            for row in (-1, 3, 1.5, Fraction(1), True):
                 with pytest.raises(ValueError, match="out of bounds"):
                     bonus(lane_merge_game, b, row)

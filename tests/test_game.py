@@ -75,8 +75,8 @@ class TestAltruisticReward:
             altruistic_reward(probe_game, (0, 0), Player.LEADER, alpha)
 
     def test_rejects_out_of_range_cell(self, probe_game):
-        # a cell holds two int indices: a float or Fraction, even a whole one, is out of bounds
-        for cell in ((3, 0), (1.5, 0), (Fraction(1), 0), (0, 1.0)):
+        # a cell holds two ints: a bool, float or Fraction, even a whole one, is out of bounds
+        for cell in ((3, 0), (1.5, 0), (Fraction(1), 0), (0, 1.0), (True, False)):
             with pytest.raises(ValueError, match=re.escape(f"cell ({cell[0]!r}, {cell[1]!r})")):
                 altruistic_reward(probe_game, cell, Player.LEADER, 0.5)
 
@@ -97,7 +97,7 @@ class TestFollowerBestResponse:
         assert follower_best_response(game, 0, 0) == 0
 
     def test_row_out_of_range_is_an_error(self, lane_merge_game):
-        for row in (-1, 3, 1.5, Fraction(1)):
+        for row in (-1, 3, 1.5, Fraction(1), True):
             with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
                 follower_best_response(lane_merge_game, row, 0.5)
 
@@ -231,7 +231,7 @@ class TestIntersectionPoints:
         assert type(point) is Fraction and point == Fraction(7, 15)
 
     def test_row_out_of_range_is_an_error(self, lane_merge_game):
-        for row in (-1, 3, 1.5, Fraction(1)):
+        for row in (-1, 3, 1.5, Fraction(1), True):
             with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
                 intersection_points(lane_merge_game, row)
 

@@ -1,7 +1,8 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
-one predicate states the float range and one states positivity, one constructor skips
-``__post_init__``, one function breaks a tie to the lowest index, and no function keeps state
-in its module."""
+one predicate states the float range and one states positivity, one function raises on a value
+that is not positive, one tells an integer, one constructor skips ``__post_init__``, one
+function breaks a tie to the lowest index, only the planner reaches past ``step`` and ``cost``
+into the dynamics kernels, and no function keeps state in its module."""
 
 import ast
 import re
@@ -89,6 +90,49 @@ def test_only_game_positive_pairs_finite_with_a_positivity_comparison():
         and any(map(finite, ast.walk(node))) and any(map(positivity, ast.walk(node)))
     ]
     assert not pairs
+
+
+def test_only_game_check_positive_raises_on_a_value_that_is_not_positive():
+    # game._check_positive is the one raise of the positivity rule; a "must be positive" in any
+    # other string states it again. "at least one likelihood must be positive" is another rule,
+    # on a vector: one entry of it must be positive
+    texts = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_check_positive")
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "must be positive" in node.value and not node.value.startswith("at least one")]
+    assert not texts
+
+
+def test_only_game_whole_tells_an_integer():
+    # game._whole is the one integer rule; a "type(x) is int", "type(x) is not int" or
+    # "isinstance(x, int)" anywhere else states it again. isinstance(x, (int, Fraction)), the
+    # test for an exact number, is another rule
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def rule(node):
+        if isinstance(node, ast.Compare):
+            return any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and any(
+                map(is_int, [node.left, *node.comparators]))
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and is_int(node.args[-1]))
+
+    sites = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_whole") if rule(node)]
+    assert not sites
+
+
+def test_only_the_planner_reaches_into_the_dynamics_kernels():
+    # the float kernels skip every check; the planner's rollouts call them on values it made, and
+    # every other module goes through step and cost, the public calls a tracer of the package sees
+    kernels = {"_advance", "_own_costs", "_pair_cost", "_frame"}
+    reaches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "altmerge").glob("*.py"))
+        if path.name not in ("dynamics.py", "planner.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.alias) and node.name in kernels
+        or isinstance(node, ast.Attribute) and node.attr in kernels
+    ]
+    assert not reaches
 
 
 def test_only_game_made_builds_an_object_past_its_post_init():

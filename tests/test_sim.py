@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 import re
 import sys
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 
 import altmerge.sim as sim
 from altmerge.belief import BeliefContradictionError
-from altmerge.dynamics import N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState
+from altmerge.dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, VehicleState,
+                               cost, step)
 from altmerge.explore import ExplorationStrategy, StrategyKind
 from altmerge.game import OutcomeLabel, _finite
 from altmerge.planner import MAX_HORIZON, PlanRequest, bilevel_plan, follower_plan
@@ -103,9 +105,38 @@ class TestObservationLikelihoods:
 
     def test_row_out_of_range_is_an_error(self, lane_scenario):
         game, _, *rest = self._braking_args(lane_scenario)
-        for row in (-1, 3, 1.5, Fraction(1)):
+        for row in (-1, 3, 1.5, Fraction(1), True):
             with pytest.raises(ValueError, match=re.escape(f"leader action {row!r} out of bounds")):
                 observation_likelihoods(game, row, *rest)
+
+    @pytest.mark.parametrize("fixture", ["lane_scenario", "responsibility_scenario"])
+    def test_is_the_softmax_of_the_public_cost(self, request, fixture):
+        # each column's logit is cost([step(follower, control, bp, dt)], [leader_next], w_j, fp)
+        # over the temperature, and the softmax subtracts the peak and sums in order: bit for bit
+        scenario = request.getfixturevalue(fixture)
+        game, weights, dt = scenario.game, scenario.weights, scenario.dt
+        bp, fp = scenario.bicycle_params, scenario.feature_params
+        rng = random.Random(20211)
+
+        def state():
+            return VehicleState(rng.uniform(0.0, 10.0), rng.uniform(-30.0, 30.0),
+                                rng.uniform(0.0, 20.0), rng.uniform(-0.5, 0.5))
+
+        for row in range(game.n_leader):
+            for _ in range(20):
+                control = Control(rng.uniform(-bp.accel_max, bp.accel_max),
+                                  rng.uniform(-bp.steer_max, bp.steer_max))
+                follower, leader_next, temperature = state(), state(), rng.uniform(0.05, 5.0)
+                successor = [step(follower, control, bp, dt)]
+                logits = [cost(successor, [leader_next], weights[(row, j)][1], fp) / temperature
+                          for j in range(game.n_follower)]
+                unnormalized = [math.exp(logit - max(logits)) for logit in logits]
+                total = 0.0
+                for u in unnormalized:
+                    total += u
+                got = observation_likelihoods(game, row, control, follower, leader_next, weights,
+                                              fp, bp, dt, temperature)
+                assert [p.hex() for p in got] == [(u / total).hex() for u in unnormalized]
 
     def test_temperature_softens(self, lane_scenario):
         args = self._braking_args(lane_scenario)
@@ -302,13 +333,13 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("change, message", [
         (lambda weights: weights.pop((2, 1)), "weight table misses cell (2, 1)"),
         (lambda weights: weights.update({(2, 1): (weights[(2, 1)][0], (0.0,) * 5)}),
-         "cell (2, 1) needs two 6-entry weight vectors"),
+         "cell (2, 1): weight vectors must have 6 finite entries"),
         (lambda weights: weights.update({(1, 0): ((math.nan,) * 6, weights[(1, 0)][1])}),
-         "cell (1, 0) needs finite weights"),
+         "cell (1, 0): weight vectors must have 6 finite entries"),
         (lambda weights: weights.update({(1, 0): ((10**400,) * 6, weights[(1, 0)][1])}),
-         "cell (1, 0) needs finite weights"),
+         "cell (1, 0): weight vectors must have 6 finite entries"),
         (lambda weights: weights.update({(0, 1): (weights[(0, 1)][0], (Fraction(10**400),) * 6)}),
-         "cell (0, 1) needs finite weights"),
+         "cell (0, 1): weight vectors must have 6 finite entries"),
     ], ids=["missing_cell", "short_follower_vector", "nan_leader_weight",
             "int_past_float_range_leader_weight", "fraction_past_float_range_follower_weight"])
     def test_scenario_rejects_incomplete_weights(self, lane_scenario, change, message):
@@ -320,11 +351,14 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("episode_steps", 2.5, "episode_steps must be an integer, got 2.5",
                      id="episode_steps"),
-        pytest.param("horizon", 2.5, "horizon must be an integer, got 2.5", id="horizon"),
+        pytest.param("horizon", 2.5, f"horizon must be an integer in [1, {MAX_HORIZON}], got 2.5",
+                     id="horizon"),
         pytest.param("episode_steps", True, "episode_steps must be an integer, got True",
                      id="episode_steps_bool"),
-        pytest.param("horizon", True, "horizon must be an integer, got True", id="horizon_bool"),
-        pytest.param("horizon", 10**400, f"horizon must lie in [1, {MAX_HORIZON}], got 1000",
+        pytest.param("horizon", True, f"horizon must be an integer in [1, {MAX_HORIZON}], got True",
+                     id="horizon_bool"),
+        pytest.param("horizon", 10**400,
+                     f"horizon must be an integer in [1, {MAX_HORIZON}], got 1000",
                      id="horizon_int_past_float_range"),
         pytest.param("dt", 10**400, "dt must be positive and finite, got 1000",
                      id="dt_int_past_float_range"),
