@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game import (MASS_TOL, AltruismGame, Number, Partition, _check_row, _commit, _finite,
-                   _follower_values, _made, _sum_in_order)
+from .game import (MASS_TOL, AltruismGame, Number, Partition, _check_number, _check_row, _commit,
+                   _finite, _follower_values, _made, _sum_in_order)
 
 #: Effective width assigned to a point-mass interval so entropy stays finite.
 POINT_WIDTH = 1e-6
@@ -83,6 +83,8 @@ class IntervalBelief:
         cls, lo: Number, hi: Number, partition: Partition | None = None
     ) -> "IntervalBelief":
         """Uniform belief on [lo, hi], bounds apart as floats, optionally on a refined partition."""
+        for bound in (lo, hi):
+            _check_number("support bound", bound)
         if not (0 <= lo < hi <= 1 and float(lo) < float(hi)):
             raise ValueError(f"invalid support [{lo}, {hi}]")
         base = Partition((0, 1)) if partition is None else partition
@@ -283,6 +285,7 @@ def bayes_update(
 
 def mass_below(belief: IntervalBelief, x: Number) -> float:
     """P(coefficient < x), integrating partial cells linearly."""
+    _check_number("threshold", x)
     if not 0 <= x <= 1:
         raise ValueError(f"threshold {x} outside [0, 1]")
     total, fx, floats = 0.0, float(x), belief.partition.floats

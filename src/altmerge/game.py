@@ -22,24 +22,28 @@ Checks live at the public entry: ``AltruismGame`` checks its grid and the
 leader's coefficient once, each public function its own coefficient and row
 or cell, and every layer a caller's number with ``_finite``, ``_positive``
 and ``_whole``, the number rules; ``_check_positive`` is the one raise of
-the positivity rule. A value the package made is not checked
-again: ``_made`` builds a frozen dataclass from it without ``__post_init__``,
-the only object built that way. The game computes the leader's value of
-every cell once, on first use. One unchecked kernel, ``_follower_values``,
-blends the follower's values of one row at a coefficient; every best
-response and the role swap are read from these two grids. When every reward
-and the coefficient are ints or Fractions, the kernel reads each cell's
-follower line, intercept f and slope l − f, built once per game, as
-f + α·(l − f): the exact rational of (1 − α)·f + α·l with one multiply. A
-float reward or coefficient keeps the product form, whose rounding the float
-results are pinned to; the leader's values keep it too. ``belief``'s cell
-table calls the kernel and ``_commit`` after its own partition check.
+the positivity rule and ``_check_number`` of the number-type rule: a reward,
+a coefficient or a breakpoint is an int, a float or a Fraction. A value the
+package made is not checked again: ``_made`` builds a frozen dataclass from
+it without ``__post_init__``, the only object built that way. The game
+computes the leader's value of every cell once, on first use. One unchecked
+kernel, ``_follower_values``, blends the follower's values of one row at a
+coefficient; every best response and the role swap are read from these two
+grids. A game whose rewards are all ints or Fractions builds each cell's
+follower line once, over the lcm D of every reward's denominator: the ints
+D·f and D·(l − f). At an exact coefficient p/q the kernel returns each
+cell's value as one Fraction, (q·D·f + p·D·(l − f)) / (q·D), the exact
+rational of (1 − α)·f + α·l from integer products alone. A float reward or
+coefficient keeps the product form, whose rounding the float results are
+pinned to; the leader's values keep it too. ``belief``'s cell table calls
+the kernel and ``_commit`` after its own partition check.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -65,6 +69,13 @@ def _check_positive(name: str, value: Number) -> None:
     """The one raise of the positivity rule, naming the quantity."""
     if not _positive(value):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_number(name: str, value) -> None:
+    """The one raise of the number-type rule: an int, a float or a ``Fraction``, the types
+    the exact lines and the float product form read; a ``Decimal`` or a str is none."""
+    if not isinstance(value, Number):
+        raise ValueError(f"{name} must be an int, float or Fraction, got {value!r}")
 
 
 def _whole(value) -> bool:
@@ -147,6 +158,8 @@ class AltruismGame:
             for cell in row:
                 if len(cell) != 2:
                     raise ValueError("every cell must hold exactly one reward pair")
+                for reward in cell:
+                    _check_number("reward", reward)
                 if not all(map(_finite, cell)):
                     raise ValueError(f"rewards must be finite, got {cell}")
         _check_alpha(self.alpha_leader)
@@ -167,13 +180,16 @@ class AltruismGame:
                      for row in self.rewards)
 
     @functools.cached_property
-    def _follower_lines(self) -> tuple[tuple[tuple[Number, Number], ...], ...] | None:
-        """Each cell's follower reward line, ``[i][j]`` = (intercept f, slope l − f); None
-        unless every reward is an int or Fraction, where ``f + α·(l − f)`` is exact."""
-        if not all(isinstance(r, (int, Fraction)) for row in self.rewards for c in row for r in c):
+    def _follower_lines(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]] | None:
+        """(D, lines): D the lcm of every reward's denominator and ``lines[i][j]`` the cell's
+        follower reward line over D, (D·f, D·(l − f)), in ints; None if a reward is a float."""
+        rewards = [r for row in self.rewards for cell in row for r in cell]
+        if any(isinstance(r, float) for r in rewards):
             return None
-        return tuple(tuple((follower, leader - follower) for leader, follower in row)
-                     for row in self.rewards)
+        d = math.lcm(*(r.denominator for r in rewards))
+        scaled = [[[r.numerator * (d // r.denominator) for r in cell] for cell in row]
+                  for row in self.rewards]
+        return d, tuple(tuple((f, l - f) for l, f in row) for row in scaled)
 
     @functools.cached_property
     def _domain_partition(self) -> Partition:
@@ -199,6 +215,7 @@ class Equilibrium:
 
 
 def _check_alpha(alpha: Number) -> None:
+    _check_number("altruism coefficient", alpha)
     if not 0 <= alpha <= 1:
         raise ValueError(f"altruism coefficient must lie in [0, 1], got {alpha}")
 
@@ -228,13 +245,17 @@ def _check_row(game: AltruismGame, leader_action: int) -> None:
 
 def _follower_values(game: AltruismGame, i: int, alpha: Number) -> list[Number]:
     """The follower's blend of each cell of row i at ``alpha``; the one unchecked kernel.
-    Exact inputs read the game's lines, one multiply per cell; a float keeps the product
-    form, whose rounding every float result is pinned to."""
-    lines = game._follower_lines
-    if lines is None or not isinstance(alpha, (int, Fraction)):
+    At an exact α = p/q, an exact game's lines over D give each cell's value as the one
+    Fraction (q·D·f + p·D·(l − f)) / (q·D); a float keeps the product form, whose rounding
+    every float result is pinned to."""
+    exact = game._follower_lines
+    if exact is None or isinstance(alpha, float):
         beta = 1 - alpha
         return [beta * follower + alpha * leader for leader, follower in game.rewards[i]]
-    return [intercept + alpha * slope for intercept, slope in lines[i]]
+    d, lines = exact
+    p, q = alpha.numerator, alpha.denominator
+    qd = q * d
+    return [Fraction(q * intercept + p * slope, qd) for intercept, slope in lines[i]]
 
 
 def _argmax(values: Sequence[Number], ties: Sequence[Number]) -> int:
@@ -322,6 +343,7 @@ class Partition:
         pts = tuple(self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
         for p in pts:
+            _check_number("breakpoint", p)
             if not 0 <= p <= 1:
                 raise ValueError(f"breakpoint {p} outside [0, 1]")
         if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:

@@ -48,8 +48,8 @@ from .dynamics import (N_FEATURES, BicycleParams, Control, FeatureParams, Vehicl
                        _check_weights, _step, cost, step)
 from .explore import (ActionEvaluation, ExplorationStrategy, StrategyKind, decision_partition,
                       select_action)
-from .game import (AltruismGame, OutcomeLabel, _check_positive, _check_row, _finite, _first_max,
-                   _made, _sum_in_order, _whole, build_responsibility_matrix,
+from .game import (AltruismGame, OutcomeLabel, _check_number, _check_positive, _check_row, _finite,
+                   _first_max, _made, _sum_in_order, _whole, build_responsibility_matrix,
                    follower_best_response, leader_preference_of_follower)
 from .planner import PlanRequest, _check_horizon, bilevel_plan, follower_plan
 
@@ -86,6 +86,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         try:
+            _check_number("true_alpha", self.true_alpha)
             if not 0 <= self.true_alpha <= 1:
                 raise ValueError(f"true_alpha must lie in [0, 1], got {self.true_alpha}")
             if not _whole(self.episode_steps):

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -98,8 +99,12 @@ class TestIntervalBelief:
          "one likelihood per follower action required"),
         (lambda game: mass_below(IntervalBelief.uniform(Partition((0, 1))), 1.5),
          "threshold 1.5 outside [0, 1]"),
+        (lambda game: IntervalBelief.uniform_on(Decimal("0.25"), 0.5),
+         "support bound must be an int, float or Fraction, got Decimal('0.25')"),
+        (lambda game: mass_below(IntervalBelief.uniform(Partition((0, 1))), "0.5"),
+         "threshold must be an int, float or Fraction, got '0.5'"),
     ], ids=["one_mass", "reversed_support", "support_at_one_float", "fraction_support_at_one_float",
-            "one_likelihood", "threshold"])
+            "one_likelihood", "threshold", "decimal_support", "str_threshold"])
     def test_rejects_malformed_input(self, lane_merge_game, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(lane_merge_game)

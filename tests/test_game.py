@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from altmerge.game import (
     Partition,
     Player,
     _follower_values,
+    _whole,
     altruistic_reward,
     build_responsibility_matrix,
     follower_best_response,
@@ -43,11 +45,35 @@ class TestAltruismGame:
         (lambda: Partition((0, 10**400, 1)), r"breakpoint 10{400} outside \[0, 1\]"),
         (lambda: Partition((0, -Fraction(10**400), 1)), r"breakpoint -10{400} outside \[0, 1\]"),
         (lambda: Partition((0, 1)).refined((10**400,)), r"breakpoint 10{400} outside \[0, 1\]"),
+        (lambda: AltruismGame(("a",), ("x", "y"), (((1, Decimal("0.5")), (0, 2)),)),
+         r"reward must be an int, float or Fraction, got Decimal\('0\.5'\)"),
+        (lambda: AltruismGame(("a",), ("x",), ((("1", 2),),)),
+         r"reward must be an int, float or Fraction, got '1'"),
+        (lambda: AltruismGame(("a",), ("x",), (((1, 2),),), Decimal("0.5")),
+         r"altruism coefficient must be an int, float or Fraction, got Decimal\('0\.5'\)"),
+        (lambda: Partition((0, 1)).refined((Decimal("0.5"),)),
+         r"breakpoint must be an int, float or Fraction, got Decimal\('0\.5'\)"),
     ], ids=["three_number_cell", "breakpoint_outside", "breakpoint_int_past_float_range",
-            "breakpoint_fraction_past_float_range", "refined_int_past_float_range"])
+            "breakpoint_fraction_past_float_range", "refined_int_past_float_range",
+            "decimal_reward", "str_reward", "decimal_alpha_leader", "decimal_breakpoint"])
     def test_rejects_malformed_input(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("alpha", [Decimal("0.5"), "0.5", None], ids=["decimal", "str", "none"])
+    def test_every_public_coefficient_is_an_int_float_or_fraction(self, lane_merge_game, alpha):
+        # the exact lines read a numerator and a denominator and the product form a float's
+        # arithmetic: a coefficient of any other type is rejected where it enters
+        calls = [
+            lambda: altruistic_reward(lane_merge_game, (0, 0), Player.FOLLOWER, alpha),
+            lambda: follower_best_response(lane_merge_game, 0, alpha),
+            lambda: stackelberg_equilibrium(lane_merge_game, alpha),
+            lambda: leader_preference_of_follower(lane_merge_game, alpha),
+        ]
+        message = f"altruism coefficient must be an int, float or Fraction, got {alpha!r}"
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
 
 class TestAltruisticReward:
@@ -152,6 +178,36 @@ class TestFollowerValues:
                         assert values == blends and not any(isinstance(v, float) for v in values)
                     else:
                         assert list(map(_bits, values)) == list(map(_bits, blends)), (grid, alpha)
+
+    def test_reads_integer_lines_over_the_common_denominator(self):
+        # ints mixed with Fractions over the coprime 3, 7 and 11: the lines hold ints over the
+        # lcm D of every reward's denominator, and each value at an exact alpha, one with a
+        # large denominator included, is the product form's rational
+        mixed = AltruismGame(("a", "b"), ("x", "y"), (
+            ((Fraction(1, 3), 2), (-1, Fraction(4, 7))),
+            ((Fraction(-5, 11), 0), (3, Fraction(2, 3))),
+        ))
+        assert mixed._follower_lines[0] == 3 * 7 * 11
+        rng = random.Random(20261022)
+        big = 10**12 + 39
+        alphas = [0, 1, True, Fraction(1, 2), *(Fraction(rng.randint(0, big), big) for _ in range(8))]
+        games = [mixed]
+        for _ in range(100):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            grid = [[tuple(rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-30, 30),
+                                                                   rng.choice((3, 7, 11)))))
+                           for _ in range(2)) for _ in range(n)] for _ in range(m)]
+            games.append(AltruismGame(tuple(f"r{i}" for i in range(m)),
+                                      tuple(f"c{j}" for j in range(n)), grid))
+        for game in games:
+            d, lines = game._follower_lines
+            rewards = [Fraction(r) for row in game.rewards for cell in row for r in cell]
+            assert d == math.lcm(*(r.denominator for r in rewards))
+            assert all(_whole(x) for row in lines for line in row for x in line)
+            for alpha in alphas:
+                for i, row in enumerate(game.rewards):
+                    blends = [(1 - alpha) * follower + alpha * leader for leader, follower in row]
+                    assert _follower_values(game, i, alpha) == blends, (game.rewards, alpha)
 
 
 class TestStackelbergEquilibrium:

@@ -1,8 +1,8 @@
 """README.md stays true: its examples run, its exported names exist, its sums add in order,
 one predicate states the float range and one states positivity, one function raises on a value
-that is not positive, one tells an integer, one constructor skips ``__post_init__``, one
-function breaks a tie to the lowest index, only the planner reaches past ``step`` and ``cost``
-into the dynamics kernels, and no function keeps state in its module."""
+that is not positive and one on a number of another type, one tells an integer, one constructor
+skips ``__post_init__``, one function breaks a tie to the lowest index, only the planner reaches
+past ``step`` and ``cost`` into the dynamics kernels, and no function keeps state in its module."""
 
 import ast
 import re
@@ -99,6 +99,15 @@ def test_only_game_check_positive_raises_on_a_value_that_is_not_positive():
     texts = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_check_positive")
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and "must be positive" in node.value and not node.value.startswith("at least one")]
+    assert not texts
+
+
+def test_only_game_check_number_raises_on_a_number_of_another_type():
+    # game._check_number is the one raise of the number-type rule; an "int, float or Fraction"
+    # in any other string states it again
+    texts = [f"{name}:{node.lineno}" for name, node in _nodes_outside("_check_number")
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "int, float or Fraction" in node.value]
     assert not texts
 
 

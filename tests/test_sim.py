@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -323,6 +324,12 @@ class TestScenarioParsing:
         data["true_alpha"] = 1.5
         with pytest.raises(ScenarioError, match="true_alpha"):
             parse_scenario(data, "doc")
+
+    @pytest.mark.parametrize("alpha", [Decimal("0.5"), "0.5", None], ids=["decimal", "str", "none"])
+    def test_alpha_of_another_type_rejected(self, lane_scenario, alpha):
+        message = f"true_alpha must be an int, float or Fraction, got {alpha!r}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            dataclasses.replace(lane_scenario, true_alpha=alpha)
 
     def test_incomplete_weight_table_rejected(self):
         data = json.loads((SCENARIO_DIR / "lane_merge.json").read_text())
